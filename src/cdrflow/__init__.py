@@ -50,7 +50,6 @@ from .geo import (
     Region,
     RegionIndex,
     TowerSector,
-    assign_region,
     haversine_distance,
     position_events,
     sample_sector_point,

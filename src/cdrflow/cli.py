@@ -108,7 +108,9 @@ def stage_synth(cfg: PipelineConfig) -> None:
 def stage_position(cfg: PipelineConfig) -> None:
     cdr_path = _external_input(cfg.cdr_path, cfg, "cdr")
     towers_path = _external_input(cfg.towers_path, cfg, "towers")
-    events = geo.load_cdr_csv(cdr_path)
+    # Stop detection needs each user's events in time order; exports need not
+    # be, and a stable sort leaves sorted input unchanged.
+    events = sorted(geo.load_cdr_csv(cdr_path), key=lambda e: (e.user_id, e.timestamp))
     towers = geo.load_towers_csv(towers_path)
     positioned = geo.position_events(events, towers, land=_load_land(cfg))
     geo.write_positioned_csv(positioned, _artifact(cfg, "positioned"))
@@ -118,23 +120,16 @@ def stage_stays(cfg: PipelineConfig) -> None:
     positioned = geo.load_positioned_csv(_stage_artifact(cfg, "positioned", "position"))
     regions_path = _external_input(cfg.regions_path, cfg, "regions")
     regions = geo.load_regions_geojson(regions_path)
-    staypoints = build_staypoints(
-        positioned, cfg.stop_params, regions=regions, workers=cfg.threads
-    )
+    staypoints = build_staypoints(positioned, cfg.stop_params, regions=regions)
     write_staypoints_csv(staypoints, _artifact(cfg, "staypoints"))
 
 
 def stage_trips(cfg: PipelineConfig) -> None:
     positioned = geo.load_positioned_csv(_stage_artifact(cfg, "positioned", "position"))
     staypoints = load_staypoints_csv(_stage_artifact(cfg, "staypoints", "stays"))
-    sp_by_user: dict[str, list] = {}
-    for sp in staypoints:
-        sp_by_user.setdefault(sp.user_id, []).append(sp)
-    ev_by_user: dict[str, list] = {}
-    for ev in positioned:
-        ev_by_user.setdefault(ev.user_id, []).append(ev)
+    sp_by_user = geo.group_by_user(staypoints)
     moving = []
-    for user_id, evs in ev_by_user.items():
+    for user_id, evs in geo.group_by_user(positioned).items():
         moving.extend(moving_events(evs, sp_by_user.get(user_id, [])))
     all_trips = trips_mod.build_trips(
         staypoints, moving, thresholds=cfg.thresholds, gap_threshold=cfg.gap_threshold_s
@@ -249,7 +244,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--min-arc-freq", type=int, metavar="N", help="hide model arcs below this frequency"
     )
-    common.add_argument("--threads", type=int, metavar="N", help="worker cap for per-user stages")
+    # Accepted and ignored so that existing command lines keep working.
+    common.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, metavar="U64", help="scenario and sampling seed")
 
     parser = argparse.ArgumentParser(
@@ -287,8 +283,6 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
         cfg = replace(cfg, top_k=args.top_k)
     if args.min_arc_freq is not None:
         cfg = replace(cfg, min_arc_frequency=args.min_arc_freq)
-    if args.threads is not None:
-        cfg = replace(cfg, threads=args.threads)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     return cfg
@@ -300,6 +294,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     current = stage_names[0]
     try:
         cfg = _resolve_config(args)
+        if args.command == "all" and cfg.cdr_path is not None:
+            stage_names.remove("synth")  # the events come from outside the run
         _stamp_run_dir(cfg)
         for current in stage_names:
             STAGES[current](cfg)

@@ -28,7 +28,6 @@ class PipelineConfig:
     region_aliases_path: Optional[Path] = None
     level: str = "municipality"
     seed: int = 0
-    threads: int = 1
     ocel: bool = True
     top_k: Optional[int] = 20
     min_arc_frequency: int = 0
@@ -41,8 +40,6 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.level not in ("parish", "municipality"):
             raise InvalidConfig(f"level must be parish or municipality, got {self.level!r}")
-        if self.threads < 1:
-            raise InvalidConfig("threads must be >= 1")
         if self.top_k is not None and self.top_k < 1:
             raise InvalidConfig("top_k must be >= 1")
         if self.min_arc_frequency < 0:
@@ -102,7 +99,6 @@ def load_config(path: Optional[str | Path] = None) -> PipelineConfig:
             cfg,
             level=sec.get("level", cfg.level),
             seed=sec.getint("seed", cfg.seed),
-            threads=sec.getint("threads", cfg.threads),
             ocel=sec.getboolean("ocel", cfg.ocel),
             top_k=(int(top_k_raw) if top_k_raw.strip() else cfg.top_k),
             min_arc_frequency=sec.getint("min_arc_frequency", cfg.min_arc_frequency),
@@ -204,7 +200,11 @@ def _jsonable(value):
 
 
 def config_hash(cfg: PipelineConfig) -> str:
-    """Stable digest of the resolved configuration."""
-    doc = {f.name: _jsonable(getattr(cfg, f.name)) for f in fields(cfg)}
+    """Stable digest of the resolved settings that shape the artifacts.
+
+    The run directory itself is left out, so a run can be moved or named by
+    another path and still be resumed.
+    """
+    doc = {f.name: _jsonable(getattr(cfg, f.name)) for f in fields(cfg) if f.name != "out_dir"}
     payload = json.dumps(doc, sort_keys=True).encode("utf-8")
     return hashlib.sha256(payload).hexdigest()

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .errors import UnresolvedRegion
-from .stays import Staypoint
+from .stays import Staypoint, staypoint_region
 from .timefmt import from_iso, to_iso
 from .trips import Trip
 
@@ -106,10 +106,6 @@ class LogStats:
     n_relations: Optional[int] = None
 
 
-def _staypoint_region(sp: Staypoint, level: str) -> Optional[str]:
-    return sp.region_parish if level == "parish" else sp.region_municipality
-
-
 def _trip_events(
     trip: Trip, sp_index: dict[str, Staypoint], level: str
 ) -> list[tuple[str, float]]:
@@ -123,14 +119,7 @@ def _trip_events(
     labels: list[str] = []
     times: list[float] = []
     for k, sp_id in enumerate(chain):
-        sp = sp_index.get(sp_id)
-        if sp is None:
-            raise UnresolvedRegion(f"trip {trip.trip_id}: staypoint {sp_id!r} not found")
-        region = _staypoint_region(sp, level)
-        if region is None:
-            raise UnresolvedRegion(
-                f"trip {trip.trip_id}: staypoint {sp_id} has no {level} region"
-            )
+        sp, region = staypoint_region(sp_index, sp_id, level, trip.trip_id)
         labels.append(region)
         times.append(trip.t_start if k == 0 else sp.t_start)
 

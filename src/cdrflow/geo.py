@@ -15,6 +15,8 @@ from hashlib import blake2b
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .errors import ClippingExhausted
 from .timefmt import from_iso, to_iso
 
@@ -110,14 +112,32 @@ class PositionedEvent:
             raise ValueError("timestamp must be finite")
 
 
+def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
+    """Great-circle distance in meters between two (lat, lon) pairs in degrees."""
+    rad, sin, cos = math.radians, math.sin, math.cos
+    h = (
+        sin(rad(lat2 - lat1) / 2.0) ** 2
+        + cos(rad(lat1)) * cos(rad(lat2)) * sin(rad(lon2 - lon1) / 2.0) ** 2
+    )
+    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
+
+
+def haversine_m_array(phi1, lam1, cos_phi1, phi2, lam2, cos_phi2) -> np.ndarray:
+    """Great-circle distances in meters from radians (phi1, lam1) to arrays (phi2, lam2).
+
+    cos_phi1 and cos_phi2 are the cosines of phi1 and phi2, which callers
+    already hold.
+    """
+    h = (
+        np.sin((phi2 - phi1) / 2.0) ** 2
+        + cos_phi1 * cos_phi2 * np.sin((lam2 - lam1) / 2.0) ** 2
+    )
+    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(h)))
+
+
 def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance in meters between two points."""
-    phi1 = math.radians(a.lat)
-    phi2 = math.radians(b.lat)
-    dphi = math.radians(b.lat - a.lat)
-    dlam = math.radians(b.lon - a.lon)
-    h = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
+    return haversine_m(a.lat, a.lon, b.lat, b.lon)
 
 
 def initial_bearing(a: GeoPoint, b: GeoPoint) -> float:
@@ -161,6 +181,9 @@ def _splitmix64(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
+_TWO_53 = float(1 << 53)
+
+
 def event_seed(cell_id: str, user_id: str, timestamp: float) -> int:
     """Stable 64-bit sampling seed for one event, reproducible across runs."""
     ts = repr(int(timestamp)) if float(timestamp).is_integer() else repr(float(timestamp))
@@ -172,10 +195,11 @@ class _SectorSampler:
     """Precomputed wedge geometry for fast repeated sampling of one sector."""
 
     __slots__ = (
-        "radius", "lo_bearing", "span", "phi1", "lam1", "sin_phi1", "cos_phi1",
+        "sector", "radius", "lo_bearing", "span", "phi1", "lam1", "sin_phi1", "cos_phi1",
     )
 
     def __init__(self, sector: TowerSector):
+        self.sector = sector
         self.radius = sector.radius_m
         half = sector.beamwidth_deg / 2.0
         margin = max(_BEARING_MARGIN_DEG * sector.beamwidth_deg, _BEARING_MARGIN_DEG)
@@ -212,6 +236,29 @@ class _SectorSampler:
         lon = (math.degrees(lam2) + 180.0) % 360.0 - 180.0
         return math.degrees(phi2), lon
 
+    def point(
+        self, seed: int, land: Sequence[Region] = (), max_attempts: int = DEFAULT_CLIP_ATTEMPTS
+    ) -> GeoPoint:
+        """Pseudo-location for one seed; see sample_sector_point."""
+        sector = self.sector
+        if sector.radius_m == 0.0:
+            return sector.center
+        state = seed & 0xFFFFFFFFFFFFFFFF
+        attempts = max(1, max_attempts) if land else 1
+        for _ in range(attempts):
+            state, z1 = _splitmix64(state)
+            state, z2 = _splitmix64(state)
+            lat, lon = self.raw_draw((z1 >> 11) / _TWO_53, (z2 >> 11) / _TWO_53)
+            point = GeoPoint(lat=lat, lon=lon)
+            if not land or any(region_contains(r, point) for r in land):
+                return point
+
+        if any(region_contains(r, sector.center) for r in land):
+            return sector.center
+        raise ClippingExhausted(
+            f"no land point found for sector {sector.cell_id} after {max_attempts} attempts"
+        )
+
 
 def sample_sector_point(
     sector: TowerSector,
@@ -227,27 +274,7 @@ def sample_sector_point(
     max_attempts the sector center is used if it is itself on land, otherwise
     ClippingExhausted is raised.
     """
-    if sector.radius_m == 0.0:
-        return sector.center
-
-    sampler = _SectorSampler(sector)
-    state = seed & 0xFFFFFFFFFFFFFFFF
-    attempts = max(1, max_attempts) if land else 1
-    for _ in range(attempts):
-        state, z1 = _splitmix64(state)
-        state, z2 = _splitmix64(state)
-        u = (z1 >> 11) / float(1 << 53)
-        v = (z2 >> 11) / float(1 << 53)
-        lat, lon = sampler.raw_draw(u, v)
-        point = GeoPoint(lat=lat, lon=lon)
-        if not land or any(region_contains(r, point) for r in land):
-            return point
-
-    if any(region_contains(r, sector.center) for r in land):
-        return sector.center
-    raise ClippingExhausted(
-        f"no land point found for sector {sector.cell_id} after {max_attempts} attempts"
-    )
+    return _SectorSampler(sector).point(seed, land, max_attempts)
 
 
 # --- point-in-polygon -------------------------------------------------------
@@ -363,11 +390,6 @@ class RegionIndex:
         return None
 
 
-def assign_region(p: GeoPoint, regions: RegionIndex, level: str) -> Optional[str]:
-    """Functional wrapper over RegionIndex.assign."""
-    return regions.assign(p, level)
-
-
 def position_events(
     events: Iterable[CdrEvent],
     towers: dict[str, TowerSector],
@@ -375,59 +397,36 @@ def position_events(
 ) -> list[PositionedEvent]:
     """Attach a deterministic pseudo-location to every CDR event.
 
-    Equivalent to calling sample_sector_point per event; the land-free path
-    reuses one precomputed sampler per sector.
+    Equivalent to calling sample_sector_point with event_seed per event,
+    reusing one precomputed sampler per sector.
     """
+    samplers: dict[str, _SectorSampler] = {}
     out = []
-    if land:
-        for ev in events:
+    for ev in events:
+        sampler = samplers.get(ev.cell_id)
+        if sampler is None:
             sector = towers.get(ev.cell_id)
             if sector is None:
                 raise ValueError(f"event references unknown cell_id {ev.cell_id!r}")
-            point = sample_sector_point(
-                sector, event_seed(ev.cell_id, ev.user_id, ev.timestamp), land
-            )
-            out.append(
-                PositionedEvent(
-                    user_id=ev.user_id, timestamp=ev.timestamp, cell_id=ev.cell_id, location=point
-                )
-            )
-        return out
-
-    samplers: dict[str, Optional[_SectorSampler]] = {}
-    prefixes: dict[tuple[str, str], bytes] = {}
-    two_53 = float(1 << 53)
-    for ev in events:
-        sector = towers.get(ev.cell_id)
-        if sector is None:
-            raise ValueError(f"event references unknown cell_id {ev.cell_id!r}")
-        sampler = samplers.get(ev.cell_id)
-        if sampler is None and ev.cell_id not in samplers:
-            sampler = _SectorSampler(sector) if sector.radius_m > 0.0 else None
-            samplers[ev.cell_id] = sampler
-        if sampler is None:
-            point = sector.center
-        else:
-            key = (ev.cell_id, ev.user_id)
-            prefix = prefixes.get(key)
-            if prefix is None:
-                prefix = f"{ev.cell_id}\x1f{ev.user_id}\x1f".encode("utf-8")
-                prefixes[key] = prefix
-            ts = ev.timestamp
-            ts_repr = repr(int(ts)) if ts.is_integer() else repr(ts)
-            seed = int.from_bytes(
-                blake2b(prefix + ts_repr.encode("utf-8"), digest_size=8).digest(), "big"
-            )
-            state, z1 = _splitmix64(seed)
-            state, z2 = _splitmix64(state)
-            lat, lon = sampler.raw_draw((z1 >> 11) / two_53, (z2 >> 11) / two_53)
-            point = GeoPoint(lat=lat, lon=lon)
+            sampler = samplers[ev.cell_id] = _SectorSampler(sector)
+        point = sampler.point(event_seed(ev.cell_id, ev.user_id, ev.timestamp), land)
         out.append(
             PositionedEvent(
                 user_id=ev.user_id, timestamp=ev.timestamp, cell_id=ev.cell_id, location=point
             )
         )
     return out
+
+
+def group_by_user(records: Iterable) -> dict[str, list]:
+    """Records grouped by their user_id, in input order within each group.
+
+    Groups appear in the order their users first occur.
+    """
+    groups: dict[str, list] = {}
+    for record in records:
+        groups.setdefault(record.user_id, []).append(record)
+    return groups
 
 
 # --- file formats -----------------------------------------------------------

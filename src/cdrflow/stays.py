@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import logging
-import math
 from bisect import insort
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,8 +21,15 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import UnsortedInput
-from .geo import EARTH_RADIUS_M, GeoPoint, PositionedEvent, RegionIndex
+from .errors import UnresolvedRegion, UnsortedInput
+from .geo import (
+    GeoPoint,
+    PositionedEvent,
+    RegionIndex,
+    group_by_user,
+    haversine_m,
+    haversine_m_array,
+)
 from .timefmt import from_iso, to_iso
 
 log = logging.getLogger(__name__)
@@ -73,12 +79,21 @@ class Staypoint:
     region_municipality: Optional[str] = None
 
 
-def _hav_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
-    rad, sin, cos, asin, sqrt = math.radians, math.sin, math.cos, math.asin, math.sqrt
-    p1 = rad(lat1)
-    p2 = rad(lat2)
-    h = sin(rad(lat2 - lat1) / 2.0) ** 2 + cos(p1) * cos(p2) * sin(rad(lon2 - lon1) / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_M * asin(min(1.0, sqrt(h)))
+def staypoint_region(
+    sp_index: dict[str, Staypoint], sp_id: str, level: str, trip_id: str
+) -> tuple[Staypoint, str]:
+    """Staypoint sp_id, an endpoint of trip trip_id, and its region at level.
+
+    Raises UnresolvedRegion when the staypoint is unknown or has no region
+    at that level.
+    """
+    sp = sp_index.get(sp_id)
+    if sp is None:
+        raise UnresolvedRegion(f"trip {trip_id}: staypoint {sp_id!r} not found")
+    region = sp.region_parish if level == "parish" else sp.region_municipality
+    if region is None:
+        raise UnresolvedRegion(f"trip {trip_id}: staypoint {sp_id} has no {level} region")
+    return sp, region
 
 
 class _StopCandidate:
@@ -96,7 +111,7 @@ class _StopCandidate:
 
     def try_add(self, ev: PositionedEvent) -> bool:
         lat, lon = ev.location.lat, ev.location.lon
-        if _hav_m(self.med_lat, self.med_lon, lat, lon) > self.r1:
+        if haversine_m(self.med_lat, self.med_lon, lat, lon) > self.r1:
             return False
         # Tentative add, then verify all members sit within r1 of the new
         # median; reject (and roll back) if the median drifted too far.
@@ -120,15 +135,15 @@ class _StopCandidate:
         lo_lat, hi_lat = self.lats[0], self.lats[-1]
         lo_lon, hi_lon = self.lons[0], self.lons[-1]
         corner_max = max(
-            _hav_m(med_lat, med_lon, lo_lat, lo_lon),
-            _hav_m(med_lat, med_lon, lo_lat, hi_lon),
-            _hav_m(med_lat, med_lon, hi_lat, lo_lon),
-            _hav_m(med_lat, med_lon, hi_lat, hi_lon),
+            haversine_m(med_lat, med_lon, lo_lat, lo_lon),
+            haversine_m(med_lat, med_lon, lo_lat, hi_lon),
+            haversine_m(med_lat, med_lon, hi_lat, lo_lon),
+            haversine_m(med_lat, med_lon, hi_lat, hi_lon),
         )
         if corner_max <= self.r1:
             return True
         return all(
-            _hav_m(med_lat, med_lon, e.location.lat, e.location.lon) <= self.r1
+            haversine_m(med_lat, med_lon, e.location.lat, e.location.lon) <= self.r1
             for e in self.events
         )
 
@@ -232,10 +247,9 @@ def cluster_destinations(stops: Sequence[Stop], r2: float) -> list[str]:
     lam = np.radians(np.array([s.median.lon for s in stops]))
     cos_phi = np.cos(phi)
     for i in range(n - 1):
-        dphi = phi[i + 1 :] - phi[i]
-        dlam = lam[i + 1 :] - lam[i]
-        h = np.sin(dphi / 2.0) ** 2 + cos_phi[i] * cos_phi[i + 1 :] * np.sin(dlam / 2.0) ** 2
-        d = 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(h)))
+        d = haversine_m_array(
+            phi[i], lam[i], cos_phi[i], phi[i + 1 :], lam[i + 1 :], cos_phi[i + 1 :]
+        )
         for j in np.nonzero(d <= r2)[0]:
             union(i, i + 1 + int(j))
 
@@ -265,31 +279,16 @@ def build_staypoints(
     params: StopParams,
     regions: Optional[RegionIndex] = None,
     cluster_fn: ClusterFn = cluster_destinations,
-    workers: int = 1,
 ) -> list[Staypoint]:
     """Detect stops per user, cluster destinations globally, assign regions.
 
     Output is sorted by (user_id, t_start); staypoint ids are sequential in
-    that order, so identical inputs always produce identical ids and labels
-    regardless of the worker count.
+    that order, so identical inputs always produce identical ids and labels.
     """
-    by_user: dict[str, list[PositionedEvent]] = {}
-    for ev in traces:
-        by_user.setdefault(ev.user_id, []).append(ev)
-
+    by_user = group_by_user(traces)
     all_stops: list[Stop] = []
-    if workers > 1 and len(by_user) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_user = pool.map(
-                lambda uid: detect_stops(by_user[uid], params), sorted(by_user)
-            )
-            for stops in per_user:
-                all_stops.extend(stops)
-    else:
-        for user_id in sorted(by_user):
-            all_stops.extend(detect_stops(by_user[user_id], params))
+    for user_id in sorted(by_user):
+        all_stops.extend(detect_stops(by_user[user_id], params))
     all_stops.sort(key=lambda s: (s.user_id, s.t_start))
 
     labels = cluster_fn(all_stops, params.r2)

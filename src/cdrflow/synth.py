@@ -27,14 +27,15 @@ import numpy as np
 
 from .errors import InvalidConfig, ScenarioMismatch
 from .geo import (
-    EARTH_RADIUS_M,
     CdrEvent,
     GeoPoint,
     Region,
     RegionIndex,
     TowerSector,
     destination_point,
+    group_by_user,
     haversine_distance,
+    haversine_m_array,
     initial_bearing,
 )
 from .stays import Staypoint
@@ -274,21 +275,17 @@ class _World:
         )
 
     def tower_distances(self, idx: int) -> np.ndarray:
-        dphi = self._tower_lat - self._tower_lat[idx]
-        dlam = self._tower_lon - self._tower_lon[idx]
-        h = (
-            np.sin(dphi / 2.0) ** 2
-            + self._tower_cos[idx] * self._tower_cos * np.sin(dlam / 2.0) ** 2
+        return haversine_m_array(
+            self._tower_lat[idx], self._tower_lon[idx], self._tower_cos[idx],
+            self._tower_lat, self._tower_lon, self._tower_cos,
         )
-        return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(h)))
 
     def nearest_towers(self, p: GeoPoint, k: int = 2) -> list[int]:
         phi = math.radians(p.lat)
-        lam = math.radians(p.lon)
-        dphi = self._tower_lat - phi
-        dlam = self._tower_lon - lam
-        h = np.sin(dphi / 2.0) ** 2 + math.cos(phi) * self._tower_cos * np.sin(dlam / 2.0) ** 2
-        d = 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(h)))
+        d = haversine_m_array(
+            phi, math.radians(p.lon), math.cos(phi),
+            self._tower_lat, self._tower_lon, self._tower_cos,
+        )
         order = np.argsort(d, kind="stable")
         return [int(i) for i in order[:k]]
 
@@ -357,6 +354,7 @@ def generate_scenario(
     events: list[CdrEvent] = []
 
     for idx in range(config.n_agents):
+        first_trip, first_dwell = len(trips), len(dwells)
         user_id = f"u{idx:04d}"
         rng = random.Random(_derive_seed(config.seed, "agent", idx))
         mode = _weighted_choice(rng, config.mode_mix)
@@ -424,7 +422,10 @@ def generate_scenario(
         )
 
         events.extend(
-            _agent_events(world, config, rng, agent, trips, dwells, dwell_gap, moving_gap)
+            _agent_events(
+                world, config, rng, agent,
+                trips[first_trip:], dwells[first_dwell:], dwell_gap, moving_gap,
+            )
         )
 
     events.sort(key=lambda e: (e.user_id, e.timestamp))
@@ -478,7 +479,10 @@ def _agent_events(
     dwell_gap: int,
     moving_gap: int,
 ) -> list[CdrEvent]:
-    """Pings for one agent, chronological; times shifted to the start epoch."""
+    """Pings for one agent from its own trips and dwells, chronological.
+
+    Times are shifted to the start epoch.
+    """
     noisy = config.tower_noise_p > 0
     anchor_cells = {}
     for anchor in (agent.home, agent.work):
@@ -498,8 +502,6 @@ def _agent_events(
         out.append(CdrEvent(user_id=agent.user_id, timestamp=float(t + epoch), cell_id=cell))
 
     for dwell in dwells:
-        if dwell.user_id != agent.user_id:
-            continue
         primary, secondary = anchor_cells[dwell.anchor]
         t = dwell.t_start
         while t <= dwell.t_end:
@@ -508,8 +510,6 @@ def _agent_events(
 
     if moving_gap:
         for trip in trips:
-            if trip.user_id != agent.user_id:
-                continue
             origin = agent.anchor(trip.origin_anchor).point
             dest = agent.anchor(trip.dest_anchor).point
             bearing = initial_bearing(origin, dest)
@@ -571,9 +571,7 @@ def score_recovery(
             raise ScenarioMismatch(f"trip user {trip.user_id!r} not in ground truth")
 
     agents = {a.user_id: a for a in truth.agents}
-    sp_by_user: dict[str, list[Staypoint]] = {}
-    for sp in staypoints:
-        sp_by_user.setdefault(sp.user_id, []).append(sp)
+    sp_by_user = group_by_user(staypoints)
 
     matched = 0
     used: set[str] = set()
@@ -627,9 +625,7 @@ def score_recovery(
     confusion: dict[tuple[str, str], int] = {}
     n_mode_matched = 0
     n_mode_correct = 0
-    trips_by_user: dict[str, list[Trip]] = {}
-    for trip in trips:
-        trips_by_user.setdefault(trip.user_id, []).append(trip)
+    trips_by_user = group_by_user(trips)
     used_trips: set[str] = set()
     for t in truth.trips:
         best = None

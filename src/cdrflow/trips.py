@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .geo import GeoPoint, PositionedEvent, haversine_distance
+from .geo import GeoPoint, PositionedEvent, group_by_user, haversine_distance
 from .stays import Staypoint
 from .timefmt import from_iso, to_iso
 
@@ -203,12 +203,8 @@ def build_trips(
     gap_threshold: float = DEFAULT_TRIP_GAP_S,
 ) -> list[Trip]:
     """Per-user tripleg derivation and trip assembly over the whole dataset."""
-    sp_by_user: dict[str, list[Staypoint]] = {}
-    for sp in sorted(staypoints, key=lambda s: (s.user_id, s.t_start)):
-        sp_by_user.setdefault(sp.user_id, []).append(sp)
-    mv_by_user: dict[str, list[PositionedEvent]] = {}
-    for ev in moving:
-        mv_by_user.setdefault(ev.user_id, []).append(ev)
+    sp_by_user = group_by_user(sorted(staypoints, key=lambda s: (s.user_id, s.t_start)))
+    mv_by_user = group_by_user(moving)
 
     trips: list[Trip] = []
     for user_id in sorted(sp_by_user):

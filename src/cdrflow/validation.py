@@ -9,10 +9,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from scipy.special import betainc
-
 from .errors import ClassMismatch, DegenerateInput, UnresolvedRegion
-from .stays import Staypoint
+from .stays import Staypoint, staypoint_region
 from .trips import Trip
 
 # half a percentage point of rounding slack across all survey classes
@@ -64,8 +62,8 @@ def build_od_matrix(
     dropped = []
     for trip in trips:
         try:
-            origin = _endpoint_region(trip.origin_staypoint, sp_index, level, trip.trip_id)
-            dest = _endpoint_region(trip.dest_staypoint, sp_index, level, trip.trip_id)
+            _, origin = staypoint_region(sp_index, trip.origin_staypoint, level, trip.trip_id)
+            _, dest = staypoint_region(sp_index, trip.dest_staypoint, level, trip.trip_id)
         except UnresolvedRegion:
             dropped.append(trip.trip_id)
             continue
@@ -106,18 +104,6 @@ def load_region_aliases_csv(path: str | Path) -> dict[str, str]:
         return {row[0]: row[1] for row in reader if row}
 
 
-def _endpoint_region(
-    sp_id: str, sp_index: dict[str, Staypoint], level: str, trip_id: str
-) -> str:
-    sp = sp_index.get(sp_id)
-    if sp is None:
-        raise UnresolvedRegion(f"trip {trip_id}: staypoint {sp_id!r} not found")
-    region = sp.region_parish if level == "parish" else sp.region_municipality
-    if region is None:
-        raise UnresolvedRegion(f"trip {trip_id}: staypoint {sp_id} has no {level} region")
-    return region
-
-
 def linear_regression(x: Sequence[float], y: Sequence[float]) -> RegressionResult:
     """Ordinary least squares with Pearson r and a two-sided slope p-value.
 
@@ -148,6 +134,10 @@ def linear_regression(x: Sequence[float], y: Sequence[float]) -> RegressionResul
 
     p_value: Optional[float] = None
     if n >= 3 and not degenerate_y:
+        # Imported here: scipy is slow to import and nothing else needs it,
+        # so the other CLI stages start without it.
+        from scipy.special import betainc
+
         df = n - 2
         denom = 1.0 - r_squared
         if denom <= 0.0:

@@ -1,7 +1,13 @@
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cdrflow
 from cdrflow.cli import ART, main
 from cdrflow.config import PipelineConfig, config_hash, load_config
 
@@ -22,6 +28,28 @@ def tiny_config(tmp_path):
     path = tmp_path / "pipeline.ini"
     path.write_text(TINY)
     return path
+
+
+@pytest.fixture
+def inputs(tmp_path, tiny_config):
+    """Synth outputs to feed later runs as external inputs."""
+    path = tmp_path / "inputs"
+    assert run("synth", "--config", str(tiny_config), "--out", str(path), "--seed", "4") == 0
+    return path
+
+
+def external_config(tmp_path, name, inputs, cdr):
+    """INI whose events, towers and regions come from outside the run directory."""
+    path = tmp_path / f"{name}.ini"
+    path.write_text(
+        f"[paths]\ncdr = {cdr}\ntowers = {inputs / ART['towers']}\n"
+        f"regions = {inputs / ART['regions']}\n"
+    )
+    return path
+
+
+# Every artifact from the position stage on.
+DERIVED = [name for name in ART if name not in ("cdr", "towers", "regions", "ground_truth")]
 
 
 class TestRunAll:
@@ -64,6 +92,31 @@ class TestRunAll:
             blobs = {(out / filename).read_bytes() for out in outs}
             assert len(blobs) == 1, filename
 
+    def test_all_with_external_inputs_skips_synth(self, tmp_path, inputs):
+        ini = external_config(tmp_path, "external", inputs, inputs / ART["cdr"])
+        out = tmp_path / "run"
+        assert run("all", "--config", str(ini), "--out", str(out), "--seed", "4") == 0
+        assert not (out / ART["cdr"]).exists()
+        assert not (out / ART["ground_truth"]).exists()
+        assert (out / ART["validation"]).exists()
+
+    def test_shuffled_cdr_rows_give_identical_artifacts(self, tmp_path, inputs):
+        header, *rows = (inputs / ART["cdr"]).read_text().splitlines(keepends=True)
+        random.Random(9).shuffle(rows)
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text(header + "".join(rows))
+        outs = []
+        for name, cdr in (("sorted", inputs / ART["cdr"]), ("shuffled", shuffled)):
+            out = tmp_path / name
+            ini = external_config(tmp_path, name, inputs, cdr)
+            assert run("all", "--config", str(ini), "--out", str(out), "--seed", "4") == 0
+            outs.append(out)
+        for name in DERIVED:
+            a, b = (out / ART[name] for out in outs)
+            assert a.exists() == b.exists(), name
+            if a.exists():
+                assert a.read_bytes() == b.read_bytes(), name
+
 
 class TestExitCodes:
     def test_missing_towers_file_exits_2(self, tmp_path, capsys):
@@ -93,6 +146,12 @@ class TestExitCodes:
         assert run("synth", "--config", str(tiny_config), "--out", str(out),
                    "--seed", "5") == 1
         assert "different" in capsys.readouterr().err
+
+    def test_rerun_by_absolute_path_exits_0(self, tmp_path, tiny_config, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run("synth", "--config", str(tiny_config), "--out", "run", "--seed", "4") == 0
+        assert run("position", "--config", str(tiny_config), "--out", str(tmp_path / "run"),
+                   "--seed", "4") == 0
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert run("synth", "--config", str(tmp_path / "ghost.ini"),
@@ -154,3 +213,13 @@ mode_trip_distance_m = car:4200:7000,bus:3500:7000
         assert config_hash(a) == config_hash(b)
         c = PipelineConfig(seed=1)
         assert config_hash(a) != config_hash(c)
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, cdrflow.cli; print('scipy' in sys.modules)"
+    src = str(Path(cdrflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert done.stdout.strip() == "False"

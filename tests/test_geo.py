@@ -10,7 +10,6 @@ from cdrflow.geo import (
     GeoPoint,
     RegionIndex,
     TowerSector,
-    assign_region,
     bearing_within_wedge,
     destination_point,
     event_seed,
@@ -143,21 +142,21 @@ class TestDestinationBearing:
 
 class TestAssignRegion:
     def test_interior_point(self, two_municipalities):
-        assert assign_region(GeoPoint(0.5, 0.5), two_municipalities, "municipality") == "A"
+        assert two_municipalities.assign(GeoPoint(0.5, 0.5), "municipality") == "A"
 
     def test_miss(self, two_municipalities):
-        assert assign_region(GeoPoint(5.0, 5.0), two_municipalities, "municipality") is None
+        assert two_municipalities.assign(GeoPoint(5.0, 5.0), "municipality") is None
 
     def test_shared_edge_tiebreak(self, two_municipalities):
         p = GeoPoint(0.5, 1.0)  # on the shared edge of A and B
         regions = two_municipalities.regions("municipality")
         contained = [r.region_id for r in regions if region_contains(r, p)]
         assert contained == ["A", "B"]  # double containment confirmed by brute force
-        assert assign_region(p, two_municipalities, "municipality") == "A"
+        assert two_municipalities.assign(p, "municipality") == "A"
 
     def test_boundary_counts_inside(self, two_municipalities):
         for p in (GeoPoint(0.0, 0.0), GeoPoint(1.0, 0.5), GeoPoint(0.5, 0.0)):
-            assert assign_region(p, two_municipalities, "municipality") == "A"
+            assert two_municipalities.assign(p, "municipality") == "A"
 
     def test_brute_force_oracle_equivalence(self):
         rng = random.Random(31)

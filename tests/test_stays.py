@@ -277,15 +277,6 @@ class TestBuildStaypoints:
         ids = [sp.staypoint_id for sp in a]
         assert ids == sorted(ids) and len(set(ids)) == len(ids)
 
-    def test_workers_match_sequential(self):
-        events = []
-        for u in range(6):
-            for t in range(40):
-                events.append(ev(f"u{u}", t * 120, offset(BASE, east_m=u * 1500.0)))
-        seq = build_staypoints(list(events), StopParams(), workers=1)
-        par = build_staypoints(list(events), StopParams(), workers=4)
-        assert seq == par
-
     def test_csv_round_trip(self, tmp_path):
         events = [ev("u1", t * 200, BASE) for t in range(10)]
         sps = build_staypoints(events, StopParams(), regions=self.region_index())
