@@ -50,20 +50,6 @@ def _artifact(cfg: PipelineConfig, name: str) -> Path:
     return cfg.out_dir / ART[name]
 
 
-def _external_input(explicit: Optional[Path], cfg: PipelineConfig, name: str) -> Path:
-    """Resolve an input that may come from outside or from the synth stage."""
-    path = explicit if explicit is not None else _artifact(cfg, name)
-    if not path.exists():
-        raise FileNotFoundError(f"required input file not found: {path}")
-    return path
-
-
-def _required_file(path: Path) -> Path:
-    if not path.exists():
-        raise FileNotFoundError(f"required input file not found: {path}")
-    return path
-
-
 def _stage_artifact(cfg: PipelineConfig, name: str, produced_by: str) -> Path:
     path = _artifact(cfg, name)
     if not path.exists():
@@ -91,8 +77,6 @@ def _stamp_run_dir(cfg: PipelineConfig) -> None:
 def _load_land(cfg: PipelineConfig):
     if cfg.land_mask_path is None:
         return ()
-    if not cfg.land_mask_path.exists():
-        raise FileNotFoundError(f"required input file not found: {cfg.land_mask_path}")
     return tuple(geo.load_regions_geojson(cfg.land_mask_path).regions())
 
 
@@ -106,8 +90,9 @@ def stage_synth(cfg: PipelineConfig) -> None:
 
 
 def stage_position(cfg: PipelineConfig) -> None:
-    cdr_path = _external_input(cfg.cdr_path, cfg, "cdr")
-    towers_path = _external_input(cfg.towers_path, cfg, "towers")
+    # Inputs come from [paths] when configured, else from the synth stage.
+    cdr_path = cfg.cdr_path or _artifact(cfg, "cdr")
+    towers_path = cfg.towers_path or _artifact(cfg, "towers")
     # Stop detection needs each user's events in time order; exports need not
     # be, and a stable sort leaves sorted input unchanged.
     events = sorted(geo.load_cdr_csv(cdr_path), key=lambda e: (e.user_id, e.timestamp))
@@ -118,8 +103,7 @@ def stage_position(cfg: PipelineConfig) -> None:
 
 def stage_stays(cfg: PipelineConfig) -> None:
     positioned = geo.load_positioned_csv(_stage_artifact(cfg, "positioned", "position"))
-    regions_path = _external_input(cfg.regions_path, cfg, "regions")
-    regions = geo.load_regions_geojson(regions_path)
+    regions = geo.load_regions_geojson(cfg.regions_path or _artifact(cfg, "regions"))
     staypoints = build_staypoints(positioned, cfg.stop_params, regions=regions)
     write_staypoints_csv(staypoints, _artifact(cfg, "staypoints"))
 
@@ -200,22 +184,22 @@ def stage_validate(cfg: PipelineConfig) -> None:
     staypoints = load_staypoints_csv(_stage_artifact(cfg, "staypoints", "stays"))
     od = validation.build_od_matrix(all_trips, staypoints, cfg.level)
     if cfg.region_aliases_path is not None:
-        aliases = validation.load_region_aliases_csv(_required_file(cfg.region_aliases_path))
+        aliases = validation.load_region_aliases_csv(cfg.region_aliases_path)
         od = validation.apply_region_aliases(od, aliases)
     validation.write_od_csv(od, _artifact(cfg, "od"))
 
     comparison = None
     if cfg.survey_path is not None:
-        survey = validation.load_survey_csv(_required_file(cfg.survey_path))
+        survey = validation.load_survey_csv(cfg.survey_path)
         if "shares" in survey:
             if cfg.class_map_path is None:
                 raise CdrflowError(
                     "survey shares need a class_map file mapping destinations to classes"
                 )
-            class_map = validation.load_class_map_csv(_required_file(cfg.class_map_path))
+            class_map = validation.load_class_map_csv(cfg.class_map_path)
             pairs = None
             if cfg.survey_pairs_path is not None:
-                pairs_doc = validation.load_survey_csv(_required_file(cfg.survey_pairs_path))
+                pairs_doc = validation.load_survey_csv(cfg.survey_pairs_path)
                 pairs = pairs_doc.get("pairs")
             comparison = validation.compare_shares(od, survey["shares"], class_map, pairs)
     validation.write_validation_report(od, comparison, _artifact(cfg, "validation"))

@@ -189,7 +189,7 @@ def load_config(path: Optional[str | Path] = None) -> PipelineConfig:
 
 def _jsonable(value):
     if isinstance(value, Path):
-        return str(value)
+        return str(value.resolve())
     if isinstance(value, (StopParams, ModeThresholds, ScenarioConfig, TowerGridSpec)):
         return {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, dict):
@@ -202,8 +202,9 @@ def _jsonable(value):
 def config_hash(cfg: PipelineConfig) -> str:
     """Stable digest of the resolved settings that shape the artifacts.
 
-    The run directory itself is left out, so a run can be moved or named by
-    another path and still be resumed.
+    The run directory itself is left out and input paths are resolved, so a
+    run can be moved, or its inputs named by another path, and still be
+    resumed.
     """
     doc = {f.name: _jsonable(getattr(cfg, f.name)) for f in fields(cfg) if f.name != "out_dir"}
     payload = json.dumps(doc, sort_keys=True).encode("utf-8")

@@ -30,7 +30,6 @@ not model quality.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,6 +38,7 @@ from typing import Optional
 from .errors import EmptyModel
 from .eventlog import CaseLog
 from .discovery import Dfg
+from .files import write_csv, write_json
 
 SOURCE = "source"
 SINK = "sink"
@@ -217,16 +217,11 @@ def report_to_dict(report: FitnessReport) -> dict:
 
 
 def write_report_json(report: FitnessReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(report_to_dict(report), f, indent=2)
-        f.write("\n")
+    write_json(report_to_dict(report), path)
 
 
 def write_per_trace_csv(report: FitnessReport, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["case_id", "produced", "consumed", "missing", "remaining", "fitness"])
-        for tr in report.per_trace:
-            writer.writerow(
-                [tr.case_id, tr.produced, tr.consumed, tr.missing, tr.remaining, repr(tr.fitness)]
-            )
+    write_csv(path, ["case_id", "produced", "consumed", "missing", "remaining", "fitness"], (
+        [tr.case_id, tr.produced, tr.consumed, tr.missing, tr.remaining, repr(tr.fitness)]
+        for tr in report.per_trace
+    ))

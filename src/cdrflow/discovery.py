@@ -7,14 +7,14 @@ lists, so any execution order yields identical results.
 
 from __future__ import annotations
 
-import json
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import EmptyLog, EmptySelection, MismatchedLog
 from .eventlog import CaseLog, Ocel, iter_flattened_traces
+from .files import read_json, write_json
 
 # Arc colors per object type, assigned by sorted type index.
 OC_PALETTE = (
@@ -28,10 +28,6 @@ class ArcStats:
     frequency: int
     mean_s: Optional[float] = None
     median_s: Optional[float] = None
-
-    @property
-    def n_samples(self) -> int:
-        return self.frequency
 
 
 @dataclass(frozen=True)
@@ -291,14 +287,11 @@ def model_to_dict(model: Union[Dfg, OcDfg]) -> dict:
 
 
 def write_model_json(model: Union[Dfg, OcDfg], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(model_to_dict(model), f, indent=2)
-        f.write("\n")
+    write_json(model_to_dict(model), path)
 
 
 def load_dfg_json(path: str | Path) -> Dfg:
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+    doc = read_json(path)
     if "startCounts" not in doc:
         raise ValueError(f"model file {path}: not a case-centric model dump")
     return Dfg(
@@ -315,18 +308,5 @@ def load_dfg_json(path: str | Path) -> Dfg:
     )
 
 
-def variants_to_dict(variants: Sequence[Variant]) -> list[dict]:
-    return [
-        {
-            "sequence": list(v.sequence),
-            "count": v.count,
-            "mean_duration_s": v.mean_duration_s,
-        }
-        for v in variants
-    ]
-
-
 def write_variants_json(variants: Sequence[Variant], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(variants_to_dict(variants), f, indent=2)
-        f.write("\n")
+    write_json([asdict(v) for v in variants], path)

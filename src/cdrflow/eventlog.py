@@ -10,13 +10,12 @@ the event count.
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .errors import UnresolvedRegion
+from .files import read_csv, read_json, write_csv, write_json
 from .stays import Staypoint, staypoint_region
 from .timefmt import from_iso, to_iso
 from .trips import Trip
@@ -222,23 +221,15 @@ def write_case_log_csv(log: CaseLog, path: str | Path) -> None:
         for activity, timestamp in trace.events:
             rows.append((trace.case_id, activity, timestamp))
     rows.sort(key=lambda r: (r[0], r[2]))
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(CASE_LOG_HEADER)
-        for case_id, activity, timestamp in rows:
-            writer.writerow([case_id, activity, to_iso(timestamp)])
+    write_csv(path, CASE_LOG_HEADER, (
+        [case_id, activity, to_iso(timestamp)] for case_id, activity, timestamp in rows
+    ))
 
 
 def load_case_log_csv(path: str | Path, level: str = "unknown") -> CaseLog:
     grouped: dict[str, list[tuple[str, float]]] = {}
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != CASE_LOG_HEADER:
-            raise ValueError(f"case log {path}: unexpected header")
-        for row in reader:
-            grouped.setdefault(row["case_id"], []).append(
-                (row["activity"], from_iso(row["timestamp"]))
-            )
+    for case_id, activity, timestamp in read_csv(path, CASE_LOG_HEADER, "case log"):
+        grouped.setdefault(case_id, []).append((activity, from_iso(timestamp)))
     traces = tuple(
         Trace(case_id=case_id, events=tuple(events))
         for case_id, events in sorted(grouped.items())
@@ -266,14 +257,11 @@ def ocel_to_dict(ocel: Ocel) -> dict:
 
 
 def write_ocel_json(ocel: Ocel, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(ocel_to_dict(ocel), f, indent=2)
-        f.write("\n")
+    write_json(ocel_to_dict(ocel), path)
 
 
 def load_ocel_json(path: str | Path, level: str = "unknown") -> Ocel:
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+    doc = read_json(path)
     events = tuple(
         sorted(
             (
@@ -298,31 +286,16 @@ def load_ocel_json(path: str | Path, level: str = "unknown") -> Ocel:
     return Ocel(events=events, objects=objects, object_types=object_types, level=level)
 
 
-def stats_to_dict(stats: LogStats) -> dict:
-    return {
-        "n_cases_or_objects": stats.n_cases_or_objects,
-        "n_events": stats.n_events,
-        "n_variants_or_object_types": stats.n_variants_or_object_types,
-        "n_relations": stats.n_relations,
-    }
-
-
 def write_drop_report(log: Union[CaseLog, Ocel], path: str | Path) -> None:
     """Sidecar listing trips dropped for unresolved regions."""
-    doc = {
-        "n_dropped": len(log.dropped_case_ids),
-        "dropped_case_ids": list(log.dropped_case_ids),
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+    write_json(
+        {"n_dropped": len(log.dropped_case_ids), "dropped_case_ids": list(log.dropped_case_ids)},
+        path,
+    )
 
 
 def write_stats_json(stats_by_name: dict[str, LogStats], path: str | Path) -> None:
-    doc = {name: stats_to_dict(s) for name, s in sorted(stats_by_name.items())}
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+    write_json({name: asdict(s) for name, s in sorted(stats_by_name.items())}, path)
 
 
 def iter_flattened_traces(ocel: Ocel, object_type: str) -> list[Trace]:

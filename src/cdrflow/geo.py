@@ -7,8 +7,6 @@ All distances are great-circle meters on a sphere of radius 6,371,000 m.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from hashlib import blake2b
@@ -18,6 +16,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import ClippingExhausted
+from .files import read_csv, read_json, write_csv, write_json
 from .timefmt import from_iso, to_iso
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -436,33 +435,26 @@ TOWERS_HEADER = ["cell_id", "lat", "lon", "azimuth_deg", "beamwidth_deg", "radiu
 
 def load_towers_csv(path: str | Path) -> dict[str, TowerSector]:
     towers: dict[str, TowerSector] = {}
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != TOWERS_HEADER:
-            raise ValueError(f"towers file {path}: expected header {','.join(TOWERS_HEADER)}")
-        for row in reader:
-            sector = TowerSector(
-                cell_id=row["cell_id"],
-                center=GeoPoint(lat=float(row["lat"]), lon=float(row["lon"])),
-                azimuth_deg=float(row["azimuth_deg"]),
-                beamwidth_deg=float(row["beamwidth_deg"]),
-                radius_m=float(row["radius_m"]),
-            )
-            if sector.cell_id in towers:
-                raise ValueError(f"duplicate cell_id {sector.cell_id!r} in {path}")
-            towers[sector.cell_id] = sector
+    rows = read_csv(path, TOWERS_HEADER, "towers file")
+    for cell_id, lat, lon, azimuth, beamwidth, radius in rows:
+        if cell_id in towers:
+            raise ValueError(f"duplicate cell_id {cell_id!r} in {path}")
+        towers[cell_id] = TowerSector(
+            cell_id=cell_id,
+            center=GeoPoint(lat=float(lat), lon=float(lon)),
+            azimuth_deg=float(azimuth),
+            beamwidth_deg=float(beamwidth),
+            radius_m=float(radius),
+        )
     return towers
 
 
 def write_towers_csv(towers: Iterable[TowerSector], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(TOWERS_HEADER)
-        for t in sorted(towers, key=lambda t: t.cell_id):
-            writer.writerow(
-                [t.cell_id, repr(t.center.lat), repr(t.center.lon), repr(t.azimuth_deg),
-                 repr(t.beamwidth_deg), repr(t.radius_m)]
-            )
+    write_csv(path, TOWERS_HEADER, (
+        [t.cell_id, repr(t.center.lat), repr(t.center.lon), repr(t.azimuth_deg),
+         repr(t.beamwidth_deg), repr(t.radius_m)]
+        for t in sorted(towers, key=lambda t: t.cell_id)
+    ))
 
 
 CDR_HEADER = ["user_id", "timestamp", "cell_id"]
@@ -470,57 +462,31 @@ POSITIONED_HEADER = ["user_id", "timestamp", "cell_id", "lat", "lon"]
 
 
 def load_cdr_csv(path: str | Path) -> list[CdrEvent]:
-    events = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != CDR_HEADER:
-            raise ValueError(f"cdr file {path}: expected header {','.join(CDR_HEADER)}")
-        for row in reader:
-            events.append(
-                CdrEvent(
-                    user_id=row["user_id"],
-                    timestamp=from_iso(row["timestamp"]),
-                    cell_id=row["cell_id"],
-                )
-            )
-    return events
+    return [
+        CdrEvent(user_id=user_id, timestamp=from_iso(ts), cell_id=cell_id)
+        for user_id, ts, cell_id in read_csv(path, CDR_HEADER, "cdr file")
+    ]
 
 
 def write_cdr_csv(events: Iterable[CdrEvent], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(CDR_HEADER)
-        for ev in events:
-            writer.writerow([ev.user_id, to_iso(ev.timestamp), ev.cell_id])
+    write_csv(path, CDR_HEADER, ([ev.user_id, to_iso(ev.timestamp), ev.cell_id] for ev in events))
 
 
 def load_positioned_csv(path: str | Path) -> list[PositionedEvent]:
-    events = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != POSITIONED_HEADER:
-            raise ValueError(f"positioned file {path}: expected header {','.join(POSITIONED_HEADER)}")
-        for row in reader:
-            events.append(
-                PositionedEvent(
-                    user_id=row["user_id"],
-                    timestamp=from_iso(row["timestamp"]),
-                    cell_id=row["cell_id"],
-                    location=GeoPoint(lat=float(row["lat"]), lon=float(row["lon"])),
-                )
-            )
-    return events
+    return [
+        PositionedEvent(
+            user_id=user_id, timestamp=from_iso(ts), cell_id=cell_id,
+            location=GeoPoint(lat=float(lat), lon=float(lon)),
+        )
+        for user_id, ts, cell_id, lat, lon in read_csv(path, POSITIONED_HEADER, "positioned file")
+    ]
 
 
 def write_positioned_csv(events: Iterable[PositionedEvent], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(POSITIONED_HEADER)
-        for ev in events:
-            writer.writerow(
-                [ev.user_id, to_iso(ev.timestamp), ev.cell_id,
-                 repr(ev.location.lat), repr(ev.location.lon)]
-            )
+    write_csv(path, POSITIONED_HEADER, (
+        [ev.user_id, to_iso(ev.timestamp), ev.cell_id, repr(ev.location.lat), repr(ev.location.lon)]
+        for ev in events
+    ))
 
 
 def _rings_to_coords(polygons: tuple) -> list:
@@ -537,21 +503,23 @@ def _coords_to_polygon(coords) -> tuple:
 
 
 def load_regions_geojson(path: str | Path) -> RegionIndex:
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+    doc = read_json(path)
     if doc.get("type") != "FeatureCollection":
         raise ValueError(f"regions file {path}: expected a GeoJSON FeatureCollection")
     regions = []
-    for feature in doc.get("features", []):
-        props = feature.get("properties", {})
-        geom = feature.get("geometry", {})
+    for k, feature in enumerate(doc.get("features", [])):
+        props = feature.get("properties") or {}
+        geom = feature.get("geometry") or {}
+        for key, holder in (("region_id", props), ("level", props), ("coordinates", geom)):
+            if key not in holder:
+                raise ValueError(f"regions file {path}: feature {k} has no {key}")
         gtype = geom.get("type")
         if gtype == "Polygon":
             polygons = (_coords_to_polygon(geom["coordinates"]),)
         elif gtype == "MultiPolygon":
             polygons = tuple(_coords_to_polygon(c) for c in geom["coordinates"])
         else:
-            raise ValueError(f"region {props.get('region_id')}: unsupported geometry {gtype}")
+            raise ValueError(f"region {props['region_id']}: unsupported geometry {gtype}")
         regions.append(
             Region(
                 region_id=str(props["region_id"]),
@@ -585,7 +553,4 @@ def write_regions_geojson(regions: Iterable[Region], path: str | Path) -> None:
                 "geometry": geometry,
             }
         )
-    doc = {"type": "FeatureCollection", "features": features}
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+    write_json({"type": "FeatureCollection", "features": features}, path)

@@ -12,7 +12,6 @@ default, e.g. a modularity- or flow-based community labeler.
 
 from __future__ import annotations
 
-import csv
 import logging
 from bisect import insort
 from dataclasses import dataclass
@@ -22,6 +21,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import UnresolvedRegion, UnsortedInput
+from .files import read_csv, write_csv
 from .geo import (
     GeoPoint,
     PositionedEvent,
@@ -321,35 +321,23 @@ STAYPOINTS_HEADER = [
 
 
 def write_staypoints_csv(staypoints: Iterable[Staypoint], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(STAYPOINTS_HEADER)
-        for sp in staypoints:
-            writer.writerow(
-                [sp.staypoint_id, sp.user_id, sp.location_id,
-                 repr(sp.median.lat), repr(sp.median.lon),
-                 to_iso(sp.t_start), to_iso(sp.t_end),
-                 sp.region_parish or "", sp.region_municipality or ""]
-            )
+    write_csv(path, STAYPOINTS_HEADER, (
+        [sp.staypoint_id, sp.user_id, sp.location_id,
+         repr(sp.median.lat), repr(sp.median.lon),
+         to_iso(sp.t_start), to_iso(sp.t_end),
+         sp.region_parish or "", sp.region_municipality or ""]
+        for sp in staypoints
+    ))
 
 
 def load_staypoints_csv(path: str | Path) -> list[Staypoint]:
-    staypoints = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != STAYPOINTS_HEADER:
-            raise ValueError(f"staypoints file {path}: unexpected header")
-        for row in reader:
-            staypoints.append(
-                Staypoint(
-                    staypoint_id=row["staypoint_id"],
-                    user_id=row["user_id"],
-                    location_id=row["location_id"],
-                    median=GeoPoint(lat=float(row["lat"]), lon=float(row["lon"])),
-                    t_start=from_iso(row["t_start"]),
-                    t_end=from_iso(row["t_end"]),
-                    region_parish=row["parish"] or None,
-                    region_municipality=row["municipality"] or None,
-                )
-            )
-    return staypoints
+    return [
+        Staypoint(
+            staypoint_id=sp_id, user_id=user_id, location_id=location_id,
+            median=GeoPoint(lat=float(lat), lon=float(lon)),
+            t_start=from_iso(t_start), t_end=from_iso(t_end),
+            region_parish=parish or None, region_municipality=municipality or None,
+        )
+        for sp_id, user_id, location_id, lat, lon, t_start, t_end, parish, municipality
+        in read_csv(path, STAYPOINTS_HEADER, "staypoints file")
+    ]

@@ -15,10 +15,9 @@ or length outside its mode's decision band.
 
 from __future__ import annotations
 
-import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from hashlib import blake2b
 from pathlib import Path
 from typing import Optional, Sequence
@@ -26,6 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidConfig, ScenarioMismatch
+from .files import read_json, write_json
 from .geo import (
     CdrEvent,
     GeoPoint,
@@ -663,27 +663,6 @@ def score_recovery(
     )
 
 
-def recovery_to_dict(report: RecoveryReport) -> dict:
-    return {
-        "staypoint_precision": report.staypoint_precision,
-        "staypoint_recall": report.staypoint_recall,
-        "no_detections": report.no_detections,
-        "n_true_dwells": report.n_true_dwells,
-        "n_detected_staypoints": report.n_detected_staypoints,
-        "n_matched_staypoints": report.n_matched_staypoints,
-        "n_true_trips": report.n_true_trips,
-        "n_detected_trips": report.n_detected_trips,
-        "trip_count_deviation": report.trip_count_deviation,
-        "od_cell_agreement": report.od_cell_agreement,
-        "mode_accuracy": report.mode_accuracy,
-        "n_mode_matched": report.n_mode_matched,
-        "mode_confusion": [
-            {"true": true, "detected": det, "count": n}
-            for (true, det), n in report.mode_confusion
-        ],
-    }
-
-
 # --- ground truth serialization ----------------------------------------------
 
 def _anchor_dict(a: AnchorTruth) -> dict:
@@ -705,26 +684,10 @@ def write_ground_truth_json(truth: GroundTruth, path: str | Path) -> None:
             }
             for a in truth.agents
         ],
-        "trips": [
-            {
-                "user_id": t.user_id, "origin_anchor": t.origin_anchor,
-                "dest_anchor": t.dest_anchor, "mode": t.mode,
-                "departure": t.departure, "arrival": t.arrival,
-                "distance_m": t.distance_m,
-            }
-            for t in truth.trips
-        ],
-        "dwells": [
-            {
-                "user_id": d.user_id, "anchor": d.anchor,
-                "t_start": d.t_start, "t_end": d.t_end,
-            }
-            for d in truth.dwells
-        ],
+        "trips": [asdict(t) for t in truth.trips],
+        "dwells": [asdict(d) for d in truth.dwells],
     }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+    write_json(doc, path)
 
 
 def _anchor_from_dict(doc: dict) -> AnchorTruth:
@@ -736,8 +699,7 @@ def _anchor_from_dict(doc: dict) -> AnchorTruth:
 
 
 def load_ground_truth_json(path: str | Path) -> GroundTruth:
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+    doc = read_json(path)
     return GroundTruth(
         seed=doc["seed"],
         start_epoch=doc["start_epoch"],
@@ -749,19 +711,6 @@ def load_ground_truth_json(path: str | Path) -> GroundTruth:
             )
             for a in doc["agents"]
         ),
-        trips=tuple(
-            TrueTrip(
-                user_id=t["user_id"], origin_anchor=t["origin_anchor"],
-                dest_anchor=t["dest_anchor"], mode=t["mode"],
-                departure=t["departure"], arrival=t["arrival"], distance_m=t["distance_m"],
-            )
-            for t in doc["trips"]
-        ),
-        dwells=tuple(
-            TrueDwell(
-                user_id=d["user_id"], anchor=d["anchor"],
-                t_start=d["t_start"], t_end=d["t_end"],
-            )
-            for d in doc["dwells"]
-        ),
+        trips=tuple(TrueTrip(**t) for t in doc["trips"]),
+        dwells=tuple(TrueDwell(**d) for d in doc["dwells"]),
     )

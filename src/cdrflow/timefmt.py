@@ -16,7 +16,12 @@ def to_iso(ts: float) -> str:
 
 
 def from_iso(text: str) -> float:
-    """Inverse of to_iso; returns integral values as exact floats."""
-    normalized = text.replace("Z", "+00:00")
-    ts = datetime.fromisoformat(normalized).timestamp()
+    """Inverse of to_iso; returns integral values as exact floats.
+
+    A timestamp without a UTC offset is read as UTC, whatever the local zone.
+    """
+    moment = datetime.fromisoformat(text.replace("Z", "+00:00"))
+    if moment.tzinfo is None:
+        moment = moment.replace(tzinfo=timezone.utc)
+    ts = moment.timestamp()
     return float(int(ts)) if ts.is_integer() else ts

@@ -6,11 +6,11 @@ indicative only; every export carries an explicit heuristic flag.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
+from .files import read_csv, write_csv
 from .geo import GeoPoint, PositionedEvent, group_by_user, haversine_distance
 from .stays import Staypoint
 from .timefmt import from_iso, to_iso
@@ -224,69 +224,45 @@ TRIPLEGS_HEADER = [
 
 
 def write_trips_csv(trips: Iterable[Trip], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(TRIPS_HEADER)
-        for t in trips:
-            writer.writerow(
-                [t.trip_id, t.user_id, t.origin_staypoint, t.dest_staypoint,
-                 to_iso(t.t_start), to_iso(t.t_end), len(t.triplegs),
-                 t.primary_mode, "true"]
-            )
+    write_csv(path, TRIPS_HEADER, (
+        [t.trip_id, t.user_id, t.origin_staypoint, t.dest_staypoint,
+         to_iso(t.t_start), to_iso(t.t_end), len(t.triplegs), t.primary_mode, "true"]
+        for t in trips
+    ))
 
 
 def write_triplegs_csv(trips: Iterable[Trip], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(TRIPLEGS_HEADER)
-        for t in trips:
-            for leg in t.triplegs:
-                writer.writerow(
-                    [leg.tripleg_id, t.trip_id, leg.user_id,
-                     leg.origin_staypoint, leg.dest_staypoint,
-                     to_iso(leg.t_start), to_iso(leg.t_end),
-                     repr(leg.path_length_m), repr(leg.avg_speed_kmh), leg.mode]
-                )
+    write_csv(path, TRIPLEGS_HEADER, (
+        [leg.tripleg_id, t.trip_id, leg.user_id, leg.origin_staypoint, leg.dest_staypoint,
+         to_iso(leg.t_start), to_iso(leg.t_end),
+         repr(leg.path_length_m), repr(leg.avg_speed_kmh), leg.mode]
+        for t in trips
+        for leg in t.triplegs
+    ))
 
 
 def load_trips_csv(trips_path: str | Path, triplegs_path: str | Path) -> list[Trip]:
     """Rebuild Trip objects from the trip and tripleg exports."""
     legs_by_trip: dict[str, list[Tripleg]] = {}
-    with open(triplegs_path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != TRIPLEGS_HEADER:
-            raise ValueError(f"triplegs file {triplegs_path}: unexpected header")
-        for row in reader:
-            legs_by_trip.setdefault(row["trip_id"], []).append(
-                Tripleg(
-                    tripleg_id=row["tripleg_id"],
-                    user_id=row["user_id"],
-                    origin_staypoint=row["origin_sp"],
-                    dest_staypoint=row["dest_sp"],
-                    t_start=from_iso(row["t_start"]),
-                    t_end=from_iso(row["t_end"]),
-                    path_length_m=float(row["path_length_m"]),
-                    avg_speed_kmh=float(row["avg_speed_kmh"]),
-                    mode=row["mode"],
-                )
+    rows = read_csv(triplegs_path, TRIPLEGS_HEADER, "triplegs file")
+    for leg_id, trip_id, user_id, origin, dest, t_start, t_end, length, speed, mode in rows:
+        legs_by_trip.setdefault(trip_id, []).append(
+            Tripleg(
+                tripleg_id=leg_id, user_id=user_id, origin_staypoint=origin, dest_staypoint=dest,
+                t_start=from_iso(t_start), t_end=from_iso(t_end),
+                path_length_m=float(length), avg_speed_kmh=float(speed), mode=mode,
             )
+        )
     trips = []
-    with open(trips_path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != TRIPS_HEADER:
-            raise ValueError(f"trips file {trips_path}: unexpected header")
-        for row in reader:
-            legs = legs_by_trip.get(row["trip_id"], [])
-            legs.sort(key=lambda leg: leg.t_start)
-            trips.append(
-                Trip(
-                    trip_id=row["trip_id"],
-                    user_id=row["user_id"],
-                    triplegs=tuple(legs),
-                    origin_staypoint=row["origin_sp"],
-                    dest_staypoint=row["dest_sp"],
-                    t_start=from_iso(row["t_start"]),
-                    t_end=from_iso(row["t_end"]),
-                )
+    rows = read_csv(trips_path, TRIPS_HEADER, "trips file")
+    for trip_id, user_id, origin, dest, t_start, t_end, *_ in rows:
+        legs = legs_by_trip.get(trip_id, [])
+        legs.sort(key=lambda leg: leg.t_start)
+        trips.append(
+            Trip(
+                trip_id=trip_id, user_id=user_id, triplegs=tuple(legs),
+                origin_staypoint=origin, dest_staypoint=dest,
+                t_start=from_iso(t_start), t_end=from_iso(t_end),
             )
+        )
     return trips

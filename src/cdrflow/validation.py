@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import ClassMismatch, DegenerateInput, UnresolvedRegion
+from .files import HeaderMismatch, read_csv, write_csv, write_json
 from .stays import Staypoint, staypoint_region
 from .trips import Trip
 
@@ -96,12 +95,7 @@ def apply_region_aliases(od: OdMatrix, aliases: dict[str, str]) -> OdMatrix:
 
 def load_region_aliases_csv(path: str | Path) -> dict[str, str]:
     """Alias file, header `from,to`: region renames applied before comparison."""
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["from", "to"]:
-            raise ValueError(f"alias file {path}: expected header from,to")
-        return {row[0]: row[1] for row in reader if row}
+    return dict(read_csv(path, ["from", "to"], "alias file"))
 
 
 def linear_regression(x: Sequence[float], y: Sequence[float]) -> RegressionResult:
@@ -232,48 +226,29 @@ def load_survey_csv(path: str | Path) -> dict:
     Header `class,share` yields {"shares": {...}}; header
     `origin,destination,trips` yields {"pairs": {...}}.
     """
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header == ["class", "share"]:
-            shares = {row[0]: float(row[1]) for row in reader if row}
-            return {"shares": shares}
-        if header == ["origin", "destination", "trips"]:
-            pairs = {(row[0], row[1]): float(row[2]) for row in reader if row}
-            return {"pairs": pairs}
-    raise ValueError(f"survey file {path}: expected 'class,share' or 'origin,destination,trips'")
+    try:
+        rows = read_csv(path, ["class", "share"], "survey file")
+        return {"shares": {cls: float(share) for cls, share in rows}}
+    except HeaderMismatch:
+        pass
+    try:
+        rows = read_csv(path, ["origin", "destination", "trips"], "survey file")
+        return {"pairs": {(origin, dest): float(n) for origin, dest, n in rows}}
+    except HeaderMismatch:
+        raise ValueError(
+            f"survey file {path}: expected 'class,share' or 'origin,destination,trips'"
+        ) from None
 
 
 def load_class_map_csv(path: str | Path) -> dict[str, str]:
     """Destination-region to survey-class mapping, header `destination,class`."""
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["destination", "class"]:
-            raise ValueError(f"class map {path}: expected header destination,class")
-        return {row[0]: row[1] for row in reader if row}
+    return dict(read_csv(path, ["destination", "class"], "class map"))
 
 
 def write_od_csv(od: OdMatrix, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["origin", "destination", "trips"])
-        for (origin, dest), n in od.counts:
-            writer.writerow([origin, dest, n])
-
-
-def _regression_dict(reg: Optional[RegressionResult]) -> Optional[dict]:
-    if reg is None:
-        return None
-    return {
-        "slope": reg.slope,
-        "intercept": reg.intercept,
-        "r": reg.r,
-        "r_squared": reg.r_squared,
-        "p_value": reg.p_value,
-        "n": reg.n,
-        "degenerate_y": reg.degenerate_y,
-    }
+    write_csv(path, ["origin", "destination", "trips"], (
+        [origin, dest, n] for (origin, dest), n in od.counts
+    ))
 
 
 def comparison_to_dict(cmp: ShareComparison) -> dict:
@@ -284,8 +259,10 @@ def comparison_to_dict(cmp: ShareComparison) -> dict:
         ],
         "deviations_pp": [{"class": cls, "pp": d} for cls, d in cmp.deviations_pp],
         "deviations_rel": [{"class": cls, "rel": d} for cls, d in cmp.deviations_rel],
-        "regression": _regression_dict(cmp.regression),
-        "regression_without_outlier": _regression_dict(cmp.regression_without_outlier),
+        "regression": asdict(cmp.regression) if cmp.regression else None,
+        "regression_without_outlier": (
+            asdict(cmp.regression_without_outlier) if cmp.regression_without_outlier else None
+        ),
         "outlier_pair": list(cmp.outlier_pair) if cmp.outlier_pair else None,
     }
 
@@ -302,6 +279,4 @@ def write_validation_report(
         "n_dropped_trips": len(od.dropped_trip_ids),
         "comparison": comparison_to_dict(comparison) if comparison else None,
     }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+    write_json(doc, path)

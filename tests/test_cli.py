@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -153,6 +154,14 @@ class TestExitCodes:
         assert run("position", "--config", str(tiny_config), "--out", str(tmp_path / "run"),
                    "--seed", "4") == 0
 
+    def test_inputs_named_by_another_path_exit_0(self, tmp_path, inputs, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        relative = external_config(tmp_path, "relative", inputs.relative_to(tmp_path),
+                                   inputs.relative_to(tmp_path) / ART["cdr"])
+        absolute = external_config(tmp_path, "absolute", inputs, inputs / ART["cdr"])
+        assert run("position", "--config", str(relative), "--out", "run") == 0
+        assert run("stays", "--config", str(absolute), "--out", "run") == 0
+
     def test_missing_config_file_exits_2(self, tmp_path):
         assert run("synth", "--config", str(tmp_path / "ghost.ini"),
                    "--out", str(tmp_path / "run")) == 2
@@ -223,3 +232,71 @@ def test_cli_import_leaves_scipy_out():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert done.stdout.strip() == "False"
+
+
+@pytest.fixture(scope="module")
+def survey_run(tmp_path_factory):
+    """A finished `all` run over external inputs, survey files included."""
+    root = tmp_path_factory.mktemp("survey_run")
+    inputs = root / "inputs"
+    ini = root / "tiny.ini"
+    ini.write_text(TINY)
+    assert run("synth", "--config", str(ini), "--out", str(inputs), "--seed", "4") == 0
+    regions = json.loads((inputs / ART["regions"]).read_text())["features"]
+    towns = [f["properties"]["region_id"] for f in regions
+             if f["properties"]["level"] == "municipality"]
+    files = {
+        "survey": "class,share\nall,1.0\n",
+        "survey_pairs": f"origin,destination,trips\n{towns[0]},{towns[1]},3\n"
+                        f"{towns[1]},{towns[0]},5\n",
+        "class_map": "destination,class\n" + "".join(f"{t},all\n" for t in towns),
+        "region_aliases": f"from,to\n{towns[0]},{towns[0]}\n",
+    }
+    for name, text in files.items():
+        (root / f"{name}.csv").write_text(text)
+    paths = {"cdr": inputs / ART["cdr"], "towers": inputs / ART["towers"],
+             "regions": inputs / ART["regions"], **{n: root / f"{n}.csv" for n in files}}
+    ini.write_text(TINY + "[paths]\n" + "".join(f"{n} = {p}\n" for n, p in paths.items()))
+    out = root / "run"
+    assert run("all", "--config", str(ini), "--out", str(out), "--seed", "4") == 0
+    assert json.loads((out / ART["validation"]).read_text())["comparison"] is not None
+    return ini, out, paths
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("name, stage", [
+        ("cdr", "position"), ("towers", "position"), ("positioned", "stays"),
+        ("staypoints", "trips"), ("trips", "log"), ("triplegs", "log"),
+        ("case_log", "discover"), ("survey", "validate"), ("survey_pairs", "validate"),
+        ("class_map", "validate"), ("region_aliases", "validate"),
+    ])
+    def test_short_row_exits_1_naming_the_line(self, survey_run, name, stage, capsys):
+        ini, out, paths = survey_run
+        path = paths[name] if name in paths else out / ART[name]
+        original = path.read_text()
+        lines = original.splitlines(keepends=True)
+        lines[-1] = lines[-1].rstrip("\n").rsplit(",", 1)[0] + "\n"
+        path.write_text("".join(lines))
+        try:
+            assert run(stage, "--config", str(ini), "--out", str(out), "--seed", "4") == 1
+        finally:
+            path.write_text(original)
+        err = capsys.readouterr().err
+        assert err.startswith(f"cdrflow {stage}: ")
+        assert f"line {len(lines)}:" in err
+
+    @pytest.mark.parametrize("key", ["region_id", "level", "coordinates"])
+    def test_region_without_required_key_exits_1(self, tmp_path, inputs, key, capsys):
+        bad = tmp_path / "bad_inputs"
+        shutil.copytree(inputs, bad)
+        doc = json.loads((bad / ART["regions"]).read_text())
+        feature = doc["features"][3]
+        del (feature["geometry"] if key == "coordinates" else feature["properties"])[key]
+        (bad / ART["regions"]).write_text(json.dumps(doc))
+        ini = external_config(tmp_path, "bad_regions", bad, bad / ART["cdr"])
+        out = tmp_path / "run"
+        assert run("position", "--config", str(ini), "--out", str(out)) == 0
+        assert run("stays", "--config", str(ini), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cdrflow stays: ")
+        assert f"feature 3 has no {key}" in err
