@@ -227,9 +227,12 @@ def write_case_log_csv(log: CaseLog, path: str | Path) -> None:
 
 
 def load_case_log_csv(path: str | Path, level: str = "unknown") -> CaseLog:
+    def row(case_id, activity, timestamp):
+        return case_id, (activity, from_iso(timestamp))
+
     grouped: dict[str, list[tuple[str, float]]] = {}
-    for case_id, activity, timestamp in read_csv(path, CASE_LOG_HEADER, "case log"):
-        grouped.setdefault(case_id, []).append((activity, from_iso(timestamp)))
+    for case_id, event in read_csv(path, CASE_LOG_HEADER, "case log", row):
+        grouped.setdefault(case_id, []).append(event)
     traces = tuple(
         Trace(case_id=case_id, events=tuple(events))
         for case_id, events in sorted(grouped.items())

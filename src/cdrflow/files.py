@@ -10,19 +10,24 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+
+T = TypeVar("T")
 
 
 class HeaderMismatch(ValueError):
     """The first line of a CSV file is not the header its reader expects."""
 
 
-def read_csv(path: str | Path, header: Sequence[str], what: str) -> Iterator[list[str]]:
-    """Data rows of a CSV file whose first line is `header`, as lists of strings.
+def read_csv(
+    path: str | Path, header: Sequence[str], what: str, make: Callable[..., T]
+) -> Iterator[T]:
+    """make(*fields) for each data row of a CSV file whose first line is `header`.
 
     Blank lines are skipped.  `what` names the kind of file in errors: a
-    wrong header raises HeaderMismatch and a row with another number of
-    fields than the header raises ValueError, both naming the file and line.
+    wrong header raises HeaderMismatch, and a row with another number of
+    fields than the header, or one whose fields make rejects with
+    ValueError, raises ValueError; each names the file and line.
     """
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
@@ -37,7 +42,11 @@ def read_csv(path: str | Path, header: Sequence[str], what: str) -> Iterator[lis
                     f"{what} {path}: line {reader.line_num}: "
                     f"{len(row)} fields, expected {width}"
                 )
-            yield row
+            try:
+                record = make(*row)
+            except ValueError as exc:
+                raise ValueError(f"{what} {path}: line {reader.line_num}: {exc}") from exc
+            yield record
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

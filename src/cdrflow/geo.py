@@ -60,8 +60,11 @@ class TowerSector:
     radius_m: float
 
     def __post_init__(self) -> None:
-        if self.radius_m < 0:
-            raise ValueError(f"sector radius must be >= 0, got {self.radius_m}")
+        # a NaN or infinite radius or azimuth would keep the draw's shrink loop going forever
+        if not 0.0 <= self.radius_m < math.inf:
+            raise ValueError(f"sector radius must be finite and >= 0, got {self.radius_m}")
+        if not math.isfinite(self.azimuth_deg):
+            raise ValueError(f"azimuth must be finite, got {self.azimuth_deg}")
         if not (0.0 < self.beamwidth_deg <= 360.0):
             raise ValueError(f"beamwidth must be in (0, 360], got {self.beamwidth_deg}")
         object.__setattr__(self, "azimuth_deg", self.azimuth_deg % 360.0)
@@ -171,16 +174,20 @@ def bearing_within_wedge(bearing_deg: float, azimuth_deg: float, beamwidth_deg: 
     return abs(diff) <= beamwidth_deg / 2.0
 
 
-def _splitmix64(state: int) -> tuple[int, int]:
-    # Stable 64-bit generator; pure integer ops, identical on every platform.
-    state = (state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return state, z ^ (z >> 31)
-
+# Positioning runs over blocks of this many events: enough rows that the
+# array passes outweigh their call overhead, few enough that a block's
+# temporaries stay small beside the result.  Output does not depend on it.
+_BLOCK_EVENTS = 1024
 
 _TWO_53 = float(1 << 53)
+
+
+def _splitmix64(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Stable 64-bit generator over uint64 arrays, which wrap modulo 2**64.
+    state = state + np.uint64(0x9E3779B97F4A7C15)
+    z = (state ^ (state >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    return state, z ^ (z >> 31)
 
 
 def event_seed(cell_id: str, user_id: str, timestamp: float) -> int:
@@ -190,73 +197,143 @@ def event_seed(cell_id: str, user_id: str, timestamp: float) -> int:
     return int.from_bytes(blake2b(payload, digest_size=8).digest(), "big")
 
 
-class _SectorSampler:
-    """Precomputed wedge geometry for fast repeated sampling of one sector."""
+def _libm(f, *arrays: np.ndarray) -> np.ndarray:
+    # numpy's transcendental functions differ from libm in the last bit for
+    # some inputs; the math module keeps draws identical across versions.
+    return np.array(list(map(f, *(a.tolist() for a in arrays))), dtype=np.float64)
 
-    __slots__ = (
-        "sector", "radius", "lo_bearing", "span", "phi1", "lam1", "sin_phi1", "cos_phi1",
-    )
 
-    def __init__(self, sector: TowerSector):
-        self.sector = sector
-        self.radius = sector.radius_m
-        half = sector.beamwidth_deg / 2.0
-        margin = max(_BEARING_MARGIN_DEG * sector.beamwidth_deg, _BEARING_MARGIN_DEG)
-        self.lo_bearing = sector.azimuth_deg - half + margin
-        self.span = max(sector.beamwidth_deg - 2.0 * margin, 0.0)
-        self.phi1 = math.radians(sector.center.lat)
-        self.lam1 = math.radians(sector.center.lon)
-        self.sin_phi1 = math.sin(self.phi1)
-        self.cos_phi1 = math.cos(self.phi1)
+def _sin_squared(a: np.ndarray) -> np.ndarray:
+    sin = math.sin
+    return np.array([sin(x) ** 2 for x in a.tolist()], dtype=np.float64)
 
-    def raw_draw(self, u: float, v: float) -> tuple[float, float]:
-        """(lat, lon) degrees for unit draws u (radial) and v (angular)."""
-        sin, cos, asin, atan2, sqrt = math.sin, math.cos, math.asin, math.atan2, math.sqrt
-        fraction = min(max(sqrt(u), _RADIAL_FRACTION_MIN), _RADIAL_FRACTION_MAX)
-        theta = math.radians((self.lo_bearing + v * self.span) % 360.0)
-        sin_theta, cos_theta = sin(theta), cos(theta)
-        while True:
-            delta = fraction * self.radius / EARTH_RADIUS_M
-            sin_delta, cos_delta = sin(delta), cos(delta)
-            sin_phi2 = self.sin_phi1 * cos_delta + self.cos_phi1 * sin_delta * cos_theta
-            sin_phi2 = max(-1.0, min(1.0, sin_phi2))
-            phi2 = asin(sin_phi2)
-            lam2 = self.lam1 + atan2(
-                sin_theta * sin_delta * self.cos_phi1, cos_delta - self.sin_phi1 * sin_phi2
-            )
-            # re-measure; shrink on the (practically unreachable) overshoot
-            h = (
-                sin((phi2 - self.phi1) / 2.0) ** 2
-                + self.cos_phi1 * cos(phi2) * sin((lam2 - self.lam1) / 2.0) ** 2
-            )
-            if 2.0 * EARTH_RADIUS_M * asin(min(1.0, sqrt(h))) <= self.radius:
-                break
-            fraction *= 0.999999
-        lon = (math.degrees(lam2) + 180.0) % 360.0 - 180.0
-        return math.degrees(phi2), lon
 
-    def point(
-        self, seed: int, land: Sequence[Region] = (), max_attempts: int = DEFAULT_CLIP_ATTEMPTS
-    ) -> GeoPoint:
-        """Pseudo-location for one seed; see sample_sector_point."""
-        sector = self.sector
-        if sector.radius_m == 0.0:
-            return sector.center
-        state = seed & 0xFFFFFFFFFFFFFFFF
-        attempts = max(1, max_attempts) if land else 1
-        for _ in range(attempts):
-            state, z1 = _splitmix64(state)
-            state, z2 = _splitmix64(state)
-            lat, lon = self.raw_draw((z1 >> 11) / _TWO_53, (z2 >> 11) / _TWO_53)
-            point = GeoPoint(lat=lat, lon=lon)
-            if not land or any(region_contains(r, point) for r in land):
-                return point
+class _Sectors:
+    """Wedge geometry of the sectors met so far, one row per sector."""
 
-        if any(region_contains(r, sector.center) for r in land):
-            return sector.center
-        raise ClippingExhausted(
-            f"no land point found for sector {sector.cell_id} after {max_attempts} attempts"
+    # columns of `geometry`
+    RADIUS, LO_BEARING, SPAN, PHI1, LAM1, SIN_PHI1, COS_PHI1 = range(7)
+
+    def __init__(self, towers: dict[str, TowerSector]):
+        self._towers = towers
+        self._row: dict[str, int] = {}
+        self.sectors: list[TowerSector] = []
+        self._params: list[tuple] = []
+        self._geometry = np.empty((0, 7))
+
+    def row(self, cell_id: str) -> Optional[int]:
+        """Row of the sector serving cell_id, or None for an unknown cell."""
+        row = self._row.get(cell_id)
+        if row is None:
+            sector = self._towers.get(cell_id)
+            if sector is None:
+                return None
+            row = self._row[cell_id] = len(self.sectors)
+            self.sectors.append(sector)
+            half = sector.beamwidth_deg / 2.0
+            margin = max(_BEARING_MARGIN_DEG * sector.beamwidth_deg, _BEARING_MARGIN_DEG)
+            phi1 = math.radians(sector.center.lat)
+            self._params.append((
+                sector.radius_m,
+                sector.azimuth_deg - half + margin,
+                max(sector.beamwidth_deg - 2.0 * margin, 0.0),
+                phi1,
+                math.radians(sector.center.lon),
+                math.sin(phi1),
+                math.cos(phi1),
+            ))
+        return row
+
+    def geometry(self, rows: np.ndarray) -> np.ndarray:
+        """(len(rows), 7) array of the wedge geometry of the given rows."""
+        if len(self._geometry) != len(self._params):
+            self._geometry = np.array(self._params, dtype=np.float64)
+        return self._geometry[rows]
+
+
+def _wedge_draw(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lat, lon) degree arrays for unit draws u (radial) and v (angular).
+
+    Row i of g is the _Sectors geometry of draw i.  The destination point is
+    re-measured and the radial fraction shrunk, for the rows that overshoot
+    the radius only, until every point lies within its sector's radius.
+    """
+    S = _Sectors
+    radius, phi1, lam1 = g[:, S.RADIUS], g[:, S.PHI1], g[:, S.LAM1]
+    sin_phi1, cos_phi1 = g[:, S.SIN_PHI1], g[:, S.COS_PHI1]
+    fraction = np.minimum(np.maximum(np.sqrt(u), _RADIAL_FRACTION_MIN), _RADIAL_FRACTION_MAX)
+    theta = np.radians(np.mod(g[:, S.LO_BEARING] + v * g[:, S.SPAN], 360.0))
+    sin_theta, cos_theta = _libm(math.sin, theta), _libm(math.cos, theta)
+    phi2 = np.empty(len(g))
+    lam2 = np.empty(len(g))
+    rows = np.arange(len(g))
+    while rows.size:
+        delta = fraction[rows] * radius[rows] / EARTH_RADIUS_M
+        sin_delta, cos_delta = _libm(math.sin, delta), _libm(math.cos, delta)
+        sin_p1, cos_p1 = sin_phi1[rows], cos_phi1[rows]
+        sin_phi2 = sin_p1 * cos_delta + cos_p1 * sin_delta * cos_theta[rows]
+        sin_phi2 = np.maximum(-1.0, np.minimum(1.0, sin_phi2))
+        p2 = _libm(math.asin, sin_phi2)
+        l2 = lam1[rows] + _libm(
+            math.atan2, sin_theta[rows] * sin_delta * cos_p1, cos_delta - sin_p1 * sin_phi2
         )
+        phi2[rows] = p2
+        lam2[rows] = l2
+        # re-measure; shrink the rows that overshoot (seen only at sub-micrometre radii)
+        h = (
+            _sin_squared((p2 - phi1[rows]) / 2.0)
+            + cos_p1 * _libm(math.cos, p2) * _sin_squared((l2 - lam1[rows]) / 2.0)
+        )
+        distance = 2.0 * EARTH_RADIUS_M * _libm(math.asin, np.minimum(1.0, np.sqrt(h)))
+        rows = rows[~(distance <= radius[rows])]
+        fraction[rows] *= 0.999999
+    lon = np.mod(np.degrees(lam2) + 180.0, 360.0) - 180.0
+    return np.degrees(phi2), lon
+
+
+def _place(
+    seeds: Sequence[int],
+    rows: Sequence[int],
+    sectors: _Sectors,
+    land: Optional["_Land"],
+    max_attempts: int,
+) -> list[GeoPoint]:
+    """Pseudo-location of each seed in the sector of its row; see sample_sector_point.
+
+    Each land attempt re-draws only the events whose previous draw fell off
+    land.  An event's draws depend on its own seed alone.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    g = sectors.geometry(rows)
+    points: list = [None] * len(rows)
+    for i in np.flatnonzero(g[:, _Sectors.RADIUS] == 0.0).tolist():
+        points[i] = sectors.sectors[rows[i]].center
+    todo = np.flatnonzero(g[:, _Sectors.RADIUS] != 0.0)
+    state = np.array(seeds, dtype=np.uint64)[todo]
+    for _ in range(max(1, max_attempts) if land else 1):
+        if not todo.size:
+            break
+        state, z1 = _splitmix64(state)
+        state, z2 = _splitmix64(state)
+        lat, lon = _wedge_draw(g[todo], (z1 >> 11) / _TWO_53, (z2 >> 11) / _TWO_53)
+        ok = land.contains(lon, lat) if land else np.ones(len(todo), dtype=bool)
+        for i, la, lo in zip(todo[ok].tolist(), lat[ok].tolist(), lon[ok].tolist()):
+            points[i] = GeoPoint(lat=la, lon=lo)
+        todo, state = todo[~ok], state[~ok]
+
+    if todo.size:
+        centers = [sectors.sectors[rows[i]].center for i in todo.tolist()]
+        on_land = land.contains(
+            np.array([c.lon for c in centers]), np.array([c.lat for c in centers])
+        )
+        for i, center, ok in zip(todo.tolist(), centers, on_land.tolist()):
+            if not ok:
+                raise ClippingExhausted(
+                    f"no land point found for sector {sectors.sectors[rows[i]].cell_id} "
+                    f"after {max_attempts} attempts"
+                )
+            points[i] = center
+    return points
 
 
 def sample_sector_point(
@@ -273,7 +350,10 @@ def sample_sector_point(
     max_attempts the sector center is used if it is itself on land, otherwise
     ClippingExhausted is raised.
     """
-    return _SectorSampler(sector).point(seed, land, max_attempts)
+    sectors = _Sectors({sector.cell_id: sector})
+    row = sectors.row(sector.cell_id)
+    seeds = [seed & 0xFFFFFFFFFFFFFFFF]
+    return _place(seeds, [row], sectors, _Land(land) if land else None, max_attempts)[0]
 
 
 # --- point-in-polygon -------------------------------------------------------
@@ -332,6 +412,72 @@ def region_contains(region: Region, p: GeoPoint) -> bool:
         if not in_hole:
             return True
     return False
+
+
+# Segments per array pass of the land test; bounds its temporaries to
+# this many rows times the number of points.
+_SEGMENTS_PER_PASS = 16
+
+
+def _ring_segments(ring: Sequence[GeoPoint]) -> tuple[np.ndarray, ...]:
+    lon = np.array([p.lon for p in ring], dtype=np.float64)
+    lat = np.array([p.lat for p in ring], dtype=np.float64)
+    ax, ay, bx, by = lon[:-1], lat[:-1], lon[1:], lat[1:]
+    dx, dy = bx - ax, by - ay
+    return (
+        ax, ay, by, dx,
+        np.where(dy == 0.0, 1.0, dy),  # the ray cast skips segments with dy == 0
+        np.minimum(ax, bx) - _BOUNDARY_EPS_DEG, np.maximum(ax, bx) + _BOUNDARY_EPS_DEG,
+        np.minimum(ay, by) - _BOUNDARY_EPS_DEG, np.maximum(ay, by) + _BOUNDARY_EPS_DEG,
+        _BOUNDARY_EPS_DEG * np.maximum(np.maximum(np.abs(dx), np.abs(dy)), 1.0),
+    )
+
+
+def _ring_test(segments: tuple, px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(on boundary, ray-cast inside) per point: _ring_boundary and _ray_cast over arrays."""
+    on_edge = np.zeros(len(px), dtype=bool)
+    inside = np.zeros(len(px), dtype=bool)
+    x, y = px[None, :], py[None, :]
+    for k in range(0, len(segments[0]), _SEGMENTS_PER_PASS):
+        ax, ay, by, dx, dy, lo_x, hi_x, lo_y, hi_y, tol = (
+            s[k:k + _SEGMENTS_PER_PASS, None] for s in segments
+        )
+        cross = dx * (y - ay) - (by - ay) * (x - ax)
+        on_edge |= (
+            (lo_x <= x) & (x <= hi_x) & (lo_y <= y) & (y <= hi_y) & (np.abs(cross) <= tol)
+        ).any(axis=0)
+        crosses = ((ay > y) != (by > y)) & (x < ax + (y - ay) * dx / dy)
+        inside ^= np.logical_xor.reduce(crosses, axis=0)
+    return on_edge, inside
+
+
+class _Land:
+    """Land regions as segment arrays: region_contains over arrays of points."""
+
+    def __init__(self, regions: Sequence[Region]):
+        self._polygons = [
+            (_ring_segments(polygon[0]), [_ring_segments(hole) for hole in polygon[1:]])
+            for region in regions
+            for polygon in region.polygons
+        ]
+
+    def contains(self, lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
+        """Per point, whether some region contains it, as region_contains decides."""
+        found = np.zeros(len(lon), dtype=bool)
+        for exterior, holes in self._polygons:
+            todo = np.flatnonzero(~found)
+            if not todo.size:
+                break
+            x, y = lon[todo], lat[todo]
+            on_edge, inside = _ring_test(exterior, x, y)
+            result = on_edge | inside
+            undecided = inside & ~on_edge
+            for hole in holes:  # the first hole whose edge or inside holds the point decides
+                hole_edge, hole_inside = _ring_test(hole, x, y)
+                result &= ~(undecided & ~hole_edge & hole_inside)
+                undecided &= ~(hole_edge | hole_inside)
+            found[todo] = result
+        return found
 
 
 class RegionIndex:
@@ -396,24 +542,39 @@ def position_events(
 ) -> list[PositionedEvent]:
     """Attach a deterministic pseudo-location to every CDR event.
 
-    Equivalent to calling sample_sector_point with event_seed per event,
-    reusing one precomputed sampler per sector.
+    Equivalent to calling sample_sector_point with event_seed per event;
+    the events are placed block by block with one array kernel.
     """
-    samplers: dict[str, _SectorSampler] = {}
-    out = []
-    for ev in events:
-        sampler = samplers.get(ev.cell_id)
-        if sampler is None:
-            sector = towers.get(ev.cell_id)
-            if sector is None:
-                raise ValueError(f"event references unknown cell_id {ev.cell_id!r}")
-            sampler = samplers[ev.cell_id] = _SectorSampler(sector)
-        point = sampler.point(event_seed(ev.cell_id, ev.user_id, ev.timestamp), land)
-        out.append(
+    sectors = _Sectors(towers)
+    land_arrays = _Land(land) if land else None
+    out: list[PositionedEvent] = []
+    block: list[CdrEvent] = []
+    rows: list[int] = []
+
+    def flush() -> None:
+        if not block:
+            return
+        seeds = [event_seed(ev.cell_id, ev.user_id, ev.timestamp) for ev in block]
+        points = _place(seeds, rows, sectors, land_arrays, DEFAULT_CLIP_ATTEMPTS)
+        out.extend(
             PositionedEvent(
                 user_id=ev.user_id, timestamp=ev.timestamp, cell_id=ev.cell_id, location=point
             )
+            for ev, point in zip(block, points)
         )
+        block.clear()
+        rows.clear()
+
+    for ev in events:
+        row = sectors.row(ev.cell_id)
+        if row is None:
+            flush()  # the events before it are placed first, as one at a time would
+            raise ValueError(f"event references unknown cell_id {ev.cell_id!r}")
+        block.append(ev)
+        rows.append(row)
+        if len(block) == _BLOCK_EVENTS:
+            flush()
+    flush()
     return out
 
 
@@ -433,19 +594,22 @@ def group_by_user(records: Iterable) -> dict[str, list]:
 TOWERS_HEADER = ["cell_id", "lat", "lon", "azimuth_deg", "beamwidth_deg", "radius_m"]
 
 
+def _tower_row(cell_id, lat, lon, azimuth, beamwidth, radius) -> TowerSector:
+    return TowerSector(
+        cell_id=cell_id,
+        center=GeoPoint(lat=float(lat), lon=float(lon)),
+        azimuth_deg=float(azimuth),
+        beamwidth_deg=float(beamwidth),
+        radius_m=float(radius),
+    )
+
+
 def load_towers_csv(path: str | Path) -> dict[str, TowerSector]:
     towers: dict[str, TowerSector] = {}
-    rows = read_csv(path, TOWERS_HEADER, "towers file")
-    for cell_id, lat, lon, azimuth, beamwidth, radius in rows:
-        if cell_id in towers:
-            raise ValueError(f"duplicate cell_id {cell_id!r} in {path}")
-        towers[cell_id] = TowerSector(
-            cell_id=cell_id,
-            center=GeoPoint(lat=float(lat), lon=float(lon)),
-            azimuth_deg=float(azimuth),
-            beamwidth_deg=float(beamwidth),
-            radius_m=float(radius),
-        )
+    for sector in read_csv(path, TOWERS_HEADER, "towers file", _tower_row):
+        if sector.cell_id in towers:
+            raise ValueError(f"duplicate cell_id {sector.cell_id!r} in {path}")
+        towers[sector.cell_id] = sector
     return towers
 
 
@@ -461,25 +625,27 @@ CDR_HEADER = ["user_id", "timestamp", "cell_id"]
 POSITIONED_HEADER = ["user_id", "timestamp", "cell_id", "lat", "lon"]
 
 
+def _cdr_row(user_id, ts, cell_id) -> CdrEvent:
+    return CdrEvent(user_id=user_id, timestamp=from_iso(ts), cell_id=cell_id)
+
+
 def load_cdr_csv(path: str | Path) -> list[CdrEvent]:
-    return [
-        CdrEvent(user_id=user_id, timestamp=from_iso(ts), cell_id=cell_id)
-        for user_id, ts, cell_id in read_csv(path, CDR_HEADER, "cdr file")
-    ]
+    return list(read_csv(path, CDR_HEADER, "cdr file", _cdr_row))
 
 
 def write_cdr_csv(events: Iterable[CdrEvent], path: str | Path) -> None:
     write_csv(path, CDR_HEADER, ([ev.user_id, to_iso(ev.timestamp), ev.cell_id] for ev in events))
 
 
+def _positioned_row(user_id, ts, cell_id, lat, lon) -> PositionedEvent:
+    return PositionedEvent(
+        user_id=user_id, timestamp=from_iso(ts), cell_id=cell_id,
+        location=GeoPoint(lat=float(lat), lon=float(lon)),
+    )
+
+
 def load_positioned_csv(path: str | Path) -> list[PositionedEvent]:
-    return [
-        PositionedEvent(
-            user_id=user_id, timestamp=from_iso(ts), cell_id=cell_id,
-            location=GeoPoint(lat=float(lat), lon=float(lon)),
-        )
-        for user_id, ts, cell_id, lat, lon in read_csv(path, POSITIONED_HEADER, "positioned file")
-    ]
+    return list(read_csv(path, POSITIONED_HEADER, "positioned file", _positioned_row))
 
 
 def write_positioned_csv(events: Iterable[PositionedEvent], path: str | Path) -> None:
@@ -496,10 +662,13 @@ def _rings_to_coords(polygons: tuple) -> list:
     ]
 
 
-def _coords_to_polygon(coords) -> tuple:
-    return tuple(
-        tuple(GeoPoint(lat=float(pt[1]), lon=float(pt[0])) for pt in ring) for ring in coords
-    )
+def _coords_to_polygon(coords, where: str) -> tuple:
+    def point(pt) -> GeoPoint:
+        if not isinstance(pt, list) or len(pt) < 2:
+            raise ValueError(f"{where}: position {pt!r} has fewer than 2 numbers")
+        return GeoPoint(lat=float(pt[1]), lon=float(pt[0]))
+
+    return tuple(tuple(point(pt) for pt in ring) for ring in coords)
 
 
 def load_regions_geojson(path: str | Path) -> RegionIndex:
@@ -514,10 +683,11 @@ def load_regions_geojson(path: str | Path) -> RegionIndex:
             if key not in holder:
                 raise ValueError(f"regions file {path}: feature {k} has no {key}")
         gtype = geom.get("type")
+        where = f"regions file {path}: feature {k}"
         if gtype == "Polygon":
-            polygons = (_coords_to_polygon(geom["coordinates"]),)
+            polygons = (_coords_to_polygon(geom["coordinates"], where),)
         elif gtype == "MultiPolygon":
-            polygons = tuple(_coords_to_polygon(c) for c in geom["coordinates"])
+            polygons = tuple(_coords_to_polygon(c, where) for c in geom["coordinates"])
         else:
             raise ValueError(f"region {props['region_id']}: unsupported geometry {gtype}")
         regions.append(

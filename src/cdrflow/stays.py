@@ -330,14 +330,16 @@ def write_staypoints_csv(staypoints: Iterable[Staypoint], path: str | Path) -> N
     ))
 
 
+def _staypoint_row(
+    sp_id, user_id, location_id, lat, lon, t_start, t_end, parish, municipality
+) -> Staypoint:
+    return Staypoint(
+        staypoint_id=sp_id, user_id=user_id, location_id=location_id,
+        median=GeoPoint(lat=float(lat), lon=float(lon)),
+        t_start=from_iso(t_start), t_end=from_iso(t_end),
+        region_parish=parish or None, region_municipality=municipality or None,
+    )
+
+
 def load_staypoints_csv(path: str | Path) -> list[Staypoint]:
-    return [
-        Staypoint(
-            staypoint_id=sp_id, user_id=user_id, location_id=location_id,
-            median=GeoPoint(lat=float(lat), lon=float(lon)),
-            t_start=from_iso(t_start), t_end=from_iso(t_end),
-            region_parish=parish or None, region_municipality=municipality or None,
-        )
-        for sp_id, user_id, location_id, lat, lon, t_start, t_end, parish, municipality
-        in read_csv(path, STAYPOINTS_HEADER, "staypoints file")
-    ]
+    return list(read_csv(path, STAYPOINTS_HEADER, "staypoints file", _staypoint_row))

@@ -6,6 +6,7 @@ indicative only; every export carries an explicit heuristic flag.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -127,11 +128,12 @@ def derive_triplegs(
     """
     thresholds = thresholds or ModeThresholds()
     moving = sorted(moving, key=lambda e: e.timestamp)
+    ts = [e.timestamp for e in moving]
     legs: list[Tripleg] = []
     for a, b in zip(staypoints, staypoints[1:]):
         if a.user_id != b.user_id:
             raise ValueError("derive_triplegs expects a single user's staypoints")
-        between = [e for e in moving if a.t_end < e.timestamp < b.t_start]
+        between = moving[bisect_right(ts, a.t_end):bisect_left(ts, b.t_start)]
         if a.location_id == b.location_id and not between:
             continue
         duration = b.t_start - a.t_end
@@ -243,26 +245,24 @@ def write_triplegs_csv(trips: Iterable[Trip], path: str | Path) -> None:
 
 def load_trips_csv(trips_path: str | Path, triplegs_path: str | Path) -> list[Trip]:
     """Rebuild Trip objects from the trip and tripleg exports."""
-    legs_by_trip: dict[str, list[Tripleg]] = {}
-    rows = read_csv(triplegs_path, TRIPLEGS_HEADER, "triplegs file")
-    for leg_id, trip_id, user_id, origin, dest, t_start, t_end, length, speed, mode in rows:
-        legs_by_trip.setdefault(trip_id, []).append(
-            Tripleg(
-                tripleg_id=leg_id, user_id=user_id, origin_staypoint=origin, dest_staypoint=dest,
-                t_start=from_iso(t_start), t_end=from_iso(t_end),
-                path_length_m=float(length), avg_speed_kmh=float(speed), mode=mode,
-            )
+    def tripleg(leg_id, trip_id, user_id, origin, dest, t_start, t_end, length, speed, mode):
+        return trip_id, Tripleg(
+            tripleg_id=leg_id, user_id=user_id, origin_staypoint=origin, dest_staypoint=dest,
+            t_start=from_iso(t_start), t_end=from_iso(t_end),
+            path_length_m=float(length), avg_speed_kmh=float(speed), mode=mode,
         )
-    trips = []
-    rows = read_csv(trips_path, TRIPS_HEADER, "trips file")
-    for trip_id, user_id, origin, dest, t_start, t_end, *_ in rows:
+
+    legs_by_trip: dict[str, list[Tripleg]] = {}
+    for trip_id, leg in read_csv(triplegs_path, TRIPLEGS_HEADER, "triplegs file", tripleg):
+        legs_by_trip.setdefault(trip_id, []).append(leg)
+
+    def trip(trip_id, user_id, origin, dest, t_start, t_end, *_) -> Trip:
         legs = legs_by_trip.get(trip_id, [])
         legs.sort(key=lambda leg: leg.t_start)
-        trips.append(
-            Trip(
-                trip_id=trip_id, user_id=user_id, triplegs=tuple(legs),
-                origin_staypoint=origin, dest_staypoint=dest,
-                t_start=from_iso(t_start), t_end=from_iso(t_end),
-            )
+        return Trip(
+            trip_id=trip_id, user_id=user_id, triplegs=tuple(legs),
+            origin_staypoint=origin, dest_staypoint=dest,
+            t_start=from_iso(t_start), t_end=from_iso(t_end),
         )
-    return trips
+
+    return list(read_csv(trips_path, TRIPS_HEADER, "trips file", trip))

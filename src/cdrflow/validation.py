@@ -93,9 +93,13 @@ def apply_region_aliases(od: OdMatrix, aliases: dict[str, str]) -> OdMatrix:
     )
 
 
+def _pair(key: str, value: str) -> tuple[str, str]:
+    return key, value
+
+
 def load_region_aliases_csv(path: str | Path) -> dict[str, str]:
     """Alias file, header `from,to`: region renames applied before comparison."""
-    return dict(read_csv(path, ["from", "to"], "alias file"))
+    return dict(read_csv(path, ["from", "to"], "alias file", _pair))
 
 
 def linear_regression(x: Sequence[float], y: Sequence[float]) -> RegressionResult:
@@ -227,13 +231,16 @@ def load_survey_csv(path: str | Path) -> dict:
     `origin,destination,trips` yields {"pairs": {...}}.
     """
     try:
-        rows = read_csv(path, ["class", "share"], "survey file")
-        return {"shares": {cls: float(share) for cls, share in rows}}
+        rows = read_csv(path, ["class", "share"], "survey file", lambda c, s: (c, float(s)))
+        return {"shares": dict(rows)}
     except HeaderMismatch:
         pass
     try:
-        rows = read_csv(path, ["origin", "destination", "trips"], "survey file")
-        return {"pairs": {(origin, dest): float(n) for origin, dest, n in rows}}
+        rows = read_csv(
+            path, ["origin", "destination", "trips"], "survey file",
+            lambda origin, dest, n: ((origin, dest), float(n)),
+        )
+        return {"pairs": dict(rows)}
     except HeaderMismatch:
         raise ValueError(
             f"survey file {path}: expected 'class,share' or 'origin,destination,trips'"
@@ -242,7 +249,7 @@ def load_survey_csv(path: str | Path) -> dict:
 
 def load_class_map_csv(path: str | Path) -> dict[str, str]:
     """Destination-region to survey-class mapping, header `destination,class`."""
-    return dict(read_csv(path, ["destination", "class"], "class map"))
+    return dict(read_csv(path, ["destination", "class"], "class map", _pair))
 
 
 def write_od_csv(od: OdMatrix, path: str | Path) -> None:

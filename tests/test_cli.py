@@ -11,6 +11,9 @@ import pytest
 import cdrflow
 from cdrflow.cli import ART, main
 from cdrflow.config import PipelineConfig, config_hash, load_config
+from cdrflow.geo import (
+    GeoPoint, Region, load_positioned_csv, load_towers_csv, region_contains, write_regions_geojson,
+)
 
 
 def run(*argv):
@@ -285,6 +288,59 @@ class TestMalformedInput:
         assert err.startswith(f"cdrflow {stage}: ")
         assert f"line {len(lines)}:" in err
 
+    @pytest.mark.parametrize("name, stage, column", [
+        ("towers", "position", "lat"), ("positioned", "stays", "lon"),
+        ("staypoints", "trips", "lat"), ("triplegs", "log", "path_length_m"),
+    ])
+    def test_non_numeric_field_exits_1_naming_the_line(
+        self, survey_run, name, stage, column, capsys
+    ):
+        ini, out, paths = survey_run
+        path = paths[name] if name in paths else out / ART[name]
+        original = path.read_text()
+        lines = original.splitlines(keepends=True)
+        fields = lines[1].rstrip("\n").split(",")
+        fields[lines[0].rstrip("\n").split(",").index(column)] = "abc"
+        lines[1] = ",".join(fields) + "\n"
+        path.write_text("".join(lines))
+        try:
+            assert run(stage, "--config", str(ini), "--out", str(out), "--seed", "4") == 1
+        finally:
+            path.write_text(original)
+        err = capsys.readouterr().err
+        assert err.startswith(f"cdrflow {stage}: ")
+        assert f"{path}: line 2: " in err and "'abc'" in err
+
+    @pytest.mark.parametrize("column", ["radius_m", "azimuth_deg"])
+    def test_non_finite_sector_exits_1(self, survey_run, column, capsys):
+        ini, out, paths = survey_run
+        path = paths["towers"]
+        original = path.read_text()
+        lines = original.splitlines(keepends=True)
+        fields = lines[1].rstrip("\n").split(",")
+        fields[lines[0].rstrip("\n").split(",").index(column)] = "nan"
+        lines[1] = ",".join(fields) + "\n"
+        path.write_text("".join(lines))
+        try:
+            assert run("position", "--config", str(ini), "--out", str(out), "--seed", "4") == 1
+        finally:
+            path.write_text(original)
+        assert f"{path}: line 2: " in capsys.readouterr().err
+
+    def test_short_geojson_position_exits_1(self, tmp_path, inputs, capsys):
+        bad = tmp_path / "bad_inputs"
+        shutil.copytree(inputs, bad)
+        doc = json.loads((bad / ART["regions"]).read_text())
+        doc["features"][3]["geometry"]["coordinates"][0][1] = [1.0]
+        (bad / ART["regions"]).write_text(json.dumps(doc))
+        ini = external_config(tmp_path, "bad_regions", bad, bad / ART["cdr"])
+        out = tmp_path / "run"
+        assert run("position", "--config", str(ini), "--out", str(out)) == 0
+        assert run("stays", "--config", str(ini), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cdrflow stays: ") and "Traceback" not in err
+        assert "feature 3: position [1.0] has fewer than 2 numbers" in err
+
     @pytest.mark.parametrize("key", ["region_id", "level", "coordinates"])
     def test_region_without_required_key_exits_1(self, tmp_path, inputs, key, capsys):
         bad = tmp_path / "bad_inputs"
@@ -300,3 +356,33 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("cdrflow stays: ")
         assert f"feature 3 has no {key}" in err
+
+
+def test_position_with_land_mask_puts_every_point_on_land(tmp_path, inputs):
+    towers = load_towers_csv(inputs / ART["towers"])
+    lats = sorted({t.center.lat for t in towers.values()})
+    lons = [t.center.lon for t in towers.values()]
+    # a river between every two tower rows, 5% of the spacing from each row
+    box = (min(lons) - 0.01, lats[0] - 0.01, max(lons) + 0.01, lats[-1] + 0.01)
+    rivers = [(a + 0.05 * (b - a), b - 0.05 * (b - a)) for a, b in zip(lats, lats[1:])]
+
+    def ring(x0, y0, x1, y1):
+        return tuple(GeoPoint(y, x) for x, y in ((x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0)))
+
+    land = Region("land", "land", "municipality", None, ((
+        ring(*box), *(ring(box[0] + 0.001, lo, box[2] - 0.001, hi) for lo, hi in rivers),
+    ),))
+    write_regions_geojson([land], tmp_path / "land.geojson")
+    ini = external_config(tmp_path, "land", inputs, inputs / ART["cdr"])
+    ini.write_text(ini.read_text() + f"land_mask = {tmp_path / 'land.geojson'}\n")
+    clipped, free = tmp_path / "clipped", tmp_path / "free"
+    assert run("position", "--config", str(ini), "--out", str(clipped)) == 0
+    free_ini = external_config(tmp_path, "free", inputs, inputs / ART["cdr"])
+    assert run("position", "--config", str(free_ini), "--out", str(free)) == 0
+
+    def in_river(ev):
+        return any(lo < ev.location.lat < hi for lo, hi in rivers)
+
+    assert any(in_river(ev) for ev in load_positioned_csv(free / ART["positioned"]))
+    positioned = load_positioned_csv(clipped / ART["positioned"])
+    assert positioned and all(region_contains(land, ev.location) for ev in positioned)

@@ -1,15 +1,26 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cdrflow import geo
 from cdrflow.errors import ClippingExhausted
 from cdrflow.geo import (
+    _BEARING_MARGIN_DEG,
+    _RADIAL_FRACTION_MAX,
+    _RADIAL_FRACTION_MIN,
+    DEFAULT_CLIP_ATTEMPTS,
     EARTH_RADIUS_M,
     CdrEvent,
     GeoPoint,
+    PositionedEvent,
+    Region,
     RegionIndex,
     TowerSector,
+    _Land,
     bearing_within_wedge,
     destination_point,
     event_seed,
@@ -27,6 +38,103 @@ from cdrflow.geo import (
 )
 
 from conftest import square_region
+
+
+class ScalarSampler:
+    """One event at a time, in plain floats: the reference for the array kernel."""
+
+    def __init__(self, sector: TowerSector):
+        self.sector = sector
+        self.radius = sector.radius_m
+        half = sector.beamwidth_deg / 2.0
+        margin = max(_BEARING_MARGIN_DEG * sector.beamwidth_deg, _BEARING_MARGIN_DEG)
+        self.lo_bearing = sector.azimuth_deg - half + margin
+        self.span = max(sector.beamwidth_deg - 2.0 * margin, 0.0)
+        self.phi1 = math.radians(sector.center.lat)
+        self.lam1 = math.radians(sector.center.lon)
+        self.sin_phi1 = math.sin(self.phi1)
+        self.cos_phi1 = math.cos(self.phi1)
+
+    @staticmethod
+    def splitmix64(state: int) -> tuple[int, int]:
+        state = (state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+        return state, z ^ (z >> 31)
+
+    def raw_draw(self, u: float, v: float) -> tuple[float, float]:
+        sin, cos, asin, atan2, sqrt = math.sin, math.cos, math.asin, math.atan2, math.sqrt
+        fraction = min(max(sqrt(u), _RADIAL_FRACTION_MIN), _RADIAL_FRACTION_MAX)
+        theta = math.radians((self.lo_bearing + v * self.span) % 360.0)
+        sin_theta, cos_theta = sin(theta), cos(theta)
+        while True:
+            delta = fraction * self.radius / EARTH_RADIUS_M
+            sin_delta, cos_delta = sin(delta), cos(delta)
+            sin_phi2 = self.sin_phi1 * cos_delta + self.cos_phi1 * sin_delta * cos_theta
+            sin_phi2 = max(-1.0, min(1.0, sin_phi2))
+            phi2 = asin(sin_phi2)
+            lam2 = self.lam1 + atan2(
+                sin_theta * sin_delta * self.cos_phi1, cos_delta - self.sin_phi1 * sin_phi2
+            )
+            h = (
+                sin((phi2 - self.phi1) / 2.0) ** 2
+                + self.cos_phi1 * cos(phi2) * sin((lam2 - self.lam1) / 2.0) ** 2
+            )
+            if 2.0 * EARTH_RADIUS_M * asin(min(1.0, sqrt(h))) <= self.radius:
+                break
+            fraction *= 0.999999
+        lon = (math.degrees(lam2) + 180.0) % 360.0 - 180.0
+        return math.degrees(phi2), lon
+
+    def point(self, seed: int, land=(), max_attempts: int = DEFAULT_CLIP_ATTEMPTS) -> GeoPoint:
+        sector = self.sector
+        if sector.radius_m == 0.0:
+            return sector.center
+        state = seed & 0xFFFFFFFFFFFFFFFF
+        for _ in range(max(1, max_attempts) if land else 1):
+            state, z1 = self.splitmix64(state)
+            state, z2 = self.splitmix64(state)
+            lat, lon = self.raw_draw((z1 >> 11) / float(1 << 53), (z2 >> 11) / float(1 << 53))
+            point = GeoPoint(lat=lat, lon=lon)
+            if not land or any(region_contains(r, point) for r in land):
+                return point
+        if any(region_contains(r, sector.center) for r in land):
+            return sector.center
+        raise ClippingExhausted(
+            f"no land point found for sector {sector.cell_id} after {max_attempts} attempts"
+        )
+
+
+def scalar_positions(events, towers, land=()):
+    return [
+        PositionedEvent(
+            ev.user_id, ev.timestamp, ev.cell_id,
+            ScalarSampler(towers[ev.cell_id]).point(
+                event_seed(ev.cell_id, ev.user_id, ev.timestamp), land
+            ),
+        )
+        for ev in events
+    ]
+
+
+def ring(*lon_lat):
+    return tuple(GeoPoint(lat, lon) for lon, lat in lon_lat + lon_lat[:1])
+
+
+# Land around lon -9.40..-9.20, lat 38.60..38.80 with a river hole along
+# lat 38.695..38.705 and an island inside the river, plus a separate
+# two-polygon region to the east.
+RIVER_LAND = (
+    Region("main", "main", "municipality", None, ((
+        ring((-9.40, 38.60), (-9.20, 38.60), (-9.20, 38.80), (-9.40, 38.80)),
+        ring((-9.38, 38.695), (-9.22, 38.695), (-9.22, 38.705), (-9.38, 38.705)),
+    ),)),
+    Region("east", "east", "municipality", None, (
+        (ring((-9.10, 38.60), (-9.00, 38.60), (-9.00, 38.70), (-9.10, 38.70)),),
+        (ring((-9.30, 38.699), (-9.29, 38.699), (-9.29, 38.701), (-9.30, 38.701)),),
+    )),
+)
 
 
 def law_of_cosines_distance(a: GeoPoint, b: GeoPoint) -> float:
@@ -241,3 +349,139 @@ class TestFileFormats:
         path = tmp_path / "cdr.csv"
         write_cdr_csv(events, path)
         assert load_cdr_csv(path) == events
+
+
+class TestLandPositioning:
+    def sectors(self):
+        rng = random.Random(23)
+        towers = {}
+        for i in range(40):
+            lat = 38.62 + 0.16 * rng.random()
+            lon = -9.39 + 0.18 * rng.random()
+            if i % 4 == 0:  # on the river banks, facing the water
+                lat = rng.choice((38.6935, 38.7065))
+            towers[f"t{i:02d}"] = TowerSector(
+                f"t{i:02d}", GeoPoint(lat, lon), rng.uniform(0, 360),
+                rng.choice((60.0, 120.0, 360.0)), rng.uniform(100, 2500),
+            )
+        towers["zero"] = TowerSector("zero", GeoPoint(38.65, -9.30), 0.0, 120.0, 0.0)
+        # centre on the hole's edge, wedge wholly in the river: centre fallback
+        towers["wet"] = TowerSector("wet", GeoPoint(38.695, -9.35), 0.0, 30.0, 500.0)
+        towers["island"] = TowerSector("island", GeoPoint(38.700, -9.295), 90.0, 360.0, 200.0)
+        return towers
+
+    def events(self, towers, n=2600):
+        rng = random.Random(5)
+        cells = sorted(towers)
+        return [
+            CdrEvent(
+                f"u{rng.randrange(30)}", 1706745600.0 + rng.randrange(10**6) / 4,
+                cells[k % len(cells)],
+            )
+            for k in range(n)
+        ]
+
+    def test_matches_scalar_reference_event_for_event(self):
+        towers = self.sectors()
+        events = self.events(towers)  # more than two blocks
+        got = position_events(events, towers, land=RIVER_LAND)
+        assert got == scalar_positions(events, towers, RIVER_LAND)
+        for ev in got:
+            assert any(region_contains(r, ev.location) for r in RIVER_LAND)
+        centre = towers["wet"].center
+        assert all(ev.location == centre for ev in got if ev.cell_id == "wet")
+        assert all(ev.location == towers["zero"].center for ev in got if ev.cell_id == "zero")
+
+    def test_output_does_not_depend_on_block_size(self, monkeypatch):
+        towers = self.sectors()
+        events = self.events(towers, n=1500)
+        expected = position_events(events, towers, land=RIVER_LAND)
+        for size in (1, 7, 5000):
+            monkeypatch.setattr(geo, "_BLOCK_EVENTS", size)
+            assert position_events(events, towers, land=RIVER_LAND) == expected
+
+    def test_overshoot_shrinks_like_reference(self):
+        # at sub-micrometre radii the re-measured distance overshoots the
+        # radius for a few draws, which the shrink loop then pulls inside
+        towers = {"c": TowerSector("c", GeoPoint(38.7, -9.3), 45.0, 120.0, 1e-7)}
+        events = [CdrEvent("u", float(t), "c") for t in range(1000)]
+        assert position_events(events, towers) == scalar_positions(events, towers)
+
+    def test_land_free_matches_scalar_reference(self):
+        towers = self.sectors()
+        events = self.events(towers, n=1500)
+        assert position_events(events, towers) == scalar_positions(events, towers)
+
+    def test_clipping_exhausted_names_the_first_failing_sector(self):
+        towers = self.sectors()
+        towers["sea"] = TowerSector("sea", GeoPoint(10.0, 10.0), 0.0, 120.0, 500.0)
+        events = self.events(towers, n=1500)
+        first = next(ev for ev in events if ev.cell_id == "sea")
+        with pytest.raises(ClippingExhausted, match="sector sea after 64 attempts"):
+            scalar_positions(events, towers, RIVER_LAND)
+        with pytest.raises(ClippingExhausted, match="sector sea after 64 attempts"):
+            position_events(events, towers, land=RIVER_LAND)
+        with pytest.raises(ClippingExhausted):
+            position_events([first], towers, land=RIVER_LAND)
+
+    def test_sample_sector_point_matches_reference(self):
+        rng = random.Random(41)
+        towers = self.sectors()
+        for _ in range(200):
+            sector = towers[rng.choice(sorted(towers))]
+            seed = rng.getrandbits(64)
+            expected = ScalarSampler(sector).point(seed, RIVER_LAND, 8)
+            assert sample_sector_point(sector, seed, RIVER_LAND, 8) == expected
+
+
+coordinate = st.integers(-8, 8).map(lambda k: k / 4)
+
+
+@st.composite
+def ring_coords(draw):
+    return draw(st.lists(st.tuples(coordinate, coordinate), min_size=3, max_size=40))
+
+
+@st.composite
+def land_and_points(draw):
+    regions = []
+    for i in range(draw(st.integers(1, 3))):
+        polygons = []
+        for _ in range(draw(st.integers(1, 2))):
+            rings = [ring(*draw(ring_coords())) for _ in range(draw(st.integers(1, 3)))]
+            polygons.append(tuple(rings))
+        regions.append(Region(f"R{i}", f"R{i}", "municipality", None, tuple(polygons)))
+    segments = [
+        (a, b)
+        for region in regions for polygon in region.polygons for r in polygon
+        for a, b in zip(r, r[1:])
+    ]
+    points = draw(st.lists(st.tuples(coordinate, coordinate), max_size=30))
+    for _ in range(draw(st.integers(0, 30))):  # vertices and points along edges
+        a, b = draw(st.sampled_from(segments))
+        t = draw(st.sampled_from((0.0, 0.25, 1 / 3, 0.5, 1.0)))
+        points.append((a.lon + t * (b.lon - a.lon), a.lat + t * (b.lat - a.lat)))
+    return regions, points
+
+
+class TestArrayLandTest:
+    @settings(max_examples=200, deadline=None)
+    @given(land_and_points())
+    def test_equals_region_contains(self, case):
+        regions, points = case
+        lon = np.array([x for x, _ in points], dtype=np.float64)
+        lat = np.array([y for _, y in points], dtype=np.float64)
+        got = _Land(regions).contains(lon, lat).tolist()
+        expected = [
+            any(region_contains(r, GeoPoint(y, x)) for r in regions) for x, y in points
+        ]
+        assert got == expected
+
+    def test_hole_rules(self):
+        # land, river, river bank, island, island corner, east region, gap, hole edge
+        points = [(-9.30, 38.65), (-9.33, 38.700), (-9.30, 38.695), (-9.295, 38.700),
+                  (-9.29, 38.701), (-9.05, 38.65), (-9.15, 38.65), (-9.38, 38.700)]
+        got = _Land(RIVER_LAND).contains(
+            np.array([p[0] for p in points]), np.array([p[1] for p in points])
+        ).tolist()
+        assert got == [True, False, True, True, True, True, False, True]

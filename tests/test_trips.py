@@ -118,6 +118,40 @@ class TestDeriveTriplegs:
         assert legs[0].dest_staypoint == legs[1].origin_staypoint == "sp1"
 
 
+    def test_matches_full_scan_on_random_traces(self):
+        def scan(staypoints, moving):
+            # every moving event tested against every staypoint pair
+            moving = sorted(moving, key=lambda e: e.timestamp)
+            out = []
+            for a, b in zip(staypoints, staypoints[1:]):
+                between = [e for e in moving if a.t_end < e.timestamp < b.t_start]
+                if (a.location_id == b.location_id and not between) or b.t_start <= a.t_end:
+                    continue
+                chain = [a.median] + [e.location for e in between] + [b.median]
+                path = sum(haversine_distance(p, q) for p, q in zip(chain, chain[1:]))
+                out.append((a.staypoint_id, b.staypoint_id, path))
+            return out
+
+        rng = random.Random(17)
+        for _ in range(200):
+            sps, t = [], 0
+            for i in range(rng.randint(0, 8)):
+                t += rng.choice((0, 0, 60, 300))  # abutting pairs included
+                start, t = t, t + rng.choice((0, 60, 600))
+                sps.append(sp(f"sp{i}", "u", f"L{rng.randrange(3)}", east(rng.uniform(0, 5000)),
+                              start, t))
+            edges = [s.t_start for s in sps] + [s.t_end for s in sps]
+            moving = [
+                PositionedEvent("u", float(rng.choice(edges) if edges and rng.random() < 0.4
+                                           else rng.randint(0, t + 60)),
+                                "c", east(rng.uniform(0, 5000)))
+                for _ in range(rng.randint(0, 30))
+            ]
+            legs = derive_triplegs(sps, moving)
+            got = [(leg.origin_staypoint, leg.dest_staypoint, leg.path_length_m) for leg in legs]
+            assert got == scan(sps, moving)
+
+
 class TestAssembleTrips:
     def test_short_gap_merges(self):
         legs = [
