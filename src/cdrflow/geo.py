@@ -480,8 +480,47 @@ class _Land:
         return found
 
 
+class _BoxGrid:
+    """Bounding boxes hashed into uniform grid buckets.
+
+    A box is entered in every bucket its extent touches, so the bucket of
+    a point holds every box that contains the point, in the order the
+    boxes were given.  The cell is the boxes' mean width and height, with
+    at most 2*sqrt(n) + 1 cells along each axis.
+    """
+
+    __slots__ = ("_x0", "_y0", "_w", "_h", "_buckets")
+
+    def __init__(self, entries: Sequence[tuple[tuple[float, float, float, float], Region]]):
+        boxes = [bbox for bbox, _ in entries]
+        self._x0 = min(b[0] for b in boxes)
+        self._y0 = min(b[1] for b in boxes)
+        span_x = max(b[2] for b in boxes) - self._x0
+        span_y = max(b[3] for b in boxes) - self._y0
+        most = 2 * math.isqrt(len(boxes)) + 1
+        mean_w = sum(b[2] - b[0] for b in boxes) / len(boxes)
+        mean_h = sum(b[3] - b[1] for b in boxes) / len(boxes)
+        self._w = span_x / min(most, max(1, round(span_x / mean_w)))
+        self._h = span_y / min(most, max(1, round(span_y / mean_h)))
+        self._buckets: dict[tuple[int, int], list] = {}
+        for entry in entries:
+            minx, miny, maxx, maxy = entry[0]
+            lo_x, lo_y = self._cell(minx, miny)
+            hi_x, hi_y = self._cell(maxx, maxy)
+            for cx in range(lo_x, hi_x + 1):
+                for cy in range(lo_y, hi_y + 1):
+                    self._buckets.setdefault((cx, cy), []).append(entry)
+
+    def _cell(self, x: float, y: float) -> tuple[int, int]:
+        # monotone in x and y, so a point inside a box falls between its corners' cells
+        return math.floor((x - self._x0) / self._w), math.floor((y - self._y0) / self._h)
+
+    def bucket(self, x: float, y: float) -> list:
+        return self._buckets.get(self._cell(x, y), [])
+
+
 class RegionIndex:
-    """Immutable region lookup with a bounding-box prefilter per region."""
+    """Immutable region lookup: grid buckets of bounding boxes per level."""
 
     def __init__(self, regions: Iterable[Region]):
         self._by_level: dict[str, list[tuple[tuple[float, float, float, float], Region]]] = {}
@@ -494,6 +533,7 @@ class RegionIndex:
             self._by_level.setdefault(region.level, []).append((bbox, region))
         for entries in self._by_level.values():
             entries.sort(key=lambda e: e[1].region_id)
+        self._grids = {level: _BoxGrid(entries) for level, entries in self._by_level.items()}
         for region in self._by_id.values():
             if region.level == "parish" and (
                 region.parent_id is None or region.parent_id not in self._by_id
@@ -525,9 +565,12 @@ class RegionIndex:
         """Id of the region at `level` containing p, or None.
 
         Ties on shared boundaries resolve to the lexicographically smallest
-        region_id (entries are pre-sorted, so the first hit wins).
+        region_id (buckets keep region_id order, so the first hit wins).
         """
-        for (minx, miny, maxx, maxy), region in self._by_level.get(level, []):
+        grid = self._grids.get(level)
+        if grid is None:
+            return None
+        for (minx, miny, maxx, maxy), region in grid.bucket(p.lon, p.lat):
             if not (minx <= p.lon <= maxx and miny <= p.lat <= maxy):
                 continue
             if region_contains(region, p):

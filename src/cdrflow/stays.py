@@ -13,6 +13,7 @@ default, e.g. a modularity- or flow-based community labeler.
 from __future__ import annotations
 
 import logging
+import math
 from bisect import insort
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +24,7 @@ import numpy as np
 from .errors import UnresolvedRegion, UnsortedInput
 from .files import read_csv, write_csv
 from .geo import (
+    EARTH_RADIUS_M,
     GeoPoint,
     PositionedEvent,
     RegionIndex,
@@ -37,7 +39,7 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class StopParams:
-    """Thresholds for the two-level scheme, all strictly positive.
+    """Thresholds for the two-level scheme, all finite and strictly positive.
 
     r1: max roaming radius inside one stop, meters.
     r2: max distance linking stop medians into one destination, meters.
@@ -52,8 +54,9 @@ class StopParams:
 
     def __post_init__(self) -> None:
         for name in ("r1", "r2", "min_duration", "max_gap"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"StopParams.{name} must be > 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"StopParams.{name} must be finite and > 0, got {value}")
         if self.r2 < self.r1:
             log.warning("StopParams: r2 (%.0f m) < r1 (%.0f m)", self.r2, self.r1)
 
@@ -96,73 +99,55 @@ def staypoint_region(
     return sp, region
 
 
-class _StopCandidate:
-    """Grows a stop while keeping every member within r1 of the running median."""
-
-    __slots__ = ("lats", "lons", "events", "r1", "med_lat", "med_lon")
-
-    def __init__(self, first: PositionedEvent, r1: float):
-        self.lats = [first.location.lat]
-        self.lons = [first.location.lon]
-        self.events = [first]
-        self.r1 = r1
-        self.med_lat = first.location.lat
-        self.med_lon = first.location.lon
-
-    def try_add(self, ev: PositionedEvent) -> bool:
-        lat, lon = ev.location.lat, ev.location.lon
-        if haversine_m(self.med_lat, self.med_lon, lat, lon) > self.r1:
-            return False
-        # Tentative add, then verify all members sit within r1 of the new
-        # median; reject (and roll back) if the median drifted too far.
-        insort(self.lats, lat)
-        insort(self.lons, lon)
-        self.events.append(ev)
-        new_lat = _mid(self.lats)
-        new_lon = _mid(self.lons)
-        if self._contained(new_lat, new_lon):
-            self.med_lat = new_lat
-            self.med_lon = new_lon
-            return True
-        self.lats.remove(lat)
-        self.lons.remove(lon)
-        self.events.pop()
-        return False
-
-    def _contained(self, med_lat: float, med_lon: float) -> bool:
-        # Bounding-box corners dominate member distances for desk-scale
-        # extents, so four checks usually settle containment.
-        lo_lat, hi_lat = self.lats[0], self.lats[-1]
-        lo_lon, hi_lon = self.lons[0], self.lons[-1]
-        corner_max = max(
-            haversine_m(med_lat, med_lon, lo_lat, lo_lon),
-            haversine_m(med_lat, med_lon, lo_lat, hi_lon),
-            haversine_m(med_lat, med_lon, hi_lat, lo_lon),
-            haversine_m(med_lat, med_lon, hi_lat, hi_lon),
-        )
-        if corner_max <= self.r1:
-            return True
-        return all(
-            haversine_m(med_lat, med_lon, e.location.lat, e.location.lon) <= self.r1
-            for e in self.events
-        )
-
-    def to_stop(self) -> Stop:
-        return Stop(
-            user_id=self.events[0].user_id,
-            median=GeoPoint(lat=self.med_lat, lon=self.med_lon),
-            t_start=self.events[0].timestamp,
-            t_end=self.events[-1].timestamp,
-            n_events=len(self.events),
-        )
-
-
 def _mid(sorted_vals: list[float]) -> float:
     n = len(sorted_vals)
     m = n // 2
     if n % 2:
         return sorted_vals[m]
     return (sorted_vals[m - 1] + sorted_vals[m]) / 2.0
+
+
+# A box passes the bound when (dlat*pi/360)**2 + (c*dlon*pi/360)**2 stays
+# below sin(r1/2R)**2 by this factor.  sin(x) <= x and cos(phi1)*cos(phi2) <= c**2
+# make the left side an upper bound on the haversine h of any two points in the
+# box; the factor leaves room for the rounding of haversine_m, so every pair in
+# a passing box is within r1 by haversine_m's own arithmetic too.
+_BOX_SLACK = 1.0 - 1e-9
+_HALF_DEG = math.pi / 360.0
+
+
+def _grow_exact(
+    lat_sorted: list[float], lon_sorted: list[float], med: tuple[float, float],
+    lats: list[float], lons: list[float], first: int, new: int, r1: float,
+) -> Optional[tuple[float, float]]:
+    """Median after adding event `new` to the candidate first..new-1, or None.
+
+    The exact test: the event must be within r1 of the running median, and
+    every member within r1 of the new median.  lat_sorted and lon_sorted hold
+    the members' coordinates and gain the event; a rejection ends the
+    candidate, so they are not restored.
+    """
+    lat, lon = lats[new], lons[new]
+    if haversine_m(med[0], med[1], lat, lon) > r1:
+        return None
+    insort(lat_sorted, lat)
+    insort(lon_sorted, lon)
+    med_lat, med_lon = _mid(lat_sorted), _mid(lon_sorted)
+    # Bounding-box corners dominate member distances for desk-scale
+    # extents, so four checks usually settle containment.
+    lo_lat, hi_lat = lat_sorted[0], lat_sorted[-1]
+    lo_lon, hi_lon = lon_sorted[0], lon_sorted[-1]
+    corner_max = max(
+        haversine_m(med_lat, med_lon, lo_lat, lo_lon),
+        haversine_m(med_lat, med_lon, lo_lat, hi_lon),
+        haversine_m(med_lat, med_lon, hi_lat, lo_lon),
+        haversine_m(med_lat, med_lon, hi_lat, hi_lon),
+    )
+    if corner_max <= r1 or all(
+        haversine_m(med_lat, med_lon, lats[k], lons[k]) <= r1 for k in range(first, new + 1)
+    ):
+        return med_lat, med_lon
+    return None
 
 
 def detect_stops(trace: Sequence[PositionedEvent], params: StopParams) -> list[Stop]:
@@ -172,6 +157,11 @@ def detect_stops(trace: Sequence[PositionedEvent], params: StopParams) -> list[S
     within r1 of the running median and within max_gap of the previous one;
     it is emitted only when its span reaches min_duration.  Events in no
     emitted stop are moving points.
+
+    While the members' bounding box, grown by the new event, is provably
+    within r1 across (see _BOX_SLACK), both tests pass without computing
+    them: the running median lies in the box.  Once the bound fails, the
+    candidate runs the exact test (_grow_exact) for the rest of its life.
     """
     events = list(trace)
     for prev, cur in zip(events, events[1:]):
@@ -182,19 +172,56 @@ def detect_stops(trace: Sequence[PositionedEvent], params: StopParams) -> list[S
         if cur.user_id != prev.user_id:
             raise ValueError("detect_stops expects a single user's trace")
 
+    ts = [e.timestamp for e in events]
+    lats = [e.location.lat for e in events]
+    lons = [e.location.lon for e in events]
+    coss = np.cos(np.radians(lats)).tolist()
+    r1, max_gap = params.r1, params.max_gap
+    limit = (math.sin(r1 / (2.0 * EARTH_RADIUS_M)) / _HALF_DEG) ** 2 * _BOX_SLACK
+
     stops: list[Stop] = []
     i, n = 0, len(events)
     while i < n:
-        cand = _StopCandidate(events[i], params.r1)
+        lo_lat = hi_lat = lats[i]
+        lo_lon = hi_lon = lons[i]
+        c = coss[i]  # largest cos(lat) among the members
+        boxed = True  # the box bound has held for every member so far
         j = i + 1
-        while j < n:
-            if events[j].timestamp - events[j - 1].timestamp > params.max_gap:
+        while j < n and ts[j] - ts[j - 1] <= max_gap:
+            if boxed:
+                lat, lon = lats[j], lons[j]
+                box_lo_lat = lat if lat < lo_lat else lo_lat
+                box_hi_lat = lat if lat > hi_lat else hi_lat
+                box_lo_lon = lon if lon < lo_lon else lo_lon
+                box_hi_lon = lon if lon > hi_lon else hi_lon
+                box_c = coss[j] if coss[j] > c else c
+                widest = 1.0 if box_lo_lat < 0.0 < box_hi_lat else box_c
+                dlat = box_hi_lat - box_lo_lat
+                dlon = widest * (box_hi_lon - box_lo_lon)
+                if dlat * dlat + dlon * dlon <= limit:
+                    lo_lat, hi_lat, lo_lon, hi_lon, c = (
+                        box_lo_lat, box_hi_lat, box_lo_lon, box_hi_lon, box_c
+                    )
+                    j += 1
+                    continue
+                boxed = False
+                lat_sorted, lon_sorted = sorted(lats[i:j]), sorted(lons[i:j])
+                med = (_mid(lat_sorted), _mid(lon_sorted))
+            grown = _grow_exact(lat_sorted, lon_sorted, med, lats, lons, i, j, r1)
+            if grown is None:
                 break
-            if not cand.try_add(events[j]):
-                break
+            med = grown
             j += 1
-        if cand.events[-1].timestamp - cand.events[0].timestamp >= params.min_duration:
-            stops.append(cand.to_stop())
+        if ts[j - 1] - ts[i] >= params.min_duration:
+            if boxed:
+                med = (_mid(sorted(lats[i:j])), _mid(sorted(lons[i:j])))
+            stops.append(Stop(
+                user_id=events[i].user_id,
+                median=GeoPoint(lat=med[0], lon=med[1]),
+                t_start=ts[i],
+                t_end=ts[j - 1],
+                n_events=j - i,
+            ))
             i = j
         else:
             i += 1
@@ -219,12 +246,83 @@ def moving_events(
     return out
 
 
+# Grid cells are this much wider than the farthest a pair within r2 can
+# reach, so that rounding in the cell index never splits such a pair by
+# more than one cell, and no narrower than _MIN_CELL_DEG, so that cell
+# indices stay small integers.
+_CELL_SLACK = 1.0 + 1e-6
+_MIN_CELL_DEG = 1e-6
+# Candidate pairs measured per haversine_m_array call; bounds its temporaries.
+_PAIRS_PER_PASS = 1 << 16
+
+
+def _grid_pairs(lat: np.ndarray, lon: np.ndarray, cmin: float, r2: float):
+    """Candidate index pairs (first < second) that can lie within r2, in passes.
+
+    Points are hashed into a grid whose cells span at least the latitude and
+    longitude difference of any pair within r2, so such a pair sits in the
+    same or in adjacent cells (Bentley, Stanat & Williams 1977).  A pair
+    within r2 differs in latitude by at most r2/R radians; with both
+    cosines at least cmin, the smallest cos(lat) in the data, it differs
+    in longitude by at most 2*asin(sin(r2/2R)/cmin).  Columns wrap at the
+    antimeridian.
+    """
+    n = len(lat)
+    half = r2 / (2.0 * EARTH_RADIUS_M)
+    lat_w = max(math.degrees(2.0 * half) * _CELL_SLACK, _MIN_CELL_DEG)
+    # beyond half = pi/2 every pair is within r2
+    reach = math.sin(min(half, math.pi / 2.0)) / cmin if cmin > 0.0 else math.inf
+    n_cols = 1
+    if reach < 1.0:
+        lon_w = max(math.degrees(2.0 * math.asin(reach)) * _CELL_SLACK, _MIN_CELL_DEG)
+        n_cols = int(360.0 / lon_w)
+    if n_cols < 3:  # with fewer columns every column neighbours every other
+        n_cols = 1
+    row = np.floor(lat / lat_w).astype(np.int64)
+    row -= row.min()
+    col = np.floor((lon + 180.0) / (360.0 / n_cols)).astype(np.int64) % n_cols
+
+    # Points sorted by cell; each point pairs with the rest of its own cell
+    # and with every point of the cells east, north-west, north and
+    # north-east of its own, so each pair of neighbouring cells is met once.
+    key = row * n_cols + col
+    order = np.argsort(key, kind="stable")
+    key, row, col = key[order], row[order], col[order]
+    pos = np.arange(n)
+    starts, ends = [pos + 1], [np.searchsorted(key, key, "right")]
+    offsets = ((1, 0),) if n_cols == 1 else ((0, 1), (1, -1), (1, 0), (1, 1))
+    for d_row, d_col in offsets:
+        other = (row + d_row) * n_cols + (col + d_col) % n_cols
+        starts.append(np.searchsorted(key, other, "left"))
+        ends.append(np.searchsorted(key, other, "right"))
+    start = np.concatenate(starts)
+    count = np.concatenate(ends) - start
+    owner = np.tile(pos, len(offsets) + 1)
+    filled = count > 0
+    start, count, owner = start[filled], count[filled], owner[filled]
+    done = np.cumsum(count)
+
+    # pair t of range k is (owner[k], start[k] + t - first[k]), t counted over all ranges
+    first = done - count
+    k = 0
+    while k < len(count):
+        stop = int(np.searchsorted(done, first[k] + _PAIRS_PER_PASS, "right"))
+        stop = max(stop, k + 1)
+        c = count[k:stop]
+        a = order[np.repeat(owner[k:stop], c)]
+        b = order[np.repeat(start[k:stop] - first[k:stop], c) + np.arange(first[k], done[stop - 1])]
+        yield np.minimum(a, b), np.maximum(a, b)
+        k = stop
+
+
 def cluster_destinations(stops: Sequence[Stop], r2: float) -> list[str]:
     """Destination labels for stops, one per input position.
 
     Stops whose medians sit within r2 of each other (transitively) share a
     label.  The component containing the earliest-starting stop is "L0", the
     next "L1", and so on; t_start ties break on (user_id, t_end, median).
+    Only pairs in the same or adjacent cells of a grid hash are measured
+    (_grid_pairs); every pair within r2 is among them.
     """
     n = len(stops)
     if n == 0:
@@ -238,20 +336,19 @@ def cluster_destinations(stops: Sequence[Stop], r2: float) -> list[str]:
             x = parent[x]
         return x
 
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    phi = np.radians(np.array([s.median.lat for s in stops]))
-    lam = np.radians(np.array([s.median.lon for s in stops]))
+    lat = np.array([s.median.lat for s in stops])
+    lon = np.array([s.median.lon for s in stops])
+    phi, lam = np.radians(lat), np.radians(lon)
     cos_phi = np.cos(phi)
-    for i in range(n - 1):
+    for first, second in _grid_pairs(lat, lon, float(cos_phi.min()), r2):
         d = haversine_m_array(
-            phi[i], lam[i], cos_phi[i], phi[i + 1 :], lam[i + 1 :], cos_phi[i + 1 :]
+            phi[first], lam[first], cos_phi[first], phi[second], lam[second], cos_phi[second]
         )
-        for j in np.nonzero(d <= r2)[0]:
-            union(i, i + 1 + int(j))
+        near = d <= r2
+        for a, b in zip(first[near].tolist(), second[near].tolist()):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[rb] = ra
 
     order = sorted(
         range(n),

@@ -165,6 +165,19 @@ class TestExitCodes:
         assert run("position", "--config", str(relative), "--out", "run") == 0
         assert run("stays", "--config", str(absolute), "--out", "run") == 0
 
+    @pytest.mark.parametrize("setting", ["r1_m = nan", "r2_m = inf"])
+    def test_non_finite_stop_threshold_exits_1(self, tmp_path, tiny_config, inputs, setting, capsys):
+        assert run("position", "--config", str(tiny_config), "--out", str(inputs),
+                   "--seed", "4") == 0
+        out = tmp_path / "run"
+        out.mkdir()
+        for name in ("positioned", "regions"):
+            shutil.copy(inputs / ART[name], out / ART[name])
+        ini = tmp_path / "stops.ini"
+        ini.write_text(TINY + f"[stops]\n{setting}\n")
+        assert run("stays", "--config", str(ini), "--out", str(out)) == 1
+        assert "must be finite" in capsys.readouterr().err
+
     def test_missing_config_file_exits_2(self, tmp_path):
         assert run("synth", "--config", str(tmp_path / "ghost.ini"),
                    "--out", str(tmp_path / "run")) == 2

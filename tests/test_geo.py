@@ -464,6 +464,64 @@ def land_and_points(draw):
     return regions, points
 
 
+def linear_assign(index, p, level):
+    """The first region in region_id order whose bounding box and polygon hold p."""
+    for region in index.regions(level):
+        minx, miny, maxx, maxy = RegionIndex._bbox(region)
+        if minx <= p.lon <= maxx and miny <= p.lat <= maxy and region_contains(region, p):
+            return region.region_id
+    return None
+
+
+@st.composite
+def regions_and_points(draw):
+    """Overlapping and edge-sharing regions on a quarter-degree lattice, and points
+    at their vertices, along their edges, on bucket edges and outside them all."""
+    regions, points = draw(land_and_points())
+    regions = [Region(f"R{k}", f"R{k}", "municipality", None, r.polygons)
+               for k, r in zip(draw(st.permutations(range(len(regions)))), regions)]
+    for k in range(draw(st.integers(0, 4))):  # squares that share edges with each other
+        x, y = draw(coordinate), draw(coordinate)
+        size = draw(st.sampled_from([0.25, 0.5, 1.0]))
+        regions.append(Region(f"S{k}", f"S{k}", "municipality", None, (
+            (ring((x, y), (x + size, y), (x + size, y + size), (x, y + size)),),
+        )))
+        points += [(x + size, y + size / 2), (x + size, y)]
+    grid = RegionIndex(regions)._grids["municipality"]
+    for _ in range(draw(st.integers(0, 10))):
+        cx, cy = draw(st.integers(-1, 12)), draw(st.integers(-1, 12))
+        points.append((grid._x0 + cx * grid._w, grid._y0 + cy * grid._h))
+    points += [(draw(st.floats(-170, 170)), draw(st.sampled_from([-80.0, 80.0])))]
+    return regions, points
+
+
+class TestBucketedAssign:
+    @settings(max_examples=200, deadline=None)
+    @given(regions_and_points())
+    def test_equals_linear_scan(self, case):
+        regions, points = case
+        index = RegionIndex(regions)
+        for x, y in points:
+            p = GeoPoint(y, x)
+            assert index.assign(p, "municipality") == linear_assign(index, p, "municipality")
+
+    def test_shared_edge_smallest_id_wins_in_every_bucket(self):
+        # a 12 x 12 tiling, ids in reverse order of position
+        tiles = [square_region(f"T{999 - (i * 12 + j):03d}", "municipality", i * 0.5, j * 0.5, 0.5)
+                 for i in range(12) for j in range(12)]
+        index = RegionIndex(tiles)
+        for i in range(13):
+            for j in range(13):
+                for dx, dy in ((0, 0), (0.25, 0), (0, 0.25)):  # vertices and edge midpoints
+                    p = GeoPoint(j * 0.5 + dy, i * 0.5 + dx)
+                    assert index.assign(p, "municipality") == linear_assign(index, p, "municipality")
+
+    def test_unknown_level_and_outside_points(self, two_municipalities):
+        assert two_municipalities.assign(GeoPoint(0.5, 0.5), "parish") is None
+        for p in (GeoPoint(-0.5, 0.5), GeoPoint(0.5, 2.5), GeoPoint(89.0, 179.0)):
+            assert two_municipalities.assign(p, "municipality") is None
+
+
 class TestArrayLandTest:
     @settings(max_examples=200, deadline=None)
     @given(land_and_points())

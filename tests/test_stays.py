@@ -1,13 +1,27 @@
 import logging
+import math
 import random
+from bisect import insort
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdrflow.errors import UnsortedInput
-from cdrflow.geo import GeoPoint, PositionedEvent, destination_point, haversine_distance
+from cdrflow.geo import (
+    GeoPoint,
+    PositionedEvent,
+    destination_point,
+    haversine_distance,
+    haversine_m,
+    haversine_m_array,
+)
+from cdrflow import stays as stays_module
 from cdrflow.stays import (
     Stop,
     StopParams,
+    _grid_pairs,
     build_staypoints,
     cluster_destinations,
     detect_stops,
@@ -31,10 +45,199 @@ def offset(point, east_m=0.0, north_m=0.0):
     return destination_point(p, 0.0, north_m) if north_m else p
 
 
+def mid(sorted_vals):
+    n = len(sorted_vals)
+    m = n // 2
+    return sorted_vals[m] if n % 2 else (sorted_vals[m - 1] + sorted_vals[m]) / 2.0
+
+
+class ReferenceCandidate:
+    """The plain greedy scan, haversine for every test: the reference for detect_stops.
+
+    A candidate grows while each new event is within r1 of the running
+    median and every member stays within r1 of the new median.
+    """
+
+    def __init__(self, first, r1):
+        self.lats = [first.location.lat]
+        self.lons = [first.location.lon]
+        self.events = [first]
+        self.r1 = r1
+        self.med_lat = first.location.lat
+        self.med_lon = first.location.lon
+
+    def try_add(self, ev):
+        lat, lon = ev.location.lat, ev.location.lon
+        if haversine_m(self.med_lat, self.med_lon, lat, lon) > self.r1:
+            return False
+        insort(self.lats, lat)
+        insort(self.lons, lon)
+        self.events.append(ev)
+        new_lat, new_lon = mid(self.lats), mid(self.lons)
+        if self.contained(new_lat, new_lon):
+            self.med_lat, self.med_lon = new_lat, new_lon
+            return True
+        self.lats.remove(lat)
+        self.lons.remove(lon)
+        self.events.pop()
+        return False
+
+    def contained(self, med_lat, med_lon):
+        lo_lat, hi_lat = self.lats[0], self.lats[-1]
+        lo_lon, hi_lon = self.lons[0], self.lons[-1]
+        corner_max = max(
+            haversine_m(med_lat, med_lon, lo_lat, lo_lon),
+            haversine_m(med_lat, med_lon, lo_lat, hi_lon),
+            haversine_m(med_lat, med_lon, hi_lat, lo_lon),
+            haversine_m(med_lat, med_lon, hi_lat, hi_lon),
+        )
+        if corner_max <= self.r1:
+            return True
+        return all(
+            haversine_m(med_lat, med_lon, e.location.lat, e.location.lon) <= self.r1
+            for e in self.events
+        )
+
+    def to_stop(self):
+        return Stop(
+            user_id=self.events[0].user_id,
+            median=GeoPoint(lat=self.med_lat, lon=self.med_lon),
+            t_start=self.events[0].timestamp,
+            t_end=self.events[-1].timestamp,
+            n_events=len(self.events),
+        )
+
+
+def reference_detect_stops(events, params):
+    stops = []
+    i, n = 0, len(events)
+    while i < n:
+        cand = ReferenceCandidate(events[i], params.r1)
+        j = i + 1
+        while j < n:
+            if events[j].timestamp - events[j - 1].timestamp > params.max_gap:
+                break
+            if not cand.try_add(events[j]):
+                break
+            j += 1
+        if cand.events[-1].timestamp - cand.events[0].timestamp >= params.min_duration:
+            stops.append(cand.to_stop())
+            i = j
+        else:
+            i += 1
+    return stops
+
+
+def reference_components(stops, r2):
+    """Labels from a union-find over every pair of stops.
+
+    Distances come from haversine_m_array, one stop against all later ones,
+    whose rounding decides pairs at r2 +- 1e-6 m as cluster_destinations does.
+    """
+    n = len(stops)
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    phi = np.radians([s.median.lat for s in stops])
+    lam = np.radians([s.median.lon for s in stops])
+    cos_phi = np.cos(phi)
+    for i in range(n):
+        d = haversine_m_array(phi[i], lam[i], cos_phi[i], phi[i + 1:], lam[i + 1:], cos_phi[i + 1:])
+        for j in np.flatnonzero(d <= r2):
+            ri, rj = find(i), find(i + 1 + int(j))
+            if ri != rj:
+                parent[rj] = ri
+    order = sorted(
+        range(n),
+        key=lambda k: (stops[k].t_start, stops[k].user_id, stops[k].t_end,
+                       stops[k].median.lat, stops[k].median.lon),
+    )
+    labels = {}
+    for k in order:
+        root = find(k)
+        if root not in labels:
+            labels[root] = f"L{len(labels)}"
+    return [labels[find(i)] for i in range(n)]
+
+
+# Anchors at the equator, the antimeridian, high latitudes and ordinary places.
+anchors = st.one_of(
+    st.sampled_from([
+        GeoPoint(0.0, 0.0), GeoPoint(0.0, 180.0), GeoPoint(0.0, -180.0), GeoPoint(1e-4, 179.999),
+        GeoPoint(89.0, 10.0), GeoPoint(-89.0, -179.99), GeoPoint(85.0, 180.0),
+        GeoPoint(38.7, -9.3), GeoPoint(-33.9, 151.2),
+    ]),
+    st.builds(GeoPoint, st.floats(-89.0, 89.0), st.floats(-180.0, 180.0)),
+)
+bearings = st.one_of(st.sampled_from([0.0, 90.0, 180.0, 270.0]), st.floats(0.0, 360.0))
+nudges = st.sampled_from([-1e-6, 0.0, 1e-6])
+
+
+@st.composite
+def traces(draw):
+    """(r1, events): dwells, points at r1 and r1/2 +- 1e-6 m, repeats and jumps.
+
+    Time steps include exactly max_gap (900 s) and sums that span exactly
+    min_duration (600 s).
+    """
+    r1 = draw(st.sampled_from([5.0, 100.0, 300.0, 2000.0, 200_000.0]))
+    anchor = draw(anchors)
+    point = anchor
+    events = []
+    t = 0
+    for _ in range(draw(st.integers(1, 40))):
+        move = draw(st.sampled_from(["repeat", "edge", "inside", "jump"]))
+        if move == "edge":
+            distance = draw(st.sampled_from([r1, r1 / 2.0])) + draw(nudges)
+            point = destination_point(anchor, draw(bearings), distance)
+        elif move == "inside":
+            point = destination_point(anchor, draw(bearings), draw(st.floats(0.0, r1)))
+        elif move == "jump":
+            anchor = destination_point(anchor, draw(bearings), draw(st.floats(r1, 10.0 * r1)))
+            point = anchor
+        t += draw(st.sampled_from([0, 60, 150, 300, 600, 899, 900, 901]))
+        events.append(ev("u", t, point))
+    return r1, events
+
+
+def make_stop(user, t, point):
+    return Stop(user_id=user, median=point, t_start=float(t), t_end=float(t) + 600.0, n_events=3)
+
+
+@st.composite
+def stop_sets(draw):
+    """(r2, stops): groups of stops around anchors, with pairs at r2 +- 1e-6 m,
+    groups packed into one grid cell, latitudes to 85 degrees and the antimeridian."""
+    r2 = draw(st.sampled_from([1.0, 50.0, 500.0, 5000.0, 3e6, 2.5e7, 3.5e7]))
+    stops = []
+    for _ in range(draw(st.integers(1, 6))):
+        anchor = point = draw(anchors)
+        for _ in range(draw(st.integers(1, 10))):
+            move = draw(st.sampled_from(["edge", "cell", "near"]))
+            if move == "edge":
+                point = destination_point(point, draw(bearings), r2 + draw(nudges))
+            elif move == "cell":
+                point = destination_point(anchor, draw(bearings), draw(st.floats(0.0, r2 / 100.0)))
+            else:
+                point = destination_point(anchor, draw(bearings), draw(st.floats(0.0, 3.0 * r2)))
+            stops.append(make_stop(f"u{draw(st.integers(0, 3))}", draw(st.integers(0, 50)), point))
+    return r2, stops
+
+
 class TestStopParams:
     def test_positive_required(self):
         with pytest.raises(ValueError):
             StopParams(r1=0)
+
+    @pytest.mark.parametrize("name", ["r1", "r2", "min_duration", "max_gap"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_finite_required(self, name, value):
+        with pytest.raises(ValueError, match=f"StopParams.{name} must be finite"):
+            StopParams(**{name: value})
 
     def test_r2_below_r1_warns(self, caplog):
         with caplog.at_level(logging.WARNING, logger="cdrflow.stays"):
@@ -140,6 +343,45 @@ class TestDetectStops:
                 assert haversine_distance(stop.median, m.location) <= params.r1 + 1e-6
 
 
+class TestDetectStopsReference:
+    @settings(max_examples=400, deadline=None)
+    @given(traces())
+    def test_equals_reference_scan(self, case):
+        r1, events = case
+        params = StopParams(r1=r1, min_duration=600.0, max_gap=900.0)
+        assert detect_stops(events, params) == reference_detect_stops(events, params)
+
+    def test_long_dwells_equal_reference_scan(self):
+        # long candidates that grow on the box bound, then leave it by a few metres
+        rng = random.Random(12)
+        for anchor in (BASE, GeoPoint(0.0, 180.0), GeoPoint(-88.5, 45.0)):
+            events = []
+            t = 0
+            for _ in range(6):
+                anchor = offset(anchor, east_m=rng.uniform(400, 2000))
+                for _ in range(rng.randint(20, 120)):
+                    spread = rng.choice((50.0, 140.0, 149.0, 160.0))
+                    events.append(ev("u", t, offset(anchor, east_m=rng.uniform(-spread, spread),
+                                                     north_m=rng.uniform(-spread, spread))))
+                    t += rng.choice((30, 60, 120))
+            params = StopParams(r1=300.0)
+            stops = detect_stops(events, params)
+            assert stops and stops == reference_detect_stops(events, params)
+
+    @pytest.mark.parametrize("anchor", [GeoPoint(0.05, 30.0), GeoPoint(-0.05, 179.5),
+                                        GeoPoint(60.0, 10.0), GeoPoint(-89.0, 0.0)])
+    def test_edge_of_a_wide_radius_equals_reference_scan(self, anchor):
+        # r1 = 200 km: the box bound is loose by ~1e-4 here, so events at
+        # r1 +- 1e-6 m from a repeated point fall to the exact test
+        for bearing in range(0, 360, 15):
+            for nudge in (-1e-6, 1e-6):
+                far = destination_point(anchor, float(bearing), 200_000.0 + nudge)
+                events = [ev("u", 60 * k, anchor) for k in range(5)]
+                events += [ev("u", 300, far), ev("u", 360, anchor), ev("u", 1000, anchor)]
+                params = StopParams(r1=200_000.0)
+                assert detect_stops(events, params) == reference_detect_stops(events, params)
+
+
 class TestMovingEvents:
     def test_complement_of_stops(self):
         params = StopParams(r1=100, min_duration=600, max_gap=3600)
@@ -231,6 +473,55 @@ class TestClusterDestinations:
 
     def test_empty(self):
         assert cluster_destinations([], 100.0) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(stop_sets())
+    def test_equals_brute_force_components(self, case):
+        r2, stops = case
+        assert cluster_destinations(stops, r2) == reference_components(stops, r2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(stop_sets())
+    def test_grid_pairs_hold_every_pair_within_r2(self, case):
+        r2, stops = case
+        lat = np.array([s.median.lat for s in stops])
+        lon = np.array([s.median.lon for s in stops])
+        phi, lam = np.radians(lat), np.radians(lon)
+        cos_phi = np.cos(phi)
+        pairs = []
+        for first, second in _grid_pairs(lat, lon, float(cos_phi.min()), r2):
+            pairs.extend(zip(first.tolist(), second.tolist()))
+        assert all(a < b for a, b in pairs)
+        assert len(set(pairs)) == len(pairs)
+        for i in range(len(stops)):
+            d = haversine_m_array(phi[i], lam[i], cos_phi[i], phi[i + 1:], lam[i + 1:], cos_phi[i + 1:])
+            for j in np.flatnonzero(d <= r2):
+                assert (i, i + 1 + int(j)) in set(pairs)
+
+    @pytest.mark.parametrize("r2", [1.5e7, 2.5e7, 3.5e7])
+    def test_grid_pairs_on_the_equator_at_continental_radii(self, r2):
+        # lon cells of 120-180 degrees, or r2 beyond a quarter circumference
+        lon = np.linspace(-180.0, 179.0, 37)
+        lat = np.zeros_like(lon)
+        pairs = []
+        for first, second in _grid_pairs(lat, lon, 1.0, r2):
+            pairs.extend(zip(first.tolist(), second.tolist()))
+        assert len(set(pairs)) == len(pairs)
+        stops = [make_stop("u", 0, GeoPoint(0.0, x)) for x in lon]
+        assert cluster_destinations(stops, r2) == reference_components(stops, r2)
+        d = np.array([[haversine_m(0.0, a, 0.0, b) for b in lon] for a in lon])
+        within = {(i, j) for i in range(len(lon)) for j in range(i + 1, len(lon)) if d[i, j] <= r2}
+        assert within <= set(pairs)
+
+    def test_labels_do_not_depend_on_pass_size(self, monkeypatch):
+        rng = random.Random(5)
+        stops = [make_stop("u", rng.randint(0, 1000),
+                           offset(BASE, east_m=rng.uniform(0, 1500), north_m=rng.uniform(0, 1500)))
+                 for _ in range(400)]
+        expected = cluster_destinations(stops, 120.0)
+        for size in (1, 7, 1000):
+            monkeypatch.setattr(stays_module, "_PAIRS_PER_PASS", size)
+            assert cluster_destinations(stops, 120.0) == expected
 
 
 class TestBuildStaypoints:
