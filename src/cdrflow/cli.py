@@ -133,7 +133,7 @@ def stage_log(cfg: PipelineConfig) -> None:
     eventlog.write_drop_report(case_log, _artifact(cfg, "log_drops"))
     stats = {"case_log": eventlog.compute_stats(case_log)}
     if cfg.ocel:
-        ocel = eventlog.build_ocel(all_trips, staypoints, cfg.level)
+        ocel = eventlog.build_ocel(case_log, all_trips)
         eventlog.write_ocel_json(ocel, _artifact(cfg, "ocel"))
         stats["ocel"] = eventlog.compute_stats(ocel)
     eventlog.write_stats_json(stats, _artifact(cfg, "log_stats"))
@@ -230,7 +230,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     # Accepted and ignored so that existing command lines keep working.
     common.add_argument("--threads", type=int, help=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, metavar="U64", help="scenario and sampling seed")
+    common.add_argument(
+        "--seed", type=int, metavar="U64", help="seed of the synth stage's scenario"
+    )
 
     parser = argparse.ArgumentParser(
         prog="cdrflow",

@@ -68,6 +68,66 @@ def _path_or_none(value: str) -> Optional[Path]:
     return Path(value) if value.strip() else None
 
 
+def _boolean(value: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[value.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {value!r}") from None
+
+
+def _top_k(value: str) -> Optional[int]:
+    return int(value) if value.strip() else PipelineConfig.top_k  # empty keeps the default
+
+
+# (section, key) -> (target, field, parser).  The target is the PipelineConfig
+# field of the dataclass that takes the value: "" for PipelineConfig itself,
+# "towers" for the scenario's tower grid.  Any other section or key is rejected.
+_KEYS = {
+    ("paths", "out"): ("", "out_dir", Path),
+    ("paths", "cdr"): ("", "cdr_path", _path_or_none),
+    ("paths", "towers"): ("", "towers_path", _path_or_none),
+    ("paths", "regions"): ("", "regions_path", _path_or_none),
+    ("paths", "land_mask"): ("", "land_mask_path", _path_or_none),
+    ("paths", "survey"): ("", "survey_path", _path_or_none),
+    ("paths", "survey_pairs"): ("", "survey_pairs_path", _path_or_none),
+    ("paths", "class_map"): ("", "class_map_path", _path_or_none),
+    ("paths", "region_aliases"): ("", "region_aliases_path", _path_or_none),
+    ("run", "level"): ("", "level", str),
+    ("run", "seed"): ("", "seed", int),
+    ("run", "ocel"): ("", "ocel", _boolean),
+    ("run", "top_k"): ("", "top_k", _top_k),
+    ("run", "min_arc_frequency"): ("", "min_arc_frequency", int),
+    ("run", "per_trace"): ("", "per_trace", _boolean),
+    ("run", "threads"): None,  # accepted and ignored so existing files keep working
+    ("stops", "r1_m"): ("stop_params", "r1", float),
+    ("stops", "r2_m"): ("stop_params", "r2", float),
+    ("stops", "min_duration_s"): ("stop_params", "min_duration", float),
+    ("stops", "max_gap_s"): ("stop_params", "max_gap", float),
+    **{("modes", f.name): ("thresholds", f.name, float) for f in fields(ModeThresholds)},
+    ("trips", "gap_threshold_s"): ("", "gap_threshold_s", float),
+    ("synth", "tower_rows"): ("towers", "rows", int),
+    ("synth", "tower_cols"): ("towers", "cols", int),
+    ("synth", "tower_spacing_m"): ("towers", "spacing_m", float),
+    ("synth", "sector_radius_m"): ("towers", "sector_radius_m", float),
+    ("synth", "beamwidth_deg"): ("towers", "beamwidth_deg", float),
+    ("synth", "n_agents"): ("scenario", "n_agents", int),
+    ("synth", "n_days"): ("scenario", "n_days", int),
+    ("synth", "parish_size_m"): ("scenario", "parish_size_m", float),
+    ("synth", "trips_per_day_kind"): ("scenario", "trips_per_day_kind", str),
+    ("synth", "trips_per_day_value"): ("scenario", "trips_per_day_value", float),
+    ("synth", "mode_mix"): ("scenario", "mode_mix", _parse_named_floats),
+    ("synth", "mode_speed_bands_kmh"): ("scenario", "mode_speed_bands_kmh", _parse_named_ranges),
+    ("synth", "mode_trip_distance_m"): ("scenario", "mode_trip_distance_m", _parse_named_ranges),
+    ("synth", "dwell_rate_per_h"): ("scenario", "dwell_rate_per_h", float),
+    ("synth", "moving_rate_per_h"): ("scenario", "moving_rate_per_h", float),
+    ("synth", "tower_noise_p"): ("scenario", "tower_noise_p", float),
+    ("synth", "origin_lat"): ("scenario", "origin_lat", float),
+    ("synth", "origin_lon"): ("scenario", "origin_lon", float),
+    ("synth", "start_epoch"): ("scenario", "start_epoch", int),
+}
+_SECTIONS = {section for section, _ in _KEYS}
+
+
 def load_config(path: Optional[str | Path] = None) -> PipelineConfig:
     """Defaults, optionally overridden by an INI file with per-stage sections."""
     cfg = PipelineConfig()
@@ -78,112 +138,33 @@ def load_config(path: Optional[str | Path] = None) -> PipelineConfig:
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
 
-    if parser.has_section("paths"):
-        sec = parser["paths"]
-        cfg = replace(
-            cfg,
-            out_dir=Path(sec.get("out", str(cfg.out_dir))),
-            cdr_path=_path_or_none(sec.get("cdr", "")),
-            towers_path=_path_or_none(sec.get("towers", "")),
-            regions_path=_path_or_none(sec.get("regions", "")),
-            land_mask_path=_path_or_none(sec.get("land_mask", "")),
-            survey_path=_path_or_none(sec.get("survey", "")),
-            survey_pairs_path=_path_or_none(sec.get("survey_pairs", "")),
-            class_map_path=_path_or_none(sec.get("class_map", "")),
-            region_aliases_path=_path_or_none(sec.get("region_aliases", "")),
-        )
-    if parser.has_section("run"):
-        sec = parser["run"]
-        top_k_raw = sec.get("top_k", "")
-        cfg = replace(
-            cfg,
-            level=sec.get("level", cfg.level),
-            seed=sec.getint("seed", cfg.seed),
-            ocel=sec.getboolean("ocel", cfg.ocel),
-            top_k=(int(top_k_raw) if top_k_raw.strip() else cfg.top_k),
-            min_arc_frequency=sec.getint("min_arc_frequency", cfg.min_arc_frequency),
-            per_trace=sec.getboolean("per_trace", cfg.per_trace),
-        )
-    if parser.has_section("stops"):
-        sec = parser["stops"]
-        cfg = replace(
-            cfg,
-            stop_params=StopParams(
-                r1=sec.getfloat("r1_m", cfg.stop_params.r1),
-                r2=sec.getfloat("r2_m", cfg.stop_params.r2),
-                min_duration=sec.getfloat("min_duration_s", cfg.stop_params.min_duration),
-                max_gap=sec.getfloat("max_gap_s", cfg.stop_params.max_gap),
-            ),
-        )
-    if parser.has_section("modes"):
-        sec = parser["modes"]
-        defaults = ModeThresholds()
-        cfg = replace(
-            cfg,
-            thresholds=ModeThresholds(
-                walk_max_kmh=sec.getfloat("walk_max_kmh", defaults.walk_max_kmh),
-                bicycle_max_kmh=sec.getfloat("bicycle_max_kmh", defaults.bicycle_max_kmh),
-                bus_max_kmh=sec.getfloat("bus_max_kmh", defaults.bus_max_kmh),
-                bus_extended_max_kmh=sec.getfloat(
-                    "bus_extended_max_kmh", defaults.bus_extended_max_kmh
-                ),
-                bus_max_length_m=sec.getfloat("bus_max_length_m", defaults.bus_max_length_m),
-                car_max_kmh=sec.getfloat("car_max_kmh", defaults.car_max_kmh),
-                train_long_min_length_m=sec.getfloat(
-                    "train_long_min_length_m", defaults.train_long_min_length_m
-                ),
-                min_duration_s=sec.getfloat("min_duration_s", defaults.min_duration_s),
-            ),
-        )
-    if parser.has_section("trips"):
-        cfg = replace(
-            cfg, gap_threshold_s=parser["trips"].getfloat("gap_threshold_s", cfg.gap_threshold_s)
-        )
+    values: dict[str, dict] = {entry[0]: {} for entry in _KEYS.values() if entry}
+    for section, entries in parser.items():
+        if section != parser.default_section and section not in _SECTIONS:
+            raise InvalidConfig(f"config file {path}: unknown section [{section}]")
+        for key, text in entries.items():
+            if (section, key) not in _KEYS:
+                raise InvalidConfig(f"config file {path}: unknown key {key!r} in [{section}]")
+            if _KEYS[section, key] is not None:
+                target, name, parse = _KEYS[section, key]
+                values[target][name] = parse(text)
+    # each nested dataclass is built once, as its checks span several fields
+    scenario = replace(
+        cfg.scenario, towers=replace(cfg.scenario.towers, **values["towers"]), **values["scenario"]
+    )
+    cfg = replace(
+        cfg,
+        stop_params=replace(cfg.stop_params, **values["stop_params"]),
+        thresholds=replace(cfg.thresholds, **values["thresholds"]),
+        scenario=scenario,
+        **values[""],
+    )
     for name in ("cdr_path", "towers_path", "regions_path", "land_mask_path",
                  "survey_path", "survey_pairs_path", "class_map_path",
                  "region_aliases_path"):
         configured = getattr(cfg, name)
         if configured is not None and not configured.exists():
             raise FileNotFoundError(f"configured input file not found: {configured}")
-    if parser.has_section("synth"):
-        sec = parser["synth"]
-        base = cfg.scenario
-        towers = TowerGridSpec(
-            rows=sec.getint("tower_rows", base.towers.rows),
-            cols=sec.getint("tower_cols", base.towers.cols),
-            spacing_m=sec.getfloat("tower_spacing_m", base.towers.spacing_m),
-            sector_radius_m=sec.getfloat("sector_radius_m", base.towers.sector_radius_m),
-            beamwidth_deg=sec.getfloat("beamwidth_deg", base.towers.beamwidth_deg),
-        )
-        scenario = ScenarioConfig(
-            n_agents=sec.getint("n_agents", base.n_agents),
-            n_days=sec.getint("n_days", base.n_days),
-            towers=towers,
-            parish_size_m=sec.getfloat("parish_size_m", base.parish_size_m),
-            trips_per_day_kind=sec.get("trips_per_day_kind", base.trips_per_day_kind),
-            trips_per_day_value=sec.getfloat("trips_per_day_value", base.trips_per_day_value),
-            mode_mix=(
-                _parse_named_floats(sec["mode_mix"]) if "mode_mix" in sec else base.mode_mix
-            ),
-            mode_speed_bands_kmh=(
-                _parse_named_ranges(sec["mode_speed_bands_kmh"])
-                if "mode_speed_bands_kmh" in sec
-                else base.mode_speed_bands_kmh
-            ),
-            mode_trip_distance_m=(
-                _parse_named_ranges(sec["mode_trip_distance_m"])
-                if "mode_trip_distance_m" in sec
-                else base.mode_trip_distance_m
-            ),
-            dwell_rate_per_h=sec.getfloat("dwell_rate_per_h", base.dwell_rate_per_h),
-            moving_rate_per_h=sec.getfloat("moving_rate_per_h", base.moving_rate_per_h),
-            tower_noise_p=sec.getfloat("tower_noise_p", base.tower_noise_p),
-            origin_lat=sec.getfloat("origin_lat", base.origin_lat),
-            origin_lon=sec.getfloat("origin_lon", base.origin_lon),
-            start_epoch=sec.getint("start_epoch", base.start_epoch),
-            seed=base.seed,
-        )
-        cfg = replace(cfg, scenario=scenario)
     return cfg
 
 

@@ -61,6 +61,14 @@ class OcDfg:
     def type_dict(self) -> dict[str, Dfg]:
         return dict(self.per_type)
 
+    def node_dict(self) -> dict[str, int]:
+        """Activity totals summed over the object types."""
+        totals: dict[str, int] = {}
+        for _, dfg in self.per_type:
+            for activity, n in dfg.nodes:
+                totals[activity] = totals.get(activity, 0) + n
+        return totals
+
 
 @dataclass(frozen=True)
 class Variant:
@@ -205,14 +213,10 @@ def export_dot(
     """
     lines = ["digraph dfg {", "  rankdir=LR;"]
 
+    node_totals = model.node_dict()
     if isinstance(model, Dfg):
-        node_totals = model.node_dict()
         arc_rows = [(pair, stats, None) for pair, stats in model.arcs]
     else:
-        node_totals = {}
-        for _, dfg in model.per_type:
-            for activity, n in dfg.nodes:
-                node_totals[activity] = node_totals.get(activity, 0) + n
         type_color = {
             object_type: OC_PALETTE[i % len(OC_PALETTE)]
             for i, (object_type, _) in enumerate(model.per_type)
@@ -269,10 +273,6 @@ def model_to_dict(model: Union[Dfg, OcDfg]) -> dict:
             "startCounts": [{"activity": a, "count": n} for a, n in model.start_counts],
             "endCounts": [{"activity": a, "count": n} for a, n in model.end_counts],
         }
-    totals: dict[str, int] = {}
-    for _, dfg in model.per_type:
-        for activity, n in dfg.nodes:
-            totals[activity] = totals.get(activity, 0) + n
     arcs = [
         _arc_entry(pair, stats, object_type)
         for object_type, dfg in model.per_type
@@ -280,7 +280,7 @@ def model_to_dict(model: Union[Dfg, OcDfg]) -> dict:
     ]
     arcs.sort(key=lambda e: (e["src"], e["dst"], e.get("objectType", "")))
     return {
-        "nodes": [{"activity": a, "frequency": n} for a, n in sorted(totals.items())],
+        "nodes": [{"activity": a, "frequency": n} for a, n in sorted(model.node_dict().items())],
         "arcs": arcs,
         "objectTypes": [object_type for object_type, _ in model.per_type],
     }

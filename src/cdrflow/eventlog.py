@@ -2,10 +2,10 @@
 
 A trip becomes one trace whose activities are the region labels visited at
 its endpoints and at intermediate leg boundaries, collapsed over consecutive
-duplicates at the chosen level.  The object-centric variant keeps the exact
-same events and relates each one to its trip object and to a singleton
-object for the trip's transport mode, so the relation count is always twice
-the event count.
+duplicates at the chosen level.  The object-centric variant is built from
+the case log, so it holds the same events by construction, and relates each
+one to its trip object and to a singleton object for the trip's transport
+mode, so the relation count is always twice the event count.
 """
 
 from __future__ import annotations
@@ -149,47 +149,40 @@ def build_case_log(
     return CaseLog(traces=tuple(traces), level=level, dropped_case_ids=tuple(dropped))
 
 
-def build_ocel(trips: Sequence[Trip], staypoints: Sequence[Staypoint], level: str) -> Ocel:
-    """Object-centric log over the same events as the case log at this level.
+def build_ocel(case_log: CaseLog, trips: Sequence[Trip]) -> Ocel:
+    """Object-centric log over exactly the case log's events.
 
-    Objects are one per trip, typed by the trip's primary mode, plus one
-    singleton object per mode class (id and type both the capitalized mode
-    name).  Every event relates to its trip object and its mode object.
+    Objects are one per trace, typed by its trip's capitalized primary mode,
+    plus one singleton object per mode class (id and type both the
+    capitalized mode name).  Event k of the i-th trace is e{i}_{k} and
+    relates to its trip object and its mode object.
     """
-    if level not in LEVELS:
-        raise ValueError(f"level must be one of {LEVELS}")
-    sp_index = {sp.staypoint_id: sp for sp in staypoints}
+    trip_by_id = {trip.trip_id: trip for trip in trips}
     events: list[OcelEvent] = []
     objects: list[OcelObject] = []
     modes_seen: set[str] = set()
-    dropped = []
-    case_index = 0
-    for trip in sorted(trips, key=lambda t: t.trip_id):
-        try:
-            trip_events = _trip_events(trip, sp_index, level)
-        except UnresolvedRegion:
-            dropped.append(trip.trip_id)
-            continue
+    for case_index, trace in enumerate(case_log.traces):
+        trip = trip_by_id.get(trace.case_id)
+        if trip is None:
+            raise ValueError(f"case {trace.case_id!r} names no trip")
         mode_object = trip.primary_mode.capitalize()
         modes_seen.add(mode_object)
-        objects.append(OcelObject(object_id=trip.trip_id, object_type=mode_object))
-        for event_index, (activity, timestamp) in enumerate(trip_events):
-            events.append(
-                OcelEvent(
-                    event_id=f"e{case_index}_{event_index}",
-                    activity=activity,
-                    timestamp=timestamp,
-                    relations=((trip.trip_id, "trip"), (mode_object, "mode")),
-                )
+        objects.append(OcelObject(object_id=trace.case_id, object_type=mode_object))
+        relations = ((trace.case_id, "trip"), (mode_object, "mode"))
+        events.extend(
+            OcelEvent(
+                event_id=f"e{case_index}_{k}", activity=activity,
+                timestamp=timestamp, relations=relations,
             )
-        case_index += 1
+            for k, (activity, timestamp) in enumerate(trace.events)
+        )
     objects.extend(OcelObject(object_id=m, object_type=m) for m in sorted(modes_seen))
     return Ocel(
         events=tuple(sorted(events, key=lambda e: e.event_id)),
         objects=tuple(sorted(objects, key=lambda o: o.object_id)),
         object_types=tuple(sorted(modes_seen)),
-        level=level,
-        dropped_case_ids=tuple(dropped),
+        level=case_log.level,
+        dropped_case_ids=case_log.dropped_case_ids,
     )
 
 

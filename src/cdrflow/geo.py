@@ -7,6 +7,7 @@ All distances are great-circle meters on a sphere of radius 6,371,000 m.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from hashlib import blake2b
@@ -209,31 +210,20 @@ def _sin_squared(a: np.ndarray) -> np.ndarray:
 
 
 class _Sectors:
-    """Wedge geometry of the sectors met so far, one row per sector."""
+    """Wedge geometry of every tower, one row per sector in the towers' order."""
 
     # columns of `geometry`
     RADIUS, LO_BEARING, SPAN, PHI1, LAM1, SIN_PHI1, COS_PHI1 = range(7)
 
     def __init__(self, towers: dict[str, TowerSector]):
-        self._towers = towers
-        self._row: dict[str, int] = {}
-        self.sectors: list[TowerSector] = []
-        self._params: list[tuple] = []
-        self._geometry = np.empty((0, 7))
-
-    def row(self, cell_id: str) -> Optional[int]:
-        """Row of the sector serving cell_id, or None for an unknown cell."""
-        row = self._row.get(cell_id)
-        if row is None:
-            sector = self._towers.get(cell_id)
-            if sector is None:
-                return None
-            row = self._row[cell_id] = len(self.sectors)
-            self.sectors.append(sector)
+        self.sectors = list(towers.values())
+        self.row = {cell_id: i for i, cell_id in enumerate(towers)}
+        params = []
+        for sector in self.sectors:
             half = sector.beamwidth_deg / 2.0
             margin = max(_BEARING_MARGIN_DEG * sector.beamwidth_deg, _BEARING_MARGIN_DEG)
             phi1 = math.radians(sector.center.lat)
-            self._params.append((
+            params.append((
                 sector.radius_m,
                 sector.azimuth_deg - half + margin,
                 max(sector.beamwidth_deg - 2.0 * margin, 0.0),
@@ -242,13 +232,7 @@ class _Sectors:
                 math.sin(phi1),
                 math.cos(phi1),
             ))
-        return row
-
-    def geometry(self, rows: np.ndarray) -> np.ndarray:
-        """(len(rows), 7) array of the wedge geometry of the given rows."""
-        if len(self._geometry) != len(self._params):
-            self._geometry = np.array(self._params, dtype=np.float64)
-        return self._geometry[rows]
+        self.geometry = np.array(params, dtype=np.float64).reshape(-1, 7)
 
 
 def _wedge_draw(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -304,7 +288,7 @@ def _place(
     land.  An event's draws depend on its own seed alone.
     """
     rows = np.asarray(rows, dtype=np.intp)
-    g = sectors.geometry(rows)
+    g = sectors.geometry[rows]
     points: list = [None] * len(rows)
     for i in np.flatnonzero(g[:, _Sectors.RADIUS] == 0.0).tolist():
         points[i] = sectors.sectors[rows[i]].center
@@ -351,9 +335,8 @@ def sample_sector_point(
     ClippingExhausted is raised.
     """
     sectors = _Sectors({sector.cell_id: sector})
-    row = sectors.row(sector.cell_id)
     seeds = [seed & 0xFFFFFFFFFFFFFFFF]
-    return _place(seeds, [row], sectors, _Land(land) if land else None, max_attempts)[0]
+    return _place(seeds, [0], sectors, _Land(land) if land else None, max_attempts)[0]
 
 
 # --- point-in-polygon -------------------------------------------------------
@@ -591,33 +574,21 @@ def position_events(
     sectors = _Sectors(towers)
     land_arrays = _Land(land) if land else None
     out: list[PositionedEvent] = []
-    block: list[CdrEvent] = []
-    rows: list[int] = []
-
-    def flush() -> None:
-        if not block:
-            return
-        seeds = [event_seed(ev.cell_id, ev.user_id, ev.timestamp) for ev in block]
-        points = _place(seeds, rows, sectors, land_arrays, DEFAULT_CLIP_ATTEMPTS)
+    events = iter(events)
+    while block := list(itertools.islice(events, _BLOCK_EVENTS)):
+        rows = [sectors.row.get(ev.cell_id) for ev in block]
+        # the events before an unknown cell are placed first, as one at a time would
+        known = rows.index(None) if None in rows else len(block)
+        seeds = [event_seed(ev.cell_id, ev.user_id, ev.timestamp) for ev in block[:known]]
+        points = _place(seeds, rows[:known], sectors, land_arrays, DEFAULT_CLIP_ATTEMPTS)
         out.extend(
             PositionedEvent(
                 user_id=ev.user_id, timestamp=ev.timestamp, cell_id=ev.cell_id, location=point
             )
             for ev, point in zip(block, points)
         )
-        block.clear()
-        rows.clear()
-
-    for ev in events:
-        row = sectors.row(ev.cell_id)
-        if row is None:
-            flush()  # the events before it are placed first, as one at a time would
-            raise ValueError(f"event references unknown cell_id {ev.cell_id!r}")
-        block.append(ev)
-        rows.append(row)
-        if len(block) == _BLOCK_EVENTS:
-            flush()
-    flush()
+        if known < len(block):
+            raise ValueError(f"event references unknown cell_id {block[known].cell_id!r}")
     return out
 
 

@@ -383,10 +383,9 @@ def build_staypoints(
     that order, so identical inputs always produce identical ids and labels.
     """
     by_user = group_by_user(traces)
-    all_stops: list[Stop] = []
+    all_stops: list[Stop] = []  # in (user_id, t_start) order: detect_stops emits in time order
     for user_id in sorted(by_user):
         all_stops.extend(detect_stops(by_user[user_id], params))
-    all_stops.sort(key=lambda s: (s.user_id, s.t_start))
 
     labels = cluster_fn(all_stops, params.r2)
 

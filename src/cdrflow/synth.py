@@ -191,12 +191,6 @@ class GroundTruth:
     trips: tuple
     dwells: tuple
 
-    def agent(self, user_id: str) -> AgentTruth:
-        return self._by_user()[user_id]
-
-    def _by_user(self) -> dict[str, AgentTruth]:
-        return {a.user_id: a for a in self.agents}
-
 
 def _derive_seed(base: int, *parts) -> int:
     payload = repr((base,) + parts).encode()
@@ -342,6 +336,7 @@ def generate_scenario(
     world = _World(config)
     regions = world.build_regions()
     horizon = config.n_days * _DAY_S
+    epoch = config.start_epoch
 
     dwell_gap = max(1, round(3600.0 / config.dwell_rate_per_h))
     moving_gap = (
@@ -388,7 +383,7 @@ def generate_scenario(
         distance = haversine_distance(anchors["home"].point, anchors["work"].point)
 
         current = "home"
-        dwell_start = 0
+        dwell_start = epoch
         for day in range(config.n_days):
             if config.trips_per_day_kind == "fixed":
                 n_trips = int(config.trips_per_day_value)
@@ -399,7 +394,7 @@ def generate_scenario(
             window = _SCHEDULE_SPAN_S / n_trips
             jitter_cap = min(3600.0, window - (_MAX_TRIP_S + _MIN_DWELL_S))
             for k in range(n_trips):
-                departure = int(
+                departure = epoch + int(
                     day * _DAY_S + _FIRST_DEPARTURE_S + k * window + rng.random() * jitter_cap
                 )
                 speed_kmh = lo_kmh if lo_kmh == hi_kmh else rng.uniform(lo_kmh, hi_kmh)
@@ -418,7 +413,7 @@ def generate_scenario(
                 dwell_start = arrival
                 current = dest
         dwells.append(
-            TrueDwell(user_id=user_id, anchor=current, t_start=dwell_start, t_end=horizon)
+            TrueDwell(user_id=user_id, anchor=current, t_start=dwell_start, t_end=epoch + horizon)
         )
 
         events.extend(
@@ -435,8 +430,8 @@ def generate_scenario(
         start_epoch=config.start_epoch,
         horizon_s=horizon,
         agents=tuple(agents),
-        trips=tuple(_shift_trip(t, config.start_epoch) for t in trips),
-        dwells=tuple(_shift_dwell(d, config.start_epoch) for d in dwells),
+        trips=tuple(trips),
+        dwells=tuple(dwells),
     )
     return events, towers, regions, truth
 
@@ -455,20 +450,6 @@ def _anchor_truth(name: str, world: _World, tower_idx: int) -> AnchorTruth:
     )
 
 
-def _shift_trip(t: TrueTrip, epoch: int) -> TrueTrip:
-    return TrueTrip(
-        user_id=t.user_id, origin_anchor=t.origin_anchor, dest_anchor=t.dest_anchor,
-        mode=t.mode, departure=t.departure + epoch, arrival=t.arrival + epoch,
-        distance_m=t.distance_m,
-    )
-
-
-def _shift_dwell(d: TrueDwell, epoch: int) -> TrueDwell:
-    return TrueDwell(
-        user_id=d.user_id, anchor=d.anchor, t_start=d.t_start + epoch, t_end=d.t_end + epoch
-    )
-
-
 def _agent_events(
     world: _World,
     config: ScenarioConfig,
@@ -479,10 +460,7 @@ def _agent_events(
     dwell_gap: int,
     moving_gap: int,
 ) -> list[CdrEvent]:
-    """Pings for one agent from its own trips and dwells, chronological.
-
-    Times are shifted to the start epoch.
-    """
+    """Pings for one agent from its own trips and dwells, chronological."""
     noisy = config.tower_noise_p > 0
     anchor_cells = {}
     for anchor in (agent.home, agent.work):
@@ -493,13 +471,12 @@ def _agent_events(
         )
 
     out: list[CdrEvent] = []
-    epoch = config.start_epoch
 
     def emit(t: int, primary: str, secondary: str) -> None:
         cell = primary
         if noisy and rng.random() < config.tower_noise_p:
             cell = secondary
-        out.append(CdrEvent(user_id=agent.user_id, timestamp=float(t + epoch), cell_id=cell))
+        out.append(CdrEvent(user_id=agent.user_id, timestamp=float(t), cell_id=cell))
 
     for dwell in dwells:
         primary, secondary = anchor_cells[dwell.anchor]

@@ -7,7 +7,7 @@ indicative only; every export carries an explicit heuristic flag.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -142,7 +142,7 @@ def derive_triplegs(
         chain: list[GeoPoint] = [a.median] + [e.location for e in between] + [b.median]
         path = sum(haversine_distance(p, q) for p, q in zip(chain, chain[1:]))
         speed = path / duration * 3.6
-        leg = Tripleg(
+        legs.append(Tripleg(
             tripleg_id=f"{a.user_id}-leg{len(legs):04d}",
             user_id=a.user_id,
             origin_staypoint=a.staypoint_id,
@@ -151,9 +151,8 @@ def derive_triplegs(
             t_end=b.t_start,
             path_length_m=path,
             avg_speed_kmh=speed,
-            mode="unknown",
-        )
-        legs.append(replace(leg, mode=label_mode(leg, thresholds)))
+            mode=thresholds.classify(speed, path, duration),
+        ))
     return legs
 
 

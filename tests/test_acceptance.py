@@ -112,7 +112,7 @@ def test_criterion_3_conservation_suite():
             assert sum(v.count for v in extract_variants(log)) == len(log.traces)
         for _ in range(10):
             staypoints, trips = _random_trip_world(rng, n_trips=rng.randint(5, 150))
-            ocel = build_ocel(trips, staypoints, "municipality")
+            ocel = build_ocel(build_case_log(trips, staypoints, "municipality"), trips)
             assert ocel.n_relations == 2 * len(ocel.events)
 
 
@@ -176,7 +176,7 @@ def test_criterion_6_ocdfg_oracle_equivalence():
     with criterion(6, "per-type OC-DFGs equal case-centric DFGs of flattened logs, exact"):
         for size in sizes:
             staypoints, trips = _random_trip_world(rng, n_trips=max(2, size // 3))
-            ocel = build_ocel(trips, staypoints, "municipality")
+            ocel = build_ocel(build_case_log(trips, staypoints, "municipality"), trips)
             assert len(ocel.events) <= 10000
             ocdfg = discover_ocdfg(ocel)
             for object_type, got in ocdfg.per_type:

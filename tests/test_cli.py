@@ -178,6 +178,18 @@ class TestExitCodes:
         assert run("stays", "--config", str(ini), "--out", str(out)) == 1
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, where", [
+        ("[stops]\nr1 = 50\n", "'r1' in [stops]"),
+        ("[stop]\nr1_m = 50\n", "[stop]"),
+        ("[modes]\nwalk_max_kph = 9\n", "'walk_max_kph' in [modes]"),
+    ], ids=["key", "section", "misspelt-key"])
+    def test_unknown_section_or_key_exits_1(self, tmp_path, text, where, capsys):
+        ini = tmp_path / "typo.ini"
+        ini.write_text(TINY + text)
+        assert run("synth", "--config", str(ini), "--out", str(tmp_path / "run")) == 1
+        err = capsys.readouterr().err
+        assert str(ini) in err and where in err
+
     def test_missing_config_file_exits_2(self, tmp_path):
         assert run("synth", "--config", str(tmp_path / "ghost.ini"),
                    "--out", str(tmp_path / "run")) == 2
@@ -203,6 +215,7 @@ class TestConfigFile:
 level = parish
 seed = 77
 top_k = 5
+threads = 2
 
 [stops]
 r1_m = 150

@@ -131,7 +131,7 @@ class TestBuildOcel:
 
     def test_relations_and_typing(self):
         trip = make_trip("trip_1", ["sp0", "sp1"], [1000, 2000], mode="bus")
-        ocel = build_ocel([trip], self.staypoints(), "municipality")
+        ocel = build_ocel(build_case_log([trip], self.staypoints(), "municipality"), [trip])
         e1 = ocel.events[0]
         assert e1.activity == "OEIRAS"
         related = {obj for obj, _ in e1.relations}
@@ -141,17 +141,31 @@ class TestBuildOcel:
         assert types["Bus"] == "Bus"
         assert ocel.object_types == ("Bus",)
 
+    def test_case_without_trip_rejected(self):
+        trip = make_trip("trip_1", ["sp0", "sp1"], [1000, 2000])
+        log = build_case_log([trip], self.staypoints(), "municipality")
+        with pytest.raises(ValueError, match="'trip_1' names no trip"):
+            build_ocel(log, [])
+
+    def test_level_and_drops_come_from_the_case_log(self):
+        sps = self.staypoints() + [sp("sp2", None, None, 4000, 5000)]
+        kept = make_trip("trip_1", ["sp0", "sp1"], [1000, 2000])
+        lost = make_trip("trip_2", ["sp1", "sp2"], [3000, 4000])
+        ocel = build_ocel(build_case_log([kept, lost], sps, "parish"), [kept, lost])
+        assert (ocel.level, ocel.dropped_case_ids) == ("parish", ("trip_2",))
+        assert {o.object_id for o in ocel.objects} == {"trip_1", "Bus"}
+
     def test_relation_count_is_twice_events(self):
         rng = random.Random(12)
         sps, trips = _random_trip_world(rng, n_trips=40)
-        ocel = build_ocel(trips, sps, "municipality")
+        ocel = build_ocel(build_case_log(trips, sps, "municipality"), trips)
         assert ocel.n_relations == 2 * len(ocel.events)
 
     def test_same_event_multiset_as_case_log(self):
         rng = random.Random(13)
         sps, trips = _random_trip_world(rng, n_trips=25)
         log = build_case_log(trips, sps, "municipality")
-        ocel = build_ocel(trips, sps, "municipality")
+        ocel = build_ocel(log, trips)
         case_events = sorted((a, t) for trace in log.traces for a, t in trace.events)
         ocel_events = sorted((e.activity, e.timestamp) for e in ocel.events)
         assert case_events == ocel_events
@@ -159,7 +173,7 @@ class TestBuildOcel:
     def test_round_trip_identity_and_stable_bytes(self, tmp_path):
         rng = random.Random(14)
         sps, trips = _random_trip_world(rng, n_trips=10)
-        ocel = build_ocel(trips, sps, "municipality")
+        ocel = build_ocel(build_case_log(trips, sps, "municipality"), trips)
         path = tmp_path / "ocel.json"
         write_ocel_json(ocel, path)
         first = path.read_bytes()
@@ -174,7 +188,7 @@ class TestBuildOcel:
         import json
 
         sps, trips = _random_trip_world(random.Random(15), n_trips=3)
-        ocel = build_ocel(trips, sps, "municipality")
+        ocel = build_ocel(build_case_log(trips, sps, "municipality"), trips)
         path = tmp_path / "ocel.json"
         write_ocel_json(ocel, path)
         doc = json.loads(path.read_text())
@@ -188,7 +202,7 @@ class TestBuildOcel:
 
     def test_event_ids_unique_and_patterned(self):
         sps, trips = _random_trip_world(random.Random(16), n_trips=12)
-        ocel = build_ocel(trips, sps, "municipality")
+        ocel = build_ocel(build_case_log(trips, sps, "municipality"), trips)
         ids = [e.event_id for e in ocel.events]
         assert len(set(ids)) == len(ids)
         assert all(i.startswith("e") and "_" in i for i in ids)
@@ -219,7 +233,7 @@ class TestComputeStats:
         rng = random.Random(17)
         sps, trips = _random_trip_world(rng, n_trips=120)
         log = build_case_log(trips, sps, "municipality")
-        ocel = build_ocel(trips, sps, "municipality")
+        ocel = build_ocel(log, trips)
         n_events = 0
         for trace in log.traces:  # independent streaming pass
             for _ in trace.events:

@@ -424,6 +424,27 @@ class TestLandPositioning:
         with pytest.raises(ClippingExhausted):
             position_events([first], towers, land=RIVER_LAND)
 
+    def test_errors_come_in_event_order(self, monkeypatch):
+        # events before an unknown cell are placed first, as one at a time would
+        towers = self.sectors()
+        towers["sea"] = TowerSector("sea", GeoPoint(10.0, 10.0), 0.0, 120.0, 500.0)
+        monkeypatch.setattr(geo, "_BLOCK_EVENTS", 4)
+        land = [CdrEvent("u", float(t), "t01") for t in range(4)]
+        sea, ghost = CdrEvent("u", 10.0, "sea"), CdrEvent("u", 11.0, "ghost")
+        with pytest.raises(ClippingExhausted, match="sector sea"):
+            position_events([sea, ghost], towers, land=RIVER_LAND)
+        for events in ([ghost, sea], land + [ghost, sea]):
+            with pytest.raises(ValueError, match="unknown cell_id 'ghost'"):
+                position_events(events, towers, land=RIVER_LAND)
+
+    def test_output_does_not_depend_on_tower_order(self):
+        towers = self.sectors()
+        events = self.events(towers, n=1500)
+        reverse = dict(reversed(towers.items()))
+        assert position_events(events, reverse, land=RIVER_LAND) == position_events(
+            events, towers, land=RIVER_LAND
+        )
+
     def test_sample_sector_point_matches_reference(self):
         rng = random.Random(41)
         towers = self.sectors()
