@@ -17,10 +17,10 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
-from . import conformance, discovery, eventlog, geo, synth, trips as trips_mod, validation
+from . import conformance, discovery, eventlog, geo, stays, synth, trips as trips_mod, validation
 from .config import PipelineConfig, config_hash, load_config
 from .errors import CdrflowError, DependencyError
-from .stays import build_staypoints, load_staypoints_csv, moving_events, write_staypoints_csv
+from .stays import load_staypoints_csv, write_staypoints_csv
 
 ART = {
     "cdr": "cdr.csv",
@@ -29,6 +29,7 @@ ART = {
     "ground_truth": "ground_truth.json",
     "positioned": "positioned.csv",
     "staypoints": "staypoints.csv",
+    "moving": "moving.csv",
     "triplegs": "triplegs.csv",
     "trips": "trips.csv",
     "case_log": "case_log.csv",
@@ -93,28 +94,23 @@ def stage_position(cfg: PipelineConfig) -> None:
     # Inputs come from [paths] when configured, else from the synth stage.
     cdr_path = cfg.cdr_path or _artifact(cfg, "cdr")
     towers_path = cfg.towers_path or _artifact(cfg, "towers")
-    # Stop detection needs each user's events in time order; exports need not
-    # be, and a stable sort leaves sorted input unchanged.
-    events = sorted(geo.load_cdr_csv(cdr_path), key=lambda e: (e.user_id, e.timestamp))
+    events = geo.sort_by_user_time(geo.read_cdr_columns(cdr_path))
     towers = geo.load_towers_csv(towers_path)
-    positioned = geo.position_events(events, towers, land=_load_land(cfg))
-    geo.write_positioned_csv(positioned, _artifact(cfg, "positioned"))
+    positioned = geo.position_columns(events, towers, land=_load_land(cfg))
+    geo.write_positioned_columns(positioned, _artifact(cfg, "positioned"))
 
 
 def stage_stays(cfg: PipelineConfig) -> None:
-    positioned = geo.load_positioned_csv(_stage_artifact(cfg, "positioned", "position"))
+    positioned = geo.read_positioned_columns(_stage_artifact(cfg, "positioned", "position"))
     regions = geo.load_regions_geojson(cfg.regions_path or _artifact(cfg, "regions"))
-    staypoints = build_staypoints(positioned, cfg.stop_params, regions=regions)
+    staypoints, moving = stays.staypoints_from_columns(positioned, cfg.stop_params, regions=regions)
     write_staypoints_csv(staypoints, _artifact(cfg, "staypoints"))
+    geo.write_positioned_columns(positioned.take(moving), _artifact(cfg, "moving"))
 
 
 def stage_trips(cfg: PipelineConfig) -> None:
-    positioned = geo.load_positioned_csv(_stage_artifact(cfg, "positioned", "position"))
     staypoints = load_staypoints_csv(_stage_artifact(cfg, "staypoints", "stays"))
-    sp_by_user = geo.group_by_user(staypoints)
-    moving = []
-    for user_id, evs in geo.group_by_user(positioned).items():
-        moving.extend(moving_events(evs, sp_by_user.get(user_id, [])))
+    moving = geo.load_positioned_csv(_stage_artifact(cfg, "moving", "stays"))
     all_trips = trips_mod.build_trips(
         staypoints, moving, thresholds=cfg.thresholds, gap_threshold=cfg.gap_threshold_s
     )

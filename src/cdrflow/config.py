@@ -134,7 +134,10 @@ def load_config(path: Optional[str | Path] = None) -> PipelineConfig:
     if path is None:
         return cfg
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:  # the message names the file and line
+        raise InvalidConfig(str(exc)) from exc
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
 
@@ -147,7 +150,12 @@ def load_config(path: Optional[str | Path] = None) -> PipelineConfig:
                 raise InvalidConfig(f"config file {path}: unknown key {key!r} in [{section}]")
             if _KEYS[section, key] is not None:
                 target, name, parse = _KEYS[section, key]
-                values[target][name] = parse(text)
+                try:
+                    values[target][name] = parse(text)
+                except ValueError as exc:
+                    raise InvalidConfig(
+                        f"config file {path}: bad value for {key!r} in [{section}]: {exc}"
+                    ) from exc
     # each nested dataclass is built once, as its checks span several fields
     scenario = replace(
         cfg.scenario, towers=replace(cfg.scenario.towers, **values["towers"]), **values["scenario"]

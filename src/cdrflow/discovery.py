@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import EmptyLog, EmptySelection, MismatchedLog
-from .eventlog import CaseLog, Ocel, iter_flattened_traces
+from .eventlog import CaseLog, Ocel, flattened_traces
 from .files import read_json, write_json
 
 # Arc colors per object type, assigned by sorted type index.
@@ -168,8 +168,9 @@ def discover_ocdfg(ocel: Ocel) -> OcDfg:
     if not ocel.events:
         raise EmptyLog("cannot discover a model from an empty log")
     per_type = []
+    traces_by_type = flattened_traces(ocel)
     for object_type in ocel.object_types:
-        traces = iter_flattened_traces(ocel, object_type)
+        traces = traces_by_type.get(object_type)
         if not traces:
             continue
         flat = CaseLog(traces=tuple(traces), level=ocel.level)

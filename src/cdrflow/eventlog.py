@@ -312,3 +312,21 @@ def iter_flattened_traces(ocel: Ocel, object_type: str) -> list[Trace]:
             )
         )
     return traces
+
+
+def flattened_traces(ocel: Ocel) -> dict[str, list[Trace]]:
+    """iter_flattened_traces for every object type, from one pass over the events."""
+    types_of: dict[str, set[str]] = {}
+    for o in ocel.objects:
+        types_of.setdefault(o.object_id, set()).add(o.object_type)
+    events_by_object: dict[str, list[OcelEvent]] = {}
+    for event in ocel.events:
+        for object_id in {object_id for object_id, _ in event.relations}:
+            events_by_object.setdefault(object_id, []).append(event)
+    by_type: dict[str, list[Trace]] = {}
+    for object_id in sorted(events_by_object):
+        ordered = sorted(events_by_object[object_id], key=lambda e: (e.timestamp, e.event_id))
+        trace = Trace(case_id=object_id, events=tuple((e.activity, e.timestamp) for e in ordered))
+        for object_type in types_of.get(object_id, ()):
+            by_type.setdefault(object_type, []).append(trace)
+    return by_type

@@ -9,16 +9,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, replace
 from hashlib import blake2b
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import ClippingExhausted
 from .files import read_csv, read_json, write_csv, write_json
 from .timefmt import from_iso, to_iso
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -40,10 +42,14 @@ class GeoPoint:
     lon: float
 
     def __post_init__(self) -> None:
-        if not (-90.0 <= self.lat <= 90.0):
-            raise ValueError(f"latitude out of range: {self.lat}")
-        if not (-180.0 <= self.lon <= 180.0):
-            raise ValueError(f"longitude out of range: {self.lon}")
+        _check_coordinates(self.lat, self.lon)
+
+
+def _check_coordinates(lat: float, lon: float) -> None:
+    if not (-90.0 <= lat <= 90.0):
+        raise ValueError(f"latitude out of range: {lat}")
+    if not (-180.0 <= lon <= 180.0):
+        raise ValueError(f"longitude out of range: {lon}")
 
 
 @dataclass(frozen=True)
@@ -131,6 +137,8 @@ def haversine_m_array(phi1, lam1, cos_phi1, phi2, lam2, cos_phi2) -> np.ndarray:
     cos_phi1 and cos_phi2 are the cosines of phi1 and phi2, which callers
     already hold.
     """
+    import numpy as np
+
     h = (
         np.sin((phi2 - phi1) / 2.0) ** 2
         + cos_phi1 * cos_phi2 * np.sin((lam2 - lam1) / 2.0) ** 2
@@ -185,6 +193,8 @@ _TWO_53 = float(1 << 53)
 
 def _splitmix64(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Stable 64-bit generator over uint64 arrays, which wrap modulo 2**64.
+    import numpy as np
+
     state = state + np.uint64(0x9E3779B97F4A7C15)
     z = (state ^ (state >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
@@ -201,10 +211,14 @@ def event_seed(cell_id: str, user_id: str, timestamp: float) -> int:
 def _libm(f, *arrays: np.ndarray) -> np.ndarray:
     # numpy's transcendental functions differ from libm in the last bit for
     # some inputs; the math module keeps draws identical across versions.
+    import numpy as np
+
     return np.array(list(map(f, *(a.tolist() for a in arrays))), dtype=np.float64)
 
 
 def _sin_squared(a: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     sin = math.sin
     return np.array([sin(x) ** 2 for x in a.tolist()], dtype=np.float64)
 
@@ -212,10 +226,12 @@ def _sin_squared(a: np.ndarray) -> np.ndarray:
 class _Sectors:
     """Wedge geometry of every tower, one row per sector in the towers' order."""
 
-    # columns of `geometry`
-    RADIUS, LO_BEARING, SPAN, PHI1, LAM1, SIN_PHI1, COS_PHI1 = range(7)
+    # columns of `geometry`; LAT and LON are the centre in degrees
+    RADIUS, LO_BEARING, SPAN, PHI1, LAM1, SIN_PHI1, COS_PHI1, LAT, LON = range(9)
 
     def __init__(self, towers: dict[str, TowerSector]):
+        import numpy as np
+
         self.sectors = list(towers.values())
         self.row = {cell_id: i for i, cell_id in enumerate(towers)}
         params = []
@@ -231,8 +247,10 @@ class _Sectors:
                 math.radians(sector.center.lon),
                 math.sin(phi1),
                 math.cos(phi1),
+                sector.center.lat,
+                sector.center.lon,
             ))
-        self.geometry = np.array(params, dtype=np.float64).reshape(-1, 7)
+        self.geometry = np.array(params, dtype=np.float64).reshape(-1, 9)
 
 
 def _wedge_draw(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -242,6 +260,8 @@ def _wedge_draw(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray
     re-measured and the radial fraction shrunk, for the rows that overshoot
     the radius only, until every point lies within its sector's radius.
     """
+    import numpy as np
+
     S = _Sectors
     radius, phi1, lam1 = g[:, S.RADIUS], g[:, S.PHI1], g[:, S.LAM1]
     sin_phi1, cos_phi1 = g[:, S.SIN_PHI1], g[:, S.COS_PHI1]
@@ -281,43 +301,61 @@ def _place(
     sectors: _Sectors,
     land: Optional["_Land"],
     max_attempts: int,
-) -> list[GeoPoint]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pseudo-location of each seed in the sector of its row; see sample_sector_point.
 
-    Each land attempt re-draws only the events whose previous draw fell off
-    land.  An event's draws depend on its own seed alone.
+    Returns (lat, lon, at_centre) arrays; at_centre marks the events placed
+    at their sector's centre.  Each land attempt re-draws only the events
+    whose previous draw fell off land.  An event's draws depend on its own
+    seed alone.
     """
+    import numpy as np
+
+    S = _Sectors
     rows = np.asarray(rows, dtype=np.intp)
     g = sectors.geometry[rows]
-    points: list = [None] * len(rows)
-    for i in np.flatnonzero(g[:, _Sectors.RADIUS] == 0.0).tolist():
-        points[i] = sectors.sectors[rows[i]].center
-    todo = np.flatnonzero(g[:, _Sectors.RADIUS] != 0.0)
+    lat, lon = g[:, S.LAT].copy(), g[:, S.LON].copy()
+    at_centre = g[:, S.RADIUS] == 0.0
+    todo = np.flatnonzero(~at_centre)
     state = np.array(seeds, dtype=np.uint64)[todo]
     for _ in range(max(1, max_attempts) if land else 1):
         if not todo.size:
             break
         state, z1 = _splitmix64(state)
         state, z2 = _splitmix64(state)
-        lat, lon = _wedge_draw(g[todo], (z1 >> 11) / _TWO_53, (z2 >> 11) / _TWO_53)
-        ok = land.contains(lon, lat) if land else np.ones(len(todo), dtype=bool)
-        for i, la, lo in zip(todo[ok].tolist(), lat[ok].tolist(), lon[ok].tolist()):
-            points[i] = GeoPoint(lat=la, lon=lo)
+        la, lo = _wedge_draw(g[todo], (z1 >> 11) / _TWO_53, (z2 >> 11) / _TWO_53)
+        ok = land.contains(lo, la) if land else np.ones(len(todo), dtype=bool)
+        lat[todo[ok]], lon[todo[ok]] = la[ok], lo[ok]
         todo, state = todo[~ok], state[~ok]
 
     if todo.size:
-        centers = [sectors.sectors[rows[i]].center for i in todo.tolist()]
-        on_land = land.contains(
-            np.array([c.lon for c in centers]), np.array([c.lat for c in centers])
-        )
-        for i, center, ok in zip(todo.tolist(), centers, on_land.tolist()):
-            if not ok:
-                raise ClippingExhausted(
-                    f"no land point found for sector {sectors.sectors[rows[i]].cell_id} "
-                    f"after {max_attempts} attempts"
-                )
-            points[i] = center
-    return points
+        off_land = todo[~land.contains(lon[todo], lat[todo])]
+        if off_land.size:
+            raise ClippingExhausted(
+                f"no land point found for sector {sectors.sectors[rows[off_land[0]]].cell_id} "
+                f"after {max_attempts} attempts"
+            )
+        at_centre[todo] = True
+    return lat, lon, at_centre
+
+
+def _place_block(
+    cells: list[str], users: list[str], stamps: list[float], sectors: _Sectors,
+    land: Optional["_Land"],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_place for one block of events given as parallel lists, seeded by event_seed.
+
+    The events before an unknown cell are placed first, as one at a time
+    would, so that their ClippingExhausted comes before the unknown cell's
+    ValueError.
+    """
+    rows = [sectors.row.get(cell_id) for cell_id in cells]
+    known = rows.index(None) if None in rows else len(rows)
+    seeds = [event_seed(c, u, t) for c, u, t in zip(cells[:known], users, stamps)]
+    placed = _place(seeds, rows[:known], sectors, land, DEFAULT_CLIP_ATTEMPTS)
+    if known < len(rows):
+        raise ValueError(f"event references unknown cell_id {cells[known]!r}")
+    return placed
 
 
 def sample_sector_point(
@@ -336,7 +374,8 @@ def sample_sector_point(
     """
     sectors = _Sectors({sector.cell_id: sector})
     seeds = [seed & 0xFFFFFFFFFFFFFFFF]
-    return _place(seeds, [0], sectors, _Land(land) if land else None, max_attempts)[0]
+    lat, lon, at_centre = _place(seeds, [0], sectors, _Land(land) if land else None, max_attempts)
+    return sector.center if at_centre[0] else GeoPoint(lat=float(lat[0]), lon=float(lon[0]))
 
 
 # --- point-in-polygon -------------------------------------------------------
@@ -403,6 +442,8 @@ _SEGMENTS_PER_PASS = 16
 
 
 def _ring_segments(ring: Sequence[GeoPoint]) -> tuple[np.ndarray, ...]:
+    import numpy as np
+
     lon = np.array([p.lon for p in ring], dtype=np.float64)
     lat = np.array([p.lat for p in ring], dtype=np.float64)
     ax, ay, bx, by = lon[:-1], lat[:-1], lon[1:], lat[1:]
@@ -418,6 +459,8 @@ def _ring_segments(ring: Sequence[GeoPoint]) -> tuple[np.ndarray, ...]:
 
 def _ring_test(segments: tuple, px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(on boundary, ray-cast inside) per point: _ring_boundary and _ray_cast over arrays."""
+    import numpy as np
+
     on_edge = np.zeros(len(px), dtype=bool)
     inside = np.zeros(len(px), dtype=bool)
     x, y = px[None, :], py[None, :]
@@ -446,6 +489,8 @@ class _Land:
 
     def contains(self, lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
         """Per point, whether some region contains it, as region_contains decides."""
+        import numpy as np
+
         found = np.zeros(len(lon), dtype=bool)
         for exterior, holes in self._polygons:
             todo = np.flatnonzero(~found)
@@ -576,20 +621,87 @@ def position_events(
     out: list[PositionedEvent] = []
     events = iter(events)
     while block := list(itertools.islice(events, _BLOCK_EVENTS)):
-        rows = [sectors.row.get(ev.cell_id) for ev in block]
-        # the events before an unknown cell are placed first, as one at a time would
-        known = rows.index(None) if None in rows else len(block)
-        seeds = [event_seed(ev.cell_id, ev.user_id, ev.timestamp) for ev in block[:known]]
-        points = _place(seeds, rows[:known], sectors, land_arrays, DEFAULT_CLIP_ATTEMPTS)
+        lat, lon, at_centre = _place_block(
+            [ev.cell_id for ev in block], [ev.user_id for ev in block],
+            [ev.timestamp for ev in block], sectors, land_arrays,
+        )
         out.extend(
             PositionedEvent(
-                user_id=ev.user_id, timestamp=ev.timestamp, cell_id=ev.cell_id, location=point
+                user_id=ev.user_id, timestamp=ev.timestamp, cell_id=ev.cell_id,
+                location=towers[ev.cell_id].center if centre else GeoPoint(lat=la, lon=lo),
             )
-            for ev, point in zip(block, points)
+            for ev, la, lo, centre in zip(block, lat.tolist(), lon.tolist(), at_centre.tolist())
         )
-        if known < len(block):
-            raise ValueError(f"event references unknown cell_id {block[known].cell_id!r}")
     return out
+
+
+@dataclass(frozen=True)
+class EventColumns:
+    """Events as parallel columns, the staged CLI's form of cdr.csv and positioned.csv.
+
+    `user` and `cell` are int32 codes into the `users` and `cells` tables,
+    which list each id once in order of first appearance; `ts`, `lat` and
+    `lon` are float64.  `lat` and `lon` are None until the events are
+    positioned.
+    """
+
+    users: list[str]
+    cells: list[str]
+    user: np.ndarray
+    cell: np.ndarray
+    ts: np.ndarray
+    lat: Optional[np.ndarray] = None
+    lon: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    def take(self, index: np.ndarray) -> EventColumns:
+        """The events at `index`, an index array or a boolean mask, in its order."""
+        return EventColumns(
+            self.users, self.cells, self.user[index], self.cell[index], self.ts[index],
+            None if self.lat is None else self.lat[index],
+            None if self.lon is None else self.lon[index],
+        )
+
+    def user_rank(self) -> np.ndarray:
+        """Position of each user code in the sorted user table."""
+        import numpy as np
+
+        rank = np.empty(len(self.users), dtype=np.int64)
+        rank[sorted(range(len(self.users)), key=self.users.__getitem__)] = np.arange(len(rank))
+        return rank
+
+
+def sort_by_user_time(events: EventColumns) -> EventColumns:
+    """The events in (user_id, timestamp) order; ties keep their input order.
+
+    Stop detection needs each user's events in time order; exports need
+    not be, and the sort is stable, so sorted input comes out unchanged.
+    """
+    import numpy as np
+
+    return events.take(np.lexsort((events.ts, events.user_rank()[events.user])))
+
+
+def position_columns(
+    events: EventColumns, towers: dict[str, TowerSector], land: Sequence[Region] = ()
+) -> EventColumns:
+    """The events with lat and lon set: position_events over columns."""
+    import numpy as np
+
+    sectors = _Sectors(towers)
+    land_arrays = _Land(land) if land else None
+    lat, lon = np.empty(len(events)), np.empty(len(events))
+    users, cells = events.users, events.cells
+    for start in range(0, len(events), _BLOCK_EVENTS):
+        block = slice(start, start + _BLOCK_EVENTS)
+        lat[block], lon[block], _ = _place_block(
+            [cells[c] for c in events.cell[block].tolist()],
+            [users[u] for u in events.user[block].tolist()],
+            events.ts[block].tolist(), sectors, land_arrays,
+        )
+    return replace(events, lat=lat, lon=lon)
 
 
 def group_by_user(records: Iterable) -> dict[str, list]:
@@ -639,27 +751,61 @@ CDR_HEADER = ["user_id", "timestamp", "cell_id"]
 POSITIONED_HEADER = ["user_id", "timestamp", "cell_id", "lat", "lon"]
 
 
-def _cdr_row(user_id, ts, cell_id) -> CdrEvent:
-    return CdrEvent(user_id=user_id, timestamp=from_iso(ts), cell_id=cell_id)
+def _cdr_fields(user_id, ts, cell_id) -> tuple:
+    return user_id, from_iso(ts), cell_id
+
+
+def _positioned_fields(user_id, ts, cell_id, lat, lon) -> tuple:
+    # the checks and their order are those of PositionedEvent(..., GeoPoint(lat, lon))
+    timestamp, lat, lon = from_iso(ts), float(lat), float(lon)
+    _check_coordinates(lat, lon)
+    if not math.isfinite(timestamp):
+        raise ValueError("timestamp must be finite")
+    return user_id, timestamp, cell_id, lat, lon
+
+
+def _read_columns(path: str | Path, header: list[str], what: str, fields) -> EventColumns:
+    """EventColumns of a CSV whose rows fields(*row) turns into (user, ts, cell, *coordinates)."""
+    import numpy as np
+
+    user_codes: dict[str, int] = {}
+    cell_codes: dict[str, int] = {}
+    user, cell = array("i"), array("i")
+    floats = [array("d") for _ in range(len(header) - 2)]  # ts, then lat and lon if any
+    for user_id, ts, cell_id, *coordinates in read_csv(path, header, what, fields):
+        user.append(user_codes.setdefault(user_id, len(user_codes)))
+        cell.append(cell_codes.setdefault(cell_id, len(cell_codes)))
+        for column, value in zip(floats, (ts, *coordinates)):
+            column.append(value)
+    return EventColumns(
+        list(user_codes), list(cell_codes),
+        np.frombuffer(user, dtype=np.int32), np.frombuffer(cell, dtype=np.int32),
+        *(np.frombuffer(column, dtype=np.float64) for column in floats),
+    )
+
+
+def read_cdr_columns(path: str | Path) -> EventColumns:
+    return _read_columns(path, CDR_HEADER, "cdr file", _cdr_fields)
 
 
 def load_cdr_csv(path: str | Path) -> list[CdrEvent]:
-    return list(read_csv(path, CDR_HEADER, "cdr file", _cdr_row))
+    return [CdrEvent(*fields) for fields in read_csv(path, CDR_HEADER, "cdr file", _cdr_fields)]
 
 
 def write_cdr_csv(events: Iterable[CdrEvent], path: str | Path) -> None:
     write_csv(path, CDR_HEADER, ([ev.user_id, to_iso(ev.timestamp), ev.cell_id] for ev in events))
 
 
-def _positioned_row(user_id, ts, cell_id, lat, lon) -> PositionedEvent:
-    return PositionedEvent(
-        user_id=user_id, timestamp=from_iso(ts), cell_id=cell_id,
-        location=GeoPoint(lat=float(lat), lon=float(lon)),
-    )
+def read_positioned_columns(path: str | Path) -> EventColumns:
+    return _read_columns(path, POSITIONED_HEADER, "positioned file", _positioned_fields)
 
 
 def load_positioned_csv(path: str | Path) -> list[PositionedEvent]:
-    return list(read_csv(path, POSITIONED_HEADER, "positioned file", _positioned_row))
+    return [
+        PositionedEvent(user_id, ts, cell_id, GeoPoint(lat, lon))
+        for user_id, ts, cell_id, lat, lon
+        in read_csv(path, POSITIONED_HEADER, "positioned file", _positioned_fields)
+    ]
 
 
 def write_positioned_csv(events: Iterable[PositionedEvent], path: str | Path) -> None:
@@ -667,6 +813,23 @@ def write_positioned_csv(events: Iterable[PositionedEvent], path: str | Path) ->
         [ev.user_id, to_iso(ev.timestamp), ev.cell_id, repr(ev.location.lat), repr(ev.location.lon)]
         for ev in events
     ))
+
+
+def write_positioned_columns(events: EventColumns, path: str | Path) -> None:
+    """write_positioned_csv over columns, converting one block of rows at a time."""
+    def rows():
+        users, cells = events.users, events.cells
+        for start in range(0, len(events), _BLOCK_EVENTS):
+            block = slice(start, start + _BLOCK_EVENTS)
+            yield from zip(
+                [users[u] for u in events.user[block].tolist()],
+                map(to_iso, events.ts[block].tolist()),
+                [cells[c] for c in events.cell[block].tolist()],
+                map(repr, events.lat[block].tolist()),
+                map(repr, events.lon[block].tolist()),
+            )
+
+    write_csv(path, POSITIONED_HEADER, rows())
 
 
 def _rings_to_coords(polygons: tuple) -> list:

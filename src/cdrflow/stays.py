@@ -17,14 +17,13 @@ import math
 from bisect import insort
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from .errors import UnresolvedRegion, UnsortedInput
 from .files import read_csv, write_csv
 from .geo import (
     EARTH_RADIUS_M,
+    EventColumns,
     GeoPoint,
     PositionedEvent,
     RegionIndex,
@@ -33,6 +32,9 @@ from .geo import (
     haversine_m_array,
 )
 from .timefmt import from_iso, to_iso
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -157,11 +159,6 @@ def detect_stops(trace: Sequence[PositionedEvent], params: StopParams) -> list[S
     within r1 of the running median and within max_gap of the previous one;
     it is emitted only when its span reaches min_duration.  Events in no
     emitted stop are moving points.
-
-    While the members' bounding box, grown by the new event, is provably
-    within r1 across (see _BOX_SLACK), both tests pass without computing
-    them: the running median lies in the box.  Once the bound fails, the
-    candidate runs the exact test (_grow_exact) for the rest of its life.
     """
     events = list(trace)
     for prev, cur in zip(events, events[1:]):
@@ -171,16 +168,31 @@ def detect_stops(trace: Sequence[PositionedEvent], params: StopParams) -> list[S
             )
         if cur.user_id != prev.user_id:
             raise ValueError("detect_stops expects a single user's trace")
+    return _scan_stops(
+        [e.user_id for e in events], [e.timestamp for e in events],
+        [e.location.lat for e in events], [e.location.lon for e in events], params,
+    )
 
-    ts = [e.timestamp for e in events]
-    lats = [e.location.lat for e in events]
-    lons = [e.location.lon for e in events]
+
+def _scan_stops(
+    user_ids: Sequence[str], ts: list[float], lats: list[float], lons: list[float],
+    params: StopParams,
+) -> list[Stop]:
+    """detect_stops over one user's columns, already checked to be in time order.
+
+    While the members' bounding box, grown by the new event, is provably
+    within r1 across (see _BOX_SLACK), both tests pass without computing
+    them: the running median lies in the box.  Once the bound fails, the
+    candidate runs the exact test (_grow_exact) for the rest of its life.
+    """
+    import numpy as np
+
     coss = np.cos(np.radians(lats)).tolist()
     r1, max_gap = params.r1, params.max_gap
     limit = (math.sin(r1 / (2.0 * EARTH_RADIUS_M)) / _HALF_DEG) ** 2 * _BOX_SLACK
 
     stops: list[Stop] = []
-    i, n = 0, len(events)
+    i, n = 0, len(ts)
     while i < n:
         lo_lat = hi_lat = lats[i]
         lo_lon = hi_lon = lons[i]
@@ -216,7 +228,7 @@ def detect_stops(trace: Sequence[PositionedEvent], params: StopParams) -> list[S
             if boxed:
                 med = (_mid(sorted(lats[i:j])), _mid(sorted(lons[i:j])))
             stops.append(Stop(
-                user_id=events[i].user_id,
+                user_id=user_ids[i],
                 median=GeoPoint(lat=med[0], lon=med[1]),
                 t_start=ts[i],
                 t_end=ts[j - 1],
@@ -235,14 +247,20 @@ def moving_events(
 
     Accepts Stop or Staypoint records; only t_start/t_end are read.
     """
+    events = list(trace)
+    outside = _outside_stops([ev.timestamp for ev in events], stops)
+    return [ev for ev, moving in zip(events, outside) if moving]
+
+
+def _outside_stops(ts: list[float], stops: Sequence) -> list[bool]:
+    """Per time-ordered timestamp, whether it lies outside every stop interval."""
     spans = sorted((s.t_start, s.t_end) for s in stops)
     out = []
     k = 0
-    for ev in trace:
-        while k < len(spans) and spans[k][1] < ev.timestamp:
+    for t in ts:
+        while k < len(spans) and spans[k][1] < t:
             k += 1
-        if k == len(spans) or ev.timestamp < spans[k][0]:
-            out.append(ev)
+        out.append(k == len(spans) or t < spans[k][0])
     return out
 
 
@@ -267,6 +285,8 @@ def _grid_pairs(lat: np.ndarray, lon: np.ndarray, cmin: float, r2: float):
     in longitude by at most 2*asin(sin(r2/2R)/cmin).  Columns wrap at the
     antimeridian.
     """
+    import numpy as np
+
     n = len(lat)
     half = r2 / (2.0 * EARTH_RADIUS_M)
     lat_w = max(math.degrees(2.0 * half) * _CELL_SLACK, _MIN_CELL_DEG)
@@ -324,6 +344,8 @@ def cluster_destinations(stops: Sequence[Stop], r2: float) -> list[str]:
     Only pairs in the same or adjacent cells of a grid hash are measured
     (_grid_pairs); every pair within r2 is among them.
     """
+    import numpy as np
+
     n = len(stops)
     if n == 0:
         return []
@@ -386,7 +408,46 @@ def build_staypoints(
     all_stops: list[Stop] = []  # in (user_id, t_start) order: detect_stops emits in time order
     for user_id in sorted(by_user):
         all_stops.extend(detect_stops(by_user[user_id], params))
+    return _label_stops(all_stops, params, regions, cluster_fn)
 
+
+def staypoints_from_columns(
+    events: EventColumns, params: StopParams, regions: Optional[RegionIndex] = None
+) -> tuple[list[Staypoint], np.ndarray]:
+    """build_staypoints over positioned columns, and which events are moving.
+
+    The mask is true for the events that moving_events keeps for their
+    user's staypoints, indexed like `events`.
+    """
+    import numpy as np
+
+    rank = events.user_rank()[events.user]
+    order = np.argsort(rank, kind="stable")  # by user, in file order within each
+    ends = np.cumsum(np.bincount(rank, minlength=len(events.users))).tolist()
+    moving = np.zeros(len(events), dtype=bool)
+    all_stops: list[Stop] = []
+    start = 0
+    for user_id, end in zip(sorted(events.users), ends):
+        index = order[start:end]
+        start = end
+        ts = events.ts[index].tolist()
+        for prev, cur in zip(ts, ts[1:]):
+            if cur < prev:
+                raise UnsortedInput(f"timestamps decrease for user {user_id!r} at t={cur}")
+        stops = _scan_stops(
+            [user_id] * len(ts), ts, events.lat[index].tolist(), events.lon[index].tolist(),
+            params,
+        )
+        moving[index] = _outside_stops(ts, stops)
+        all_stops.extend(stops)
+    return _label_stops(all_stops, params, regions, cluster_destinations), moving
+
+
+def _label_stops(
+    all_stops: list[Stop], params: StopParams, regions: Optional[RegionIndex],
+    cluster_fn: ClusterFn,
+) -> list[Staypoint]:
+    """Staypoints of stops in (user_id, t_start) order: destination labels and regions."""
     labels = cluster_fn(all_stops, params.r2)
 
     staypoints = []

@@ -20,9 +20,7 @@ import random
 from dataclasses import asdict, dataclass, field
 from hashlib import blake2b
 from pathlib import Path
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import InvalidConfig, ScenarioMismatch
 from .files import read_json, write_json
@@ -41,6 +39,9 @@ from .geo import (
 from .stays import Staypoint
 from .trips import ModeThresholds, Trip
 from .validation import build_od_matrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _DAY_S = 86400
 _FIRST_DEPARTURE_S = 6 * 3600
@@ -222,6 +223,8 @@ class _World:
     """Tower and region geometry derived from the grid layout."""
 
     def __init__(self, config: ScenarioConfig):
+        import numpy as np
+
         self.config = config
         spec = config.towers
         self.m_per_deg_lat = 111_320.0
@@ -275,6 +278,8 @@ class _World:
         )
 
     def nearest_towers(self, p: GeoPoint, k: int = 2) -> list[int]:
+        import numpy as np
+
         phi = math.radians(p.lat)
         d = haversine_m_array(
             phi, math.radians(p.lon), math.cos(phi),

@@ -13,6 +13,11 @@ _LAST_DAY = (date(9999, 12, 31) - _EPOCH.date()).days
 _DAY_PREFIX: dict[int, str] = {}
 
 
+def _date_prefix(moment: datetime) -> str:
+    # strftime's %Y does not zero-pad years before 1000 everywhere (glibc does not)
+    return f"{moment.year:04d}-{moment.month:02d}-{moment.day:02d}T"
+
+
 def to_iso(ts: float) -> str:
     """Epoch seconds to ISO-8601 UTC; second precision when integral.
 
@@ -24,16 +29,15 @@ def to_iso(ts: float) -> str:
         day, second = divmod(int(ts), _DAY_S)
         prefix = _DAY_PREFIX.get(day)
         if prefix is None and _FIRST_DAY <= day <= _LAST_DAY:
-            prefix = _DAY_PREFIX[day] = (_EPOCH + timedelta(days=day)).strftime("%Y-%m-%dT")
+            prefix = _DAY_PREFIX[day] = _date_prefix(_EPOCH + timedelta(days=day))
         if prefix is not None:
             hour, second = divmod(second, 3600)
             minute, second = divmod(second, 60)
             return f"{prefix}{hour:02d}:{minute:02d}:{second:02d}Z"
-        return datetime.fromtimestamp(int(ts), tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    return (
-        datetime.fromtimestamp(float(ts), tz=timezone.utc)
-        .strftime("%Y-%m-%dT%H:%M:%S.%fZ")
-    )
+        moment = datetime.fromtimestamp(int(ts), tz=timezone.utc)
+        return _date_prefix(moment) + moment.strftime("%H:%M:%SZ")
+    moment = datetime.fromtimestamp(float(ts), tz=timezone.utc)
+    return _date_prefix(moment) + moment.strftime("%H:%M:%S.%fZ")
 
 
 def from_iso(text: str) -> float:

@@ -143,6 +143,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "discover" in err
 
+    def test_trips_without_moving_events_exits_1(self, tmp_path, tiny_config, capsys):
+        # a run directory whose stays stage predates moving.csv
+        out = tmp_path / "run"
+        for stage in ("synth", "position", "stays"):
+            assert run(stage, "--config", str(tiny_config), "--out", str(out),
+                       "--seed", "4") == 0
+        (out / ART["moving"]).unlink()
+        assert run("trips", "--config", str(tiny_config), "--out", str(out), "--seed", "4") == 1
+        err = capsys.readouterr().err
+        assert "moving.csv" in err and "run the 'stays' stage first" in err
+
     def test_config_mismatch_exits_1(self, tmp_path, tiny_config, capsys):
         out = tmp_path / "run"
         assert run("synth", "--config", str(tiny_config), "--out", str(out),
@@ -186,6 +197,18 @@ class TestExitCodes:
     def test_unknown_section_or_key_exits_1(self, tmp_path, text, where, capsys):
         ini = tmp_path / "typo.ini"
         ini.write_text(TINY + text)
+        assert run("synth", "--config", str(ini), "--out", str(tmp_path / "run")) == 1
+        err = capsys.readouterr().err
+        assert str(ini) in err and where in err
+
+    @pytest.mark.parametrize("text, where", [
+        (TINY + "[run]\nseed = abc\n", "'seed' in [run]"),
+        (TINY + "mode_mix = car\n", "'mode_mix' in [synth]"),
+        (TINY + "[synth]\nn_days = 2\n", "section 'synth' already exists"),
+    ], ids=["int", "named-floats", "duplicate-section"])
+    def test_unreadable_setting_exits_1_naming_its_place(self, tmp_path, text, where, capsys):
+        ini = tmp_path / "bad_value.ini"
+        ini.write_text(text)
         assert run("synth", "--config", str(ini), "--out", str(tmp_path / "run")) == 1
         err = capsys.readouterr().err
         assert str(ini) in err and where in err
@@ -253,14 +276,35 @@ mode_trip_distance_m = car:4200:7000,bus:3500:7000
         assert config_hash(a) != config_hash(c)
 
 
-def test_cli_import_leaves_scipy_out():
-    code = "import sys, cdrflow.cli; print('scipy' in sys.modules)"
+def python_output(code, *args):
+    """Standard output of `python -c code args` run against this cdrflow."""
     src = str(Path(cdrflow.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        [sys.executable, "-c", code, *map(str, args)],
+        capture_output=True, text=True, check=True, env=env,
     )
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_out():
+    assert python_output("import sys, cdrflow.cli; print('scipy' in sys.modules)") == "False"
+
+
+def test_stages_that_compute_nothing_leave_numpy_out(tmp_path, tiny_config):
+    out = tmp_path / "run"
+    for stage in ("synth", "position", "stays"):
+        assert run(stage, "--config", str(tiny_config), "--out", str(out), "--seed", "4") == 0
+    code = (
+        "import sys, cdrflow.cli\n"
+        "loaded = ['numpy' in sys.modules]\n"
+        "for stage in ('trips', 'log', 'discover', 'conform', 'validate'):\n"
+        "    argv = [stage, '--config', sys.argv[1], '--out', sys.argv[2], '--seed', '4']\n"
+        "    assert cdrflow.cli.main(argv) == 0, stage\n"
+        "    loaded.append('numpy' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    assert python_output(code, tiny_config, out) == str([False] * 6)
 
 
 @pytest.fixture(scope="module")

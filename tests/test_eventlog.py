@@ -11,6 +11,7 @@ from cdrflow.eventlog import (
     build_case_log,
     build_ocel,
     compute_stats,
+    flattened_traces,
     iter_flattened_traces,
     load_case_log_csv,
     load_ocel_json,
@@ -283,6 +284,30 @@ class TestFlattening:
         traces = iter_flattened_traces(ocel, "Bus")
         by_case = {t.case_id: t.activities for t in traces}
         assert by_case == {"o1": ("X", "Y"), "Bus": ("X", "Y")}
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_one_pass_equals_per_type_flattening(self, seed):
+        rng = random.Random(seed)
+        types = ["Bus", "Car", "Walk", "Idle"][: rng.randint(1, 4)]
+        # an id may carry two types; a type may have no objects or no events
+        objects = {(f"o{k}", rng.choice(types)) for k in range(rng.randint(1, 12))}
+        ids = sorted({object_id for object_id, _ in objects})
+        events = tuple(
+            OcelEvent(
+                f"e{k:03d}", rng.choice("ABCD"), float(rng.randint(0, 20)),
+                tuple((rng.choice(ids), rng.choice(("trip", "mode")))
+                      for _ in range(rng.randint(0, 3))),
+            )
+            for k in range(rng.randint(0, 60))
+        )
+        ocel = Ocel(
+            events=events,
+            objects=tuple(OcelObject(i, t) for i, t in sorted(objects)),
+            object_types=tuple(sorted(set(types) | {"Unused"})),
+        )
+        expected = {t: iter_flattened_traces(ocel, t) for t in ocel.object_types}
+        got = flattened_traces(ocel)
+        assert got == {t: traces for t, traces in expected.items() if traces}
 
 
 def _random_trip_world(rng, n_trips):

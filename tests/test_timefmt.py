@@ -27,10 +27,12 @@ def test_naive_timestamp_reads_as_utc_in_any_local_zone(new_york):
 
 
 def datetime_form(ts):
-    """to_iso as datetime alone writes it."""
+    """to_iso as datetime's own ISO-8601 formatting writes it, the year in four digits."""
     if float(ts).is_integer():
-        return datetime.fromtimestamp(int(ts), tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    return datetime.fromtimestamp(float(ts), tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.%fZ")
+        moment = datetime.fromtimestamp(int(ts), tz=timezone.utc)
+        return moment.replace(tzinfo=None).isoformat(timespec="seconds") + "Z"
+    moment = datetime.fromtimestamp(float(ts), tz=timezone.utc)
+    return moment.replace(tzinfo=None).isoformat(timespec="microseconds") + "Z"
 
 
 FIRST_S = int(datetime(1, 1, 1, tzinfo=timezone.utc).timestamp())
@@ -65,6 +67,18 @@ def test_whole_seconds_match_datetime_form(seconds, as_float):
 @given(st.floats(-1e10, 1e10).filter(lambda t: not t.is_integer()))
 def test_fractional_seconds_keep_datetime_form(ts):
     assert to_iso(ts) == datetime_form(ts)
+
+
+@settings(max_examples=500, deadline=None)
+@given(whole_seconds)
+def test_whole_seconds_round_trip(seconds):
+    assert from_iso(to_iso(float(seconds))) == seconds
+
+
+def test_year_before_1000_is_zero_padded_and_reads_back():
+    assert to_iso(-59000000000.0) == "0100-05-13T15:06:40Z"
+    assert to_iso(-59000000000.5) == "0100-05-13T15:06:39.500000Z"
+    assert from_iso(to_iso(-59000000000.0)) == -59000000000.0
 
 
 @pytest.mark.parametrize("seconds", [FIRST_S - 1, LAST_S + 1])
