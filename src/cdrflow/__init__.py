@@ -4,79 +4,60 @@ Pipeline stages: pseudo-location sampling inside tower sectors, staypoint
 detection, trip building with heuristic transport modes, case-centric and
 object-centric event logs, directly-follows model discovery, token-replay
 conformance, and origin-destination validation against survey data.
+
+The names below are imported from their modules on first use (PEP 562),
+so that a process imports only the modules it runs.
 """
 
-from .conformance import FitnessReport, PetriNet, dfg_to_workflow_net, token_replay
-from .discovery import (
-    ArcStats,
-    Dfg,
-    OcDfg,
-    Variant,
-    annotate_durations,
-    discover_dfg,
-    discover_ocdfg,
-    export_dot,
-    extract_variants,
-    filter_log_by_variants,
-)
-from .errors import (
-    CdrflowError,
-    ClassMismatch,
-    ClippingExhausted,
-    DegenerateInput,
-    DependencyError,
-    EmptyLog,
-    EmptyModel,
-    EmptySelection,
-    InvalidConfig,
-    MismatchedLog,
-    ScenarioMismatch,
-    UnresolvedRegion,
-    UnsortedInput,
-)
-from .eventlog import (
-    CaseLog,
-    LogStats,
-    Ocel,
-    Trace,
-    build_case_log,
-    build_ocel,
-    compute_stats,
-)
-from .geo import (
-    CdrEvent,
-    GeoPoint,
-    PositionedEvent,
-    Region,
-    RegionIndex,
-    TowerSector,
-    haversine_distance,
-    position_events,
-    sample_sector_point,
-)
-from .stays import (
-    Staypoint,
-    Stop,
-    StopParams,
-    build_staypoints,
-    cluster_destinations,
-    detect_stops,
-)
-from .synth import (
-    GroundTruth,
-    RecoveryReport,
-    ScenarioConfig,
-    TowerGridSpec,
-    generate_scenario,
-    score_recovery,
-)
-from .trips import ModeThresholds, Trip, Tripleg, assemble_trips, build_trips, derive_triplegs, label_mode
-from .validation import (
-    OdMatrix,
-    RegressionResult,
-    build_od_matrix,
-    compare_shares,
-    linear_regression,
-)
+from importlib import import_module
 
+_EXPORTS = {
+    "config": ("ScenarioConfig", "TowerGridSpec"),
+    "conformance": ("FitnessReport", "PetriNet", "dfg_to_workflow_net", "token_replay"),
+    "discovery": (
+        "ArcStats", "Dfg", "OcDfg", "Variant", "annotate_durations", "discover_dfg",
+        "discover_ocdfg", "export_dot", "extract_variants", "filter_log_by_variants",
+    ),
+    "errors": (
+        "CdrflowError", "ClassMismatch", "ClippingExhausted", "DegenerateInput",
+        "DependencyError", "EmptyLog", "EmptyModel", "EmptySelection", "InvalidConfig",
+        "MismatchedLog", "ScenarioMismatch", "UnresolvedRegion", "UnsortedInput",
+    ),
+    "eventlog": (
+        "CaseLog", "LogStats", "Ocel", "Trace", "build_case_log", "build_ocel", "compute_stats",
+    ),
+    "geo": (
+        "CdrEvent", "GeoPoint", "PositionedEvent", "Region", "RegionIndex", "TowerSector",
+        "haversine_distance", "position_events", "sample_sector_point",
+    ),
+    "stays": (
+        "Staypoint", "Stop", "StopParams", "build_staypoints", "cluster_destinations",
+        "detect_stops",
+    ),
+    "synth": ("GroundTruth", "RecoveryReport", "generate_scenario", "score_recovery"),
+    "trips": (
+        "ModeThresholds", "Trip", "Tripleg", "assemble_trips", "build_trips", "derive_triplegs",
+        "label_mode",
+    ),
+    "validation": (
+        "OdMatrix", "RegressionResult", "build_od_matrix", "compare_shares", "linear_regression",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = {
+    "cli", "config", "conformance", "discovery", "errors", "eventlog", "files", "geo", "stays",
+    "synth", "timefmt", "trips", "validation",
+}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value

@@ -5,6 +5,9 @@ order and is byte-identical to running the stages individually with the
 same configuration.  Run directories are stamped with a configuration hash
 so artifacts from different configurations cannot silently mix.
 
+Each stage imports the modules it runs when it starts, so that a stage
+process loads no other stage's code.
+
 Exit codes: 0 success, 1 validation/configuration/dependency error,
 2 input/output error.
 """
@@ -17,10 +20,8 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
-from . import conformance, discovery, eventlog, geo, stays, synth, trips as trips_mod, validation
 from .config import PipelineConfig, config_hash, load_config
 from .errors import CdrflowError, DependencyError
-from .stays import load_staypoints_csv, write_staypoints_csv
 
 ART = {
     "cdr": "cdr.csv",
@@ -76,12 +77,16 @@ def _stamp_run_dir(cfg: PipelineConfig) -> None:
 
 
 def _load_land(cfg: PipelineConfig):
+    from . import geo
+
     if cfg.land_mask_path is None:
         return ()
     return tuple(geo.load_regions_geojson(cfg.land_mask_path).regions())
 
 
 def stage_synth(cfg: PipelineConfig) -> None:
+    from . import geo, synth
+
     scenario = replace(cfg.scenario, seed=cfg.seed)
     events, towers, regions, truth = synth.generate_scenario(scenario)
     geo.write_cdr_csv(events, _artifact(cfg, "cdr"))
@@ -91,6 +96,8 @@ def stage_synth(cfg: PipelineConfig) -> None:
 
 
 def stage_position(cfg: PipelineConfig) -> None:
+    from . import geo
+
     # Inputs come from [paths] when configured, else from the synth stage.
     cdr_path = cfg.cdr_path or _artifact(cfg, "cdr")
     towers_path = cfg.towers_path or _artifact(cfg, "towers")
@@ -101,29 +108,35 @@ def stage_position(cfg: PipelineConfig) -> None:
 
 
 def stage_stays(cfg: PipelineConfig) -> None:
+    from . import geo, stays
+
     positioned = geo.read_positioned_columns(_stage_artifact(cfg, "positioned", "position"))
     regions = geo.load_regions_geojson(cfg.regions_path or _artifact(cfg, "regions"))
     staypoints, moving = stays.staypoints_from_columns(positioned, cfg.stop_params, regions=regions)
-    write_staypoints_csv(staypoints, _artifact(cfg, "staypoints"))
+    stays.write_staypoints_csv(staypoints, _artifact(cfg, "staypoints"))
     geo.write_positioned_columns(positioned.take(moving), _artifact(cfg, "moving"))
 
 
 def stage_trips(cfg: PipelineConfig) -> None:
-    staypoints = load_staypoints_csv(_stage_artifact(cfg, "staypoints", "stays"))
+    from . import geo, stays, trips
+
+    staypoints = stays.load_staypoints_csv(_stage_artifact(cfg, "staypoints", "stays"))
     moving = geo.load_positioned_csv(_stage_artifact(cfg, "moving", "stays"))
-    all_trips = trips_mod.build_trips(
+    all_trips = trips.build_trips(
         staypoints, moving, thresholds=cfg.thresholds, gap_threshold=cfg.gap_threshold_s
     )
-    trips_mod.write_trips_csv(all_trips, _artifact(cfg, "trips"))
-    trips_mod.write_triplegs_csv(all_trips, _artifact(cfg, "triplegs"))
+    trips.write_trips_csv(all_trips, _artifact(cfg, "trips"))
+    trips.write_triplegs_csv(all_trips, _artifact(cfg, "triplegs"))
 
 
 def stage_log(cfg: PipelineConfig) -> None:
-    all_trips = trips_mod.load_trips_csv(
+    from . import eventlog, stays, trips
+
+    all_trips = trips.load_trips_csv(
         _stage_artifact(cfg, "trips", "trips"),
         _stage_artifact(cfg, "triplegs", "trips"),
     )
-    staypoints = load_staypoints_csv(_stage_artifact(cfg, "staypoints", "stays"))
+    staypoints = stays.load_staypoints_csv(_stage_artifact(cfg, "staypoints", "stays"))
     case_log = eventlog.build_case_log(all_trips, staypoints, cfg.level)
     eventlog.write_case_log_csv(case_log, _artifact(cfg, "case_log"))
     eventlog.write_drop_report(case_log, _artifact(cfg, "log_drops"))
@@ -136,6 +149,8 @@ def stage_log(cfg: PipelineConfig) -> None:
 
 
 def stage_discover(cfg: PipelineConfig) -> None:
+    from . import discovery, eventlog
+
     case_log = eventlog.load_case_log_csv(
         _stage_artifact(cfg, "case_log", "log"), level=cfg.level
     )
@@ -161,6 +176,8 @@ def stage_discover(cfg: PipelineConfig) -> None:
 
 
 def stage_conform(cfg: PipelineConfig) -> None:
+    from . import conformance, discovery, eventlog
+
     dfg = discovery.load_dfg_json(_stage_artifact(cfg, "dfg_model", "discover"))
     case_log = eventlog.load_case_log_csv(
         _stage_artifact(cfg, "case_log", "log"), level=cfg.level
@@ -173,11 +190,13 @@ def stage_conform(cfg: PipelineConfig) -> None:
 
 
 def stage_validate(cfg: PipelineConfig) -> None:
-    all_trips = trips_mod.load_trips_csv(
+    from . import stays, trips, validation
+
+    all_trips = trips.load_trips_csv(
         _stage_artifact(cfg, "trips", "trips"),
         _stage_artifact(cfg, "triplegs", "trips"),
     )
-    staypoints = load_staypoints_csv(_stage_artifact(cfg, "staypoints", "stays"))
+    staypoints = stays.load_staypoints_csv(_stage_artifact(cfg, "staypoints", "stays"))
     od = validation.build_od_matrix(all_trips, staypoints, cfg.level)
     if cfg.region_aliases_path is not None:
         aliases = validation.load_region_aliases_csv(cfg.region_aliases_path)

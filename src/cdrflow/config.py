@@ -1,4 +1,8 @@
-"""Pipeline configuration: flat INI sections per stage, hash-stamped runs."""
+"""Pipeline configuration: flat INI sections per stage, hash-stamped runs.
+
+The synthetic scenario's settings live here too, so that reading a
+configuration does not import the scenario generator.
+"""
 
 from __future__ import annotations
 
@@ -11,8 +15,102 @@ from typing import Optional
 
 from .errors import InvalidConfig
 from .stays import StopParams
-from .synth import ScenarioConfig, TowerGridSpec
 from .trips import DEFAULT_TRIP_GAP_S, ModeThresholds
+
+_MAX_TRIPS_PER_DAY = 8
+
+
+@dataclass(frozen=True)
+class TowerGridSpec:
+    rows: int = 24
+    cols: int = 24
+    spacing_m: float = 400.0
+    sector_radius_m: float = 100.0
+    beamwidth_deg: float = 120.0
+
+
+def _default_mode_mix() -> dict[str, float]:
+    return {"car": 0.40, "bus": 0.25, "walk": 0.20, "train": 0.10, "bicycle": 0.05}
+
+
+def _default_speed_bands() -> dict[str, tuple[float, float]]:
+    # Degenerate bands pin every trip to the band center.
+    return {
+        "walk": (3.5, 3.5),
+        "bicycle": (11.0, 11.0),
+        "bus": (21.0, 21.0),
+        "car": (43.5, 43.5),
+        "train": (90.0, 90.0),
+    }
+
+
+def _default_trip_distances() -> dict[str, tuple[float, float]]:
+    # Meters between anchors; keeps observed speed and length inside each
+    # mode's decision region under worst-case detection noise.
+    return {
+        "walk": (800.0, 2000.0),
+        "bicycle": (2500.0, 4000.0),
+        "bus": (3500.0, 7000.0),
+        "car": (4200.0, 7000.0),
+        "train": (8000.0, 9500.0),
+    }
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    n_agents: int = 100
+    n_days: int = 14
+    towers: TowerGridSpec = field(default_factory=TowerGridSpec)
+    parish_size_m: float = 800.0
+    trips_per_day_kind: str = "fixed"  # "fixed" | "poisson"
+    trips_per_day_value: float = 2.0
+    mode_mix: dict = field(default_factory=_default_mode_mix)
+    mode_speed_bands_kmh: dict = field(default_factory=_default_speed_bands)
+    mode_trip_distance_m: dict = field(default_factory=_default_trip_distances)
+    dwell_rate_per_h: float = 60.0
+    moving_rate_per_h: float = 0.0
+    tower_noise_p: float = 0.0
+    origin_lat: float = 38.60
+    origin_lon: float = -9.40
+    start_epoch: int = 1706745600  # 2024-02-01T00:00:00Z
+    seed: int = 0
+
+    def validate(self, thresholds: Optional[ModeThresholds] = None) -> None:
+        thresholds = thresholds or ModeThresholds()
+        if self.n_agents < 1 or self.n_days < 1:
+            raise InvalidConfig("n_agents and n_days must be >= 1")
+        if self.towers.rows < 2 or self.towers.cols < 2 or self.towers.spacing_m <= 0:
+            raise InvalidConfig("tower grid must have >= 2 rows/cols and positive spacing")
+        if self.parish_size_m <= 0:
+            raise InvalidConfig("parish_size_m must be positive")
+        if self.dwell_rate_per_h <= 0:
+            raise InvalidConfig("dwell_rate_per_h must be positive")
+        if self.moving_rate_per_h < 0 or not (0.0 <= self.tower_noise_p <= 1.0):
+            raise InvalidConfig("rates must be nonnegative and noise probability in [0, 1]")
+        if self.trips_per_day_kind not in ("fixed", "poisson"):
+            raise InvalidConfig(f"unknown trips_per_day_kind {self.trips_per_day_kind!r}")
+        if not (0 <= self.trips_per_day_value <= _MAX_TRIPS_PER_DAY):
+            raise InvalidConfig(f"trips_per_day_value must be in [0, {_MAX_TRIPS_PER_DAY}]")
+        mix_sum = sum(self.mode_mix.values())
+        if abs(mix_sum - 1.0) > 1e-9:
+            raise InvalidConfig(f"mode mix sums to {mix_sum}, expected 1")
+        for mode, share in self.mode_mix.items():
+            if share < 0:
+                raise InvalidConfig(f"negative share for mode {mode!r}")
+            if mode not in self.mode_speed_bands_kmh or mode not in self.mode_trip_distance_m:
+                raise InvalidConfig(f"mode {mode!r} lacks a speed band or distance range")
+            lo, hi = self.mode_speed_bands_kmh[mode]
+            d_lo, d_hi = self.mode_trip_distance_m[mode]
+            if lo > hi or d_lo > d_hi or d_lo <= 0:
+                raise InvalidConfig(f"invalid band for mode {mode!r}")
+            rep_len = (d_lo + d_hi) / 2.0
+            for speed in (lo, hi):
+                duration = rep_len / (speed / 3.6)
+                got = thresholds.classify(speed, rep_len, duration)
+                if got != mode:
+                    raise InvalidConfig(
+                        f"mode {mode!r} band {speed} km/h at {rep_len:.0f} m classifies as {got!r}"
+                    )
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 Every CSV and JSON file the pipeline reads or writes goes through these
 functions, so the encoding, the header check and the row-width check live
-in one place.
+in one place.  The event files also have a block-wise form: columns of
+strings in and out, for files in the plain form that csv.writer gives
+rows needing no quotes.
 """
 
 from __future__ import annotations
@@ -10,9 +12,13 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
+
+# Bytes read per block by plain_csv_blocks: enough that its array passes
+# outweigh their call overhead, few enough to add little to peak memory.
+_PLAIN_BLOCK_BYTES = 1 << 16
 
 
 class HeaderMismatch(ValueError):
@@ -49,6 +55,61 @@ def read_csv(
             yield record
 
 
+def _plain_columns(block: bytes, width: int) -> Optional[list[list[str]]]:
+    """The fields of whole lines, column by column, or None unless every line is plain."""
+    import numpy as np
+
+    raw = np.frombuffer(block, dtype=np.uint8)
+    ends = np.flatnonzero(raw == ord("\n"))
+    if b'"' in block or np.count_nonzero(raw == ord("\r")) != len(ends):
+        return None
+    if (raw[ends - 1] != ord("\r")).any():  # else some \r or \n is not part of a \r\n
+        return None
+    commas = np.searchsorted(np.flatnonzero(raw == ord(",")), ends)
+    if (np.diff(commas, prepend=0) != width - 1).any():
+        return None
+    # a field longer than csv's limit is an error there; no line here holds one
+    if np.diff(ends, prepend=-1).max() - 2 > csv.field_size_limit():
+        return None
+    try:
+        fields = block.decode("utf-8").replace("\r\n", ",").split(",")
+    except UnicodeDecodeError:
+        return None
+    return [fields[k:-1:width] for k in range(width)]
+
+
+def plain_csv_blocks(path: str | Path, header: Sequence[str]) -> Iterator[Optional[list]]:
+    """The data rows of a plain CSV file as columns of strings, one block of lines at a time.
+
+    A file is plain when its first line is `header` ending in \\r\\n and
+    each later line ends in \\r\\n and holds len(header) fields with no
+    quote and no other line break; csv.reader reads such a file into the
+    same fields.  At the first block that is not plain, and at an
+    unterminated last line, this yields None and stops.
+    """
+    width = len(header)
+    first = (",".join(header) + "\r\n").encode("utf-8")
+    with open(path, "rb") as f:
+        if f.read(len(first)) != first:
+            yield None
+            return
+        rest = b""
+        while chunk := f.read(_PLAIN_BLOCK_BYTES):
+            block = rest + chunk
+            cut = block.rfind(b"\n") + 1
+            block, rest = block[:cut], block[cut:]
+            if len(rest) > csv.field_size_limit():  # a line too long to be plain
+                yield None
+                return
+            if block:
+                columns = _plain_columns(block, width)
+                yield columns
+                if columns is None:
+                    return
+        if rest:
+            yield None
+
+
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Header line, then one line per row."""
     with open(path, "w", newline="", encoding="utf-8") as f:
@@ -57,9 +118,39 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
         writer.writerows(rows)
 
 
+def write_csv_blocks(
+    path: str | Path, header: Sequence[str], blocks: Iterable[Sequence[list[str]]]
+) -> None:
+    """write_csv for rows given as blocks of string columns, with the same bytes.
+
+    A block none of whose fields needs quoting is joined in one pass; any
+    other block goes through csv.writer.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        for columns in blocks:
+            width, n = len(columns), len(columns[0])
+            parts = ([None, ","] * (width - 1) + [None, "\r\n"]) * n
+            for k, column in enumerate(columns):
+                parts[2 * k::2 * width] = column
+            text = "".join(parts)
+            # the separators hold all the commas and line breaks of a plain block
+            if '"' in text or text.count(",") != n * (width - 1) or not (
+                text.count("\r") == text.count("\n") == n
+            ):
+                writer.writerows(zip(*columns))
+            else:
+                f.write(text)
+
+
 def read_json(path: str | Path):
+    """The document in a JSON file; a file that is not JSON raises ValueError naming it."""
     with open(path, encoding="utf-8") as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise ValueError(f"JSON file {path}: {exc}") from exc
 
 
 def write_json(doc, path: str | Path) -> None:

@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import ClippingExhausted
-from .files import read_csv, read_json, write_csv, write_json
-from .timefmt import from_iso, to_iso
+from .files import plain_csv_blocks, read_csv, read_json, write_csv, write_csv_blocks, write_json
+from .timefmt import from_iso, from_iso_block, to_iso, to_iso_block
 
 if TYPE_CHECKING:
     import numpy as np
@@ -764,24 +764,85 @@ def _positioned_fields(user_id, ts, cell_id, lat, lon) -> tuple:
     return user_id, timestamp, cell_id, lat, lon
 
 
-def _read_columns(path: str | Path, header: list[str], what: str, fields) -> EventColumns:
-    """EventColumns of a CSV whose rows fields(*row) turns into (user, ts, cell, *coordinates)."""
+def _codes(table: dict[str, int], ids: list[str]) -> np.ndarray:
+    """int32 codes of ids, entering new ids in `table` in order of first appearance."""
     import numpy as np
 
-    user_codes: dict[str, int] = {}
-    cell_codes: dict[str, int] = {}
-    user, cell = array("i"), array("i")
-    floats = [array("d") for _ in range(len(header) - 2)]  # ts, then lat and lon if any
+    for key in dict.fromkeys(ids):
+        table.setdefault(key, len(table))
+    return np.fromiter(map(table.__getitem__, ids), dtype=np.int32, count=len(ids))
+
+
+class _ColumnBuilder:
+    """EventColumns grown a value or a block of values at a time."""
+
+    def __init__(self, n_floats: int):
+        self.user_codes: dict[str, int] = {}
+        self.cell_codes: dict[str, int] = {}
+        self.user, self.cell = array("i"), array("i")
+        self.floats = [array("d") for _ in range(n_floats)]  # ts, then lat and lon if any
+
+    def build(self) -> EventColumns:
+        import numpy as np
+
+        return EventColumns(
+            list(self.user_codes), list(self.cell_codes),
+            np.frombuffer(self.user, dtype=np.int32), np.frombuffer(self.cell, dtype=np.int32),
+            *(np.frombuffer(column, dtype=np.float64) for column in self.floats),
+        )
+
+
+def _read_canonical_columns(path: str | Path, header: list[str]) -> Optional[EventColumns]:
+    """EventColumns of a plain event file in canonical form, or None for any other file.
+
+    Canonical is what the writers below give: plain CSV (files.plain_csv_blocks),
+    timestamps in from_iso_block's form, and coordinates that float() reads
+    within range.  For such a file this gives what _read_rows gives, with
+    whole-array passes over each block instead of a check per row.
+    """
+    import numpy as np
+
+    out = _ColumnBuilder(len(header) - 2)
+    for columns in plain_csv_blocks(path, header):
+        if columns is None:
+            return None
+        users, stamps, cells, *coordinates = columns
+        ts = from_iso_block(stamps)
+        if ts is None:
+            return None
+        try:
+            floats = [np.fromiter(map(float, c), np.float64, len(c)) for c in coordinates]
+        except ValueError:
+            return None
+        if floats:
+            lat, lon = floats
+            if not ((-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0)).all():
+                return None  # NaN fails here too, as in _check_coordinates
+        values = (_codes(out.user_codes, users), _codes(out.cell_codes, cells), ts, *floats)
+        for column, block in zip((out.user, out.cell, *out.floats), values):
+            column.frombytes(block.tobytes())
+    return out.build()
+
+
+def _read_rows(path: str | Path, header: list[str], what: str, fields) -> EventColumns:
+    """EventColumns of a CSV whose rows fields(*row) turns into (user, ts, cell, *coordinates)."""
+    out = _ColumnBuilder(len(header) - 2)
     for user_id, ts, cell_id, *coordinates in read_csv(path, header, what, fields):
-        user.append(user_codes.setdefault(user_id, len(user_codes)))
-        cell.append(cell_codes.setdefault(cell_id, len(cell_codes)))
-        for column, value in zip(floats, (ts, *coordinates)):
+        out.user.append(out.user_codes.setdefault(user_id, len(out.user_codes)))
+        out.cell.append(out.cell_codes.setdefault(cell_id, len(out.cell_codes)))
+        for column, value in zip(out.floats, (ts, *coordinates)):
             column.append(value)
-    return EventColumns(
-        list(user_codes), list(cell_codes),
-        np.frombuffer(user, dtype=np.int32), np.frombuffer(cell, dtype=np.int32),
-        *(np.frombuffer(column, dtype=np.float64) for column in floats),
-    )
+    return out.build()
+
+
+def _read_columns(path: str | Path, header: list[str], what: str, fields) -> EventColumns:
+    """The canonical reader's columns, or the row-wise reader's for any other file.
+
+    Both accept the same files with the same values; only the row-wise
+    reader raises, naming the file and line.
+    """
+    columns = _read_canonical_columns(path, header)
+    return _read_rows(path, header, what, fields) if columns is None else columns
 
 
 def read_cdr_columns(path: str | Path) -> EventColumns:
@@ -793,7 +854,15 @@ def load_cdr_csv(path: str | Path) -> list[CdrEvent]:
 
 
 def write_cdr_csv(events: Iterable[CdrEvent], path: str | Path) -> None:
-    write_csv(path, CDR_HEADER, ([ev.user_id, to_iso(ev.timestamp), ev.cell_id] for ev in events))
+    import numpy as np
+
+    def blocks():
+        rest = iter(events)
+        while block := list(itertools.islice(rest, _BLOCK_EVENTS)):
+            stamps = np.array([ev.timestamp for ev in block], dtype=np.float64)
+            yield [ev.user_id for ev in block], to_iso_block(stamps), [ev.cell_id for ev in block]
+
+    write_csv_blocks(path, CDR_HEADER, blocks())
 
 
 def read_positioned_columns(path: str | Path) -> EventColumns:
@@ -817,19 +886,19 @@ def write_positioned_csv(events: Iterable[PositionedEvent], path: str | Path) ->
 
 def write_positioned_columns(events: EventColumns, path: str | Path) -> None:
     """write_positioned_csv over columns, converting one block of rows at a time."""
-    def rows():
+    def blocks():
         users, cells = events.users, events.cells
         for start in range(0, len(events), _BLOCK_EVENTS):
             block = slice(start, start + _BLOCK_EVENTS)
-            yield from zip(
-                [users[u] for u in events.user[block].tolist()],
-                map(to_iso, events.ts[block].tolist()),
-                [cells[c] for c in events.cell[block].tolist()],
-                map(repr, events.lat[block].tolist()),
-                map(repr, events.lon[block].tolist()),
+            yield (
+                list(map(users.__getitem__, events.user[block].tolist())),
+                to_iso_block(events.ts[block]),
+                list(map(cells.__getitem__, events.cell[block].tolist())),
+                list(map(repr, events.lat[block].tolist())),
+                list(map(repr, events.lon[block].tolist())),
             )
 
-    write_csv(path, POSITIONED_HEADER, rows())
+    write_csv_blocks(path, POSITIONED_HEADER, blocks())
 
 
 def _rings_to_coords(polygons: tuple) -> list:

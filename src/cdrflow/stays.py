@@ -272,6 +272,10 @@ _CELL_SLACK = 1.0 + 1e-6
 _MIN_CELL_DEG = 1e-6
 # Candidate pairs measured per haversine_m_array call; bounds its temporaries.
 _PAIRS_PER_PASS = 1 << 16
+# numpy's trigonometry rounds unlike math's in the last bits, so pairs within
+# this band of r2 (relative, plus meters) are decided by haversine_m.
+_R2_BAND_REL = 1e-7
+_R2_BAND_M = 1e-6
 
 
 def _grid_pairs(lat: np.ndarray, lon: np.ndarray, cmin: float, r2: float):
@@ -342,7 +346,8 @@ def cluster_destinations(stops: Sequence[Stop], r2: float) -> list[str]:
     label.  The component containing the earliest-starting stop is "L0", the
     next "L1", and so on; t_start ties break on (user_id, t_end, median).
     Only pairs in the same or adjacent cells of a grid hash are measured
-    (_grid_pairs); every pair within r2 is among them.
+    (_grid_pairs); every pair within r2 is among them.  A pair is within
+    r2 exactly when haversine_distance says so.
     """
     import numpy as np
 
@@ -367,6 +372,9 @@ def cluster_destinations(stops: Sequence[Stop], r2: float) -> list[str]:
             phi[first], lam[first], cos_phi[first], phi[second], lam[second], cos_phi[second]
         )
         near = d <= r2
+        for k in np.flatnonzero(np.abs(d - r2) <= r2 * _R2_BAND_REL + _R2_BAND_M).tolist():
+            a, b = first[k], second[k]
+            near[k] = haversine_m(float(lat[a]), float(lon[a]), float(lat[b]), float(lon[b])) <= r2
         for a, b in zip(first[near].tolist(), second[near].tolist()):
             ra, rb = find(a), find(b)
             if ra != rb:

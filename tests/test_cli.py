@@ -154,6 +154,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "moving.csv" in err and "run the 'stays' stage first" in err
 
+    @pytest.mark.parametrize("name, stage, before", [
+        ("regions", "stays", ("synth", "position")),
+        ("ocel", "discover", ("synth", "position", "stays", "trips", "log")),
+        ("dfg_model", "conform", ("synth", "position", "stays", "trips", "log", "discover")),
+    ])
+    def test_empty_json_exits_1_naming_the_file(self, tmp_path, tiny_config, capsys,
+                                                name, stage, before):
+        out = tmp_path / "run"
+        for done in before:
+            assert run(done, "--config", str(tiny_config), "--out", str(out), "--seed", "4") == 0
+        (out / ART[name]).write_text("")
+        assert run(stage, "--config", str(tiny_config), "--out", str(out), "--seed", "4") == 1
+        err = capsys.readouterr().err
+        assert str(out / ART[name]) in err and "Expecting value" in err
+
     def test_config_mismatch_exits_1(self, tmp_path, tiny_config, capsys):
         out = tmp_path / "run"
         assert run("synth", "--config", str(tiny_config), "--out", str(out),
@@ -305,6 +320,23 @@ def test_stages_that_compute_nothing_leave_numpy_out(tmp_path, tiny_config):
         "print(loaded)\n"
     )
     assert python_output(code, tiny_config, out) == str([False] * 6)
+
+
+def test_each_stage_leaves_later_stages_modules_out(tmp_path, tiny_config):
+    out = tmp_path / "run"
+    assert run("synth", "--config", str(tiny_config), "--out", str(out), "--seed", "4") == 0
+    code = (
+        "import json, sys, cdrflow.cli\n"
+        "argv = [sys.argv[1], '--config', sys.argv[2], '--out', sys.argv[3], '--seed', '4']\n"
+        "assert cdrflow.cli.main(argv) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('cdrflow.'))))\n"
+    )
+    mining = {"cdrflow.eventlog", "cdrflow.discovery", "cdrflow.conformance"}
+    for stage in ("position", "stays", "trips", "log", "discover", "conform", "validate"):
+        loaded = set(json.loads(python_output(code, stage, tiny_config, out)))
+        assert "cdrflow.synth" not in loaded, stage
+        if stage in ("position", "stays", "trips", "validate"):
+            assert not loaded & mining, stage
 
 
 @pytest.fixture(scope="module")

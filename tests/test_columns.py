@@ -2,17 +2,20 @@
 
 import csv
 import io
+import math
 import random
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdrflow import geo, stays, synth
+from cdrflow import files, geo, stays, synth
 from cdrflow.errors import UnsortedInput
 from cdrflow.files import read_csv
 from cdrflow.geo import (
@@ -23,7 +26,7 @@ from cdrflow.geo import (
     PositionedEvent,
     position_events,
 )
-from cdrflow.timefmt import from_iso
+from cdrflow.timefmt import from_iso, to_iso
 
 from test_geo import RIVER_LAND, TestLandPositioning as LandWorld
 
@@ -84,65 +87,159 @@ def cdr_columns(events):
 
 # --- readers ------------------------------------------------------------------
 
-IDS = ["u1", "u2", "a,b", 'q"t', "", "ü"]
+IDS = ["u1", "u2", "a,b", 'q"t', "", "ü", " u3 ", "x\ry", "x\ny"]
+PLAIN_IDS = ["u1", "u2", "", "ü", " u3 ", "\x00"]
 CELLS = ["c1", "c2", "c,3"]
 TIMESTAMPS = [
     "2024-02-01T00:00:00Z", "2024-02-01T00:00:00.250000Z", "2024-01-31T23:59:59.999999Z",
     "2024-02-01T01:00:00+01:00", "2024-02-01T00:00:00", "0100-05-13T15:06:40Z",
     "2024-02-01", "1706745600", "2024-13-01T00:00:00Z", "abc", "",
+    # near misses of the canonical form, valid or not for from_iso
+    "2023-02-29T00:00:00Z", "2024-02-29T00:00:00Z", "2024-02-30T00:00:00Z",
+    "2024-02-01T24:00:00Z", "2024-02-01T00:60:00Z", "2024-02-01T00:00:60Z",
+    "0000-01-01T00:00:00Z", "0001-01-01T00:00:00Z", "9999-12-31T23:59:59Z",
+    "2024-02-01t00:00:00Z", "2024-02-01 00:00:00Z", "2024-02-01T00:00:00z",
+    "\uff12\uff10\uff12\uff14-02-01T00:00:00Z", "2024-02-01T00:00:00ZZ", " 2024-02-01T00:00:00Z",
+    "1900-02-29T00:00:00Z", "2000-02-29T00:00:00Z", "2024-04-31T00:00:00Z", "2024-00-10T00:00:00Z",
 ]
 COORDINATES = [
     "38.7", "-9.3", "0", "90", "-180", "90.0000001", "-180.5", "nan", "NaN", "inf", "-inf",
-    "1e400", " 12.5 ", "1_0", "abc", "",
+    "1e400", " 12.5 ", "1_0", "abc", "", "-0.0",
 ]
+FIRST_S = int(from_iso("0001-01-01T00:00:00Z"))
+LAST_S = int(from_iso("9999-12-31T23:59:59Z"))
+
+canonical_stamps = st.integers(FIRST_S, LAST_S).map(lambda s: to_iso(float(s)))
+canonical_coordinates = (st.floats(-90.0, 90.0).map(repr), st.floats(-180.0, 180.0).map(repr))
 
 
 @st.composite
 def csv_files(draw, header):
-    """A CSV text: a right or wrong header, then rows good and bad in any order."""
+    """A CSV text: a right or wrong header, then rows good and bad in any order,
+    with \\r\\n, \\n or mixed line ends and maybe no final line end.
+
+    A third of the files are canonical, as the writers write them, and a
+    third are canonical but for one flaw: one field, row or line end.
+    """
+    mode = draw(st.sampled_from(["canonical", "one flaw", "any"]))
+    n_rows = draw(st.integers(0, 8))
+    # the flawed row; n_rows stands for the final line end
+    flaw_row = draw(st.integers(0, n_rows)) if mode == "one flaw" else None
+    flaw = draw(st.sampled_from(["id", "stamp", "cell", "lat", "lon", "kind", "end"]))
     out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(header if draw(st.integers(0, 9)) else ["user", "time", "cell"])
+
+    def wild(what, i):
+        return mode == "any" or (i == flaw_row and what == flaw)
+
+    def write(row, i):
+        end = draw(st.sampled_from(["\r\n", "\n"])) if wild("end", i) else "\r\n"
+        csv.writer(out, lineterminator=end).writerow(row)
+
+    write(header if mode != "any" or draw(st.integers(0, 9)) else ["user", "time", "cell"], -1)
     width = len(header)
-    for _ in range(draw(st.integers(0, 8))):
-        kind = draw(st.sampled_from(["row"] * 4 + ["blank", "short", "long"]))
+    pools = [("id", PLAIN_IDS, IDS), ("stamp", canonical_stamps, TIMESTAMPS),
+             ("cell", CELLS[:2], CELLS), ("lat", canonical_coordinates[0], COORDINATES),
+             ("lon", canonical_coordinates[1], COORDINATES)][:width]
+    for i in range(n_rows):
+        kind = "row"
+        if wild("kind", i):
+            kind = draw(st.sampled_from(["row"] * 8 + ["blank", "short", "long"]))
         if kind == "blank":
             out.write("\r\n")
             continue
-        row = [draw(st.sampled_from(IDS)), draw(st.sampled_from(TIMESTAMPS)),
-               draw(st.sampled_from(CELLS))]
-        row += [draw(st.sampled_from(COORDINATES)) for _ in range(width - 3)]
+        row = []
+        for what, tame, others in pools:
+            tame = st.sampled_from(tame) if isinstance(tame, list) else tame
+            if wild(what, i):
+                row.append(draw(st.one_of(tame, st.sampled_from(others)) if mode == "any"
+                                else st.sampled_from(others)))
+            else:
+                row.append(draw(tame))
         if kind == "short":
             row = row[:draw(st.integers(1, width - 1))]
         elif kind == "long":
             row.append("x")
-        writer.writerow(row)
-    return out.getvalue()
+        write(row, i)
+    text = out.getvalue()
+    cut = wild("end", n_rows) and not draw(st.integers(0, 2 if mode == "any" else 0))
+    return text.rstrip("\r\n") if cut else text
 
 
-def readers_agree(text, reference, load, read_columns):
+def readers_agree(text, reference, load, read_columns, block_bytes):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "events.csv"
         path.write_text(text, encoding="utf-8", newline="")
         expected = outcome(reference, path)
         assert outcome(load, path) == expected
-        got = outcome(read_columns, path)
+        with patch.object(files, "_PLAIN_BLOCK_BYTES", block_bytes):
+            got = outcome(read_columns, path)
     if expected[0] == "error":
         assert got == expected
     else:
         assert got[0] == "ok" and column_rows(got[1]) == object_rows(expected[1])
 
 
-@settings(max_examples=400, deadline=None)
-@given(csv_files(CDR_HEADER))
-def test_cdr_readers_accept_and_reject_alike(text):
-    readers_agree(text, reference_cdr, geo.load_cdr_csv, geo.read_cdr_columns)
+block_sizes = st.sampled_from([1, 7, 64, 1 << 16])
 
 
 @settings(max_examples=400, deadline=None)
-@given(csv_files(POSITIONED_HEADER))
-def test_positioned_readers_accept_and_reject_alike(text):
-    readers_agree(text, reference_positioned, geo.load_positioned_csv, geo.read_positioned_columns)
+@given(csv_files(CDR_HEADER), block_sizes)
+def test_cdr_readers_accept_and_reject_alike(text, block_bytes):
+    readers_agree(text, reference_cdr, geo.load_cdr_csv, geo.read_cdr_columns, block_bytes)
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_files(POSITIONED_HEADER), block_sizes)
+def test_positioned_readers_accept_and_reject_alike(text, block_bytes):
+    readers_agree(
+        text, reference_positioned, geo.load_positioned_csv, geo.read_positioned_columns,
+        block_bytes,
+    )
+
+
+NEAR_MISSES = [("cdr", 1, stamp) for stamp in TIMESTAMPS] + [
+    ("positioned", column, value)
+    for column, values in ((1, TIMESTAMPS), (3, COORDINATES), (4, COORDINATES)) for value in values
+]
+
+
+@pytest.mark.parametrize("kind, column, value", NEAR_MISSES)
+def test_one_near_miss_in_a_canonical_file(kind, column, value):
+    header, reference, load, read_columns = {
+        "cdr": (CDR_HEADER, reference_cdr, geo.load_cdr_csv, geo.read_cdr_columns),
+        "positioned": (POSITIONED_HEADER, reference_positioned, geo.load_positioned_csv,
+                       geo.read_positioned_columns),
+    }[kind]
+    rows = [["u1", "2024-02-01T00:00:00Z", "c1", "38.7", "-9.3"][:len(header)] for _ in range(3)]
+    rows[1][column] = value
+    text = "".join(",".join(row) + "\r\n" for row in [header] + rows)
+    readers_agree(text, reference, load, read_columns, 1 << 16)
+
+
+@pytest.mark.parametrize("rows", [
+    # split at every comma, the fields would line up into two canonical rows
+    "u,2024-02-01T00:00:00Z,c,u\r\n2024-02-01T00:00:00Z,c\r\n",
+    # as many \r as \n, and as many commas on each line as in a canonical file
+    "u,2024-02-01T00:00:00Z,c\r\r\nu,2024-02-01T00:00:00Z,c\n",
+])
+def test_lines_that_only_add_up_to_canonical_are_read_row_by_row(rows):
+    text = "user_id,timestamp,cell_id\r\n" + rows
+    readers_agree(text, reference_cdr, geo.load_cdr_csv, geo.read_cdr_columns, 1 << 16)
+
+
+def test_canonical_files_skip_the_row_wise_reader(tmp_path, monkeypatch):
+    rows = [PositionedEvent(u, float(t), "c", GeoPoint(38.7, -0.0))
+            for u in ("b", "a", "") for t in (-59000000000, 0, 1706745600, LAST_S)]
+    geo.write_positioned_csv(rows, tmp_path / "positioned.csv")
+    geo.write_cdr_csv(rows, tmp_path / "cdr.csv")
+    expected = (geo.read_positioned_columns(tmp_path / "positioned.csv"),
+                geo.read_cdr_columns(tmp_path / "cdr.csv"))
+    monkeypatch.setattr(geo, "_read_rows", None)
+    got = (geo.read_positioned_columns(tmp_path / "positioned.csv"),
+           geo.read_cdr_columns(tmp_path / "cdr.csv"))
+    for a, b in zip(got, expected):
+        assert column_rows(a) == column_rows(b)
+    assert column_rows(got[0]) == object_rows(rows)
 
 
 def test_empty_files_give_empty_columns(tmp_path):
@@ -199,6 +296,85 @@ def test_position_columns_raise_as_position_events(land_world, monkeypatch):
             position_events(case, towers, land=RIVER_LAND)
         with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
             geo.position_columns(cdr_columns(case), towers, land=RIVER_LAND)
+
+
+# --- writers ------------------------------------------------------------------
+
+# whole seconds from year 1 to 9999, fractional seconds, pre-1970 and year < 1000
+stamp_values = st.one_of(
+    st.integers(FIRST_S, LAST_S).map(float),
+    st.integers(-86400 * 800, 86400 * 800).map(float),
+    st.floats(-6e10, 3e10).filter(lambda t: not t.is_integer()),
+    st.sampled_from([-0.0, float(FIRST_S), float(LAST_S), -59000000000.0, 1706745600.5]),
+)
+
+
+def positioned_events(ids, cells):
+    return st.builds(
+        PositionedEvent, st.sampled_from(ids), stamp_values, st.sampled_from(cells),
+        st.builds(GeoPoint, st.one_of(st.floats(-90.0, 90.0), st.just(-0.0)),
+                  st.one_of(st.floats(-180.0, 180.0), st.just(-0.0))),
+    )
+
+
+def columns_of(events):
+    """EventColumns of PositionedEvents."""
+    columns = cdr_columns(events)
+    return replace(
+        columns, lat=np.array([ev.location.lat for ev in events], dtype=np.float64),
+        lon=np.array([ev.location.lon for ev in events], dtype=np.float64),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.lists(positioned_events(PLAIN_IDS, CELLS[:2]), max_size=30),
+              st.lists(positioned_events(IDS, CELLS), max_size=30)),
+    st.sampled_from([1, 3, 1024]),
+)
+def test_writers_write_what_csv_writer_writes(events, block_events):
+    with tempfile.TemporaryDirectory() as tmp, patch.object(geo, "_BLOCK_EVENTS", block_events):
+        tmp = Path(tmp)
+        geo.write_positioned_csv(events, tmp / "objects.csv")
+        geo.write_positioned_columns(columns_of(events), tmp / "columns.csv")
+        assert (tmp / "columns.csv").read_bytes() == (tmp / "objects.csv").read_bytes()
+        geo.write_cdr_csv(events, tmp / "cdr.csv")
+        with open(tmp / "reference.csv", "w", newline="", encoding="utf-8") as f:
+            writer = csv.writer(f)
+            writer.writerow(CDR_HEADER)
+            writer.writerows([ev.user_id, to_iso(ev.timestamp), ev.cell_id] for ev in events)
+        assert (tmp / "cdr.csv").read_bytes() == (tmp / "reference.csv").read_bytes()
+
+
+@pytest.mark.parametrize("ts", [float(LAST_S + 1), float(FIRST_S - 1), math.nan, math.inf])
+def test_cdr_writer_raises_as_to_iso(tmp_path, ts):
+    with pytest.raises(Exception) as expected:
+        to_iso(ts)
+    events = [CdrEvent("u", 0.0, "c"), CdrEvent("u", ts, "c")]
+    with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
+        geo.write_cdr_csv(events, tmp_path / "cdr.csv")
+
+
+def test_codec_output_does_not_depend_on_block_size(land_world, tmp_path, monkeypatch):
+    towers, events = land_world
+    events = events[:600] + [replace(ev, timestamp=ev.timestamp + 0.25) for ev in events[600:700]]
+    positioned = geo.position_columns(cdr_columns(events), towers, land=RIVER_LAND)
+    expected_bytes = expected_rows = None
+    for block_events, block_bytes in ((1024, 1 << 16), (1, 1), (7, 100), (333, 4096)):
+        monkeypatch.setattr(geo, "_BLOCK_EVENTS", block_events)
+        monkeypatch.setattr(files, "_PLAIN_BLOCK_BYTES", block_bytes)
+        geo.write_positioned_columns(positioned, tmp_path / "positioned.csv")
+        geo.write_positioned_columns(positioned.take(slice(0, 600)), tmp_path / "canonical.csv")
+        geo.write_cdr_csv(events, tmp_path / "cdr.csv")
+        written = [(tmp_path / name).read_bytes()
+                   for name in ("positioned.csv", "canonical.csv", "cdr.csv")]
+        rows = [column_rows(geo.read_positioned_columns(tmp_path / "positioned.csv")),
+                column_rows(geo.read_positioned_columns(tmp_path / "canonical.csv")),
+                column_rows(geo.read_cdr_columns(tmp_path / "cdr.csv"))]
+        expected_bytes = expected_bytes or written
+        expected_rows = expected_rows or rows
+        assert written == expected_bytes and rows == expected_rows
+    assert expected_rows[0] == column_rows(positioned)
 
 
 # --- stays ----------------------------------------------------------------------

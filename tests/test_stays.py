@@ -129,11 +129,7 @@ def reference_detect_stops(events, params):
 
 
 def reference_components(stops, r2):
-    """Labels from a union-find over every pair of stops.
-
-    Distances come from haversine_m_array, one stop against all later ones,
-    whose rounding decides pairs at r2 +- 1e-6 m as cluster_destinations does.
-    """
+    """Labels from a union-find over every pair of stops within r2 by haversine_distance."""
     n = len(stops)
     parent = list(range(n))
 
@@ -142,15 +138,12 @@ def reference_components(stops, r2):
             x = parent[x]
         return x
 
-    phi = np.radians([s.median.lat for s in stops])
-    lam = np.radians([s.median.lon for s in stops])
-    cos_phi = np.cos(phi)
     for i in range(n):
-        d = haversine_m_array(phi[i], lam[i], cos_phi[i], phi[i + 1:], lam[i + 1:], cos_phi[i + 1:])
-        for j in np.flatnonzero(d <= r2):
-            ri, rj = find(i), find(i + 1 + int(j))
-            if ri != rj:
-                parent[rj] = ri
+        for j in range(i + 1, n):
+            if haversine_distance(stops[i].median, stops[j].median) <= r2:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
     order = sorted(
         range(n),
         key=lambda k: (stops[k].t_start, stops[k].user_id, stops[k].t_end,
@@ -473,6 +466,23 @@ class TestClusterDestinations:
 
     def test_empty(self):
         assert cluster_destinations([], 100.0) == []
+
+    def test_pair_a_hair_inside_r2_shares_a_label(self):
+        a = GeoPoint(-77.89312135122015, 120.81393139053267)
+        b = GeoPoint(-77.89338465851033, 120.83533420827303)
+        assert haversine_distance(a, b) <= 500.0  # numpy's rounding put it just beyond
+        stops = [self.make_stop("u", 0, a), self.make_stop("u", 1000, b)]
+        assert cluster_destinations(stops, 500.0) == ["L0", "L0"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(anchors, bearings, st.sampled_from([1.0, 50.0, 500.0, 5000.0, 3e6]))
+    def test_agrees_with_haversine_distance_at_r2_plus_minus_one_ulp(self, a, bearing, r2):
+        b = destination_point(a, bearing, r2)
+        d = haversine_distance(a, b)
+        stops = [self.make_stop("u", 0, a), self.make_stop("u", 1000, b)]
+        for r in (math.nextafter(d, -math.inf), d, math.nextafter(d, math.inf)):
+            labels = cluster_destinations(stops, r)
+            assert (labels[0] == labels[1]) == (d <= r), r
 
     @settings(max_examples=300, deadline=None)
     @given(stop_sets())
