@@ -7,7 +7,6 @@ lists, so any execution order yields identical results.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
@@ -119,12 +118,11 @@ def annotate_durations(dfg: Dfg, log: CaseLog) -> Dfg:
     for pair, stats in dfg.arcs:
         values = sorted(samples.get(pair, []))
         if values:
-            annotated.append(
-                (pair, replace(stats, mean_s=sum(values) / len(values),
-                               median_s=float(statistics.median(values))))
-            )
-        else:
-            annotated.append((pair, stats))
+            n, half = len(values), len(values) // 2
+            # statistics.median's middle value, or mean of the two middle values
+            median = values[half] if n % 2 else (values[half - 1] + values[half]) / 2
+            stats = ArcStats(stats.frequency, sum(values) / n, float(median))
+        annotated.append((pair, stats))
     return replace(dfg, arcs=tuple(annotated))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
@@ -19,6 +20,14 @@ T = TypeVar("T")
 # Bytes read per block by plain_csv_blocks: enough that its array passes
 # outweigh their call overhead, few enough to add little to peak memory.
 _PLAIN_BLOCK_BYTES = 1 << 16
+
+# Elements of a top-level JSON array encoded at a time by write_json: enough
+# to amortise each encoder call, few enough that a slice and its split text
+# add little to peak memory.
+_JSON_SLICE = 256
+
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+_BRACKET = re.compile(r"([\[\]{}])")
 
 
 class HeaderMismatch(ValueError):
@@ -154,7 +163,82 @@ def read_json(path: str | Path):
 
 
 def write_json(doc, path: str | Path) -> None:
-    """Two-space indented JSON ending in a newline."""
+    """Two-space indented JSON ending in a newline: json.dump(indent=2)'s bytes.
+
+    The document is encoded compactly by the C encoder, a slice of each
+    top-level array at a time, and the compact text is then laid out.
+    """
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2)
+        f.writelines(_indented(_compact_chunks(doc, 0)))
         f.write("\n")
+
+
+def _compact_chunks(value, depth: int) -> Iterator[str]:
+    """Compact JSON text of value in pieces that split no string.
+
+    The members of a top-level object, and the elements of an array that is
+    the document or one of those members, are encoded a slice at a time.
+    """
+    if depth == 0 and isinstance(value, dict) and value:
+        yield "{"
+        for k, (key, member) in enumerate(value.items()):
+            # the encoder's text for the key, which it may convert to a string
+            yield ("," if k else "") + _COMPACT.encode({key: 0})[1:-2]
+            yield from _compact_chunks(member, 1)
+        yield "}"
+    elif depth <= 1 and isinstance(value, (list, tuple)) and value:
+        yield "["
+        for start in range(0, len(value), _JSON_SLICE):
+            text = _COMPACT.encode(value[start:start + _JSON_SLICE])
+            yield ("," if start else "") + text[1:-1]
+        yield "]"
+    else:
+        yield _COMPACT.encode(value)
+
+
+def _indented(chunks: Iterable[str]) -> Iterator[str]:
+    """Compact JSON pieces laid out with json.dumps(indent=2)'s line breaks and spaces.
+
+    The compact text is ASCII with no raw control character, and every quote
+    inside a string is escaped, so once each escaped backslash and escaped
+    quote is masked, splitting at quotes alternates text outside strings
+    (even places) and string contents (odd places).  Only the former is
+    laid out.  It takes few distinct values, so the first _JSON_SLICE of
+    them at each depth are laid out once and remembered.
+    """
+    depth = 0
+    memos: dict[int, dict] = {0: {}}
+    memo = memos[0]
+    for chunk in chunks:
+        parts = chunk.replace("\\\\", "\0").replace('\\"', "\1").split('"')
+        runs = parts[0::2]
+        for i, run in enumerate(runs):
+            laid = memo.get(run)
+            if laid is None:
+                laid = _layout(run, depth)
+                if len(memo) < _JSON_SLICE:
+                    memo[run] = laid
+            runs[i], after = laid
+            if after != depth:
+                depth = after
+                memo = memos.setdefault(depth, {})
+        parts[0::2] = runs
+        yield '"'.join(parts).replace("\1", '\\"').replace("\0", "\\\\")
+
+
+def _layout(run: str, depth: int) -> tuple[str, int]:
+    """Text outside strings at a depth, laid out, and the depth after it."""
+    if not _BRACKET.search(run):
+        return run.replace(",", ",\n" + "  " * depth).replace(":", ": "), depth
+    pieces = _BRACKET.split(run.replace("[]", "\2").replace("{}", "\3"))
+    for k in range(len(pieces)):
+        piece = pieces[k]
+        if k % 2 == 0:
+            pieces[k] = piece.replace(",", ",\n" + "  " * depth).replace(":", ": ")
+        elif piece in "[{":
+            depth += 1
+            pieces[k] = piece + "\n" + "  " * depth
+        else:
+            depth -= 1
+            pieces[k] = "\n" + "  " * depth + piece
+    return "".join(pieces).replace("\2", "[]").replace("\3", "{}"), depth

@@ -132,23 +132,58 @@ def linear_regression(x: Sequence[float], y: Sequence[float]) -> RegressionResul
 
     p_value: Optional[float] = None
     if n >= 3 and not degenerate_y:
-        # Imported here: scipy is slow to import and nothing else needs it,
-        # so the other CLI stages start without it.
-        from scipy.special import betainc
-
         df = n - 2
         denom = 1.0 - r_squared
         if denom <= 0.0:
             p_value = 0.0
         else:
             t_squared = r_squared * df / denom
-            p_value = float(betainc(df / 2.0, 0.5, df / (df + t_squared)))
+            p_value = _betainc(df / 2.0, 0.5, df / (df + t_squared), t_squared / (df + t_squared))
     elif n >= 3:
         p_value = 1.0  # flat y: slope 0 carries no evidence
     return RegressionResult(
         slope=slope, intercept=intercept, r=r, r_squared=r_squared,
         p_value=p_value, n=n, degenerate_y=degenerate_y,
     )
+
+
+def _betainc(a: float, b: float, x: float, y: float) -> float:
+    """Regularized incomplete beta function I_x(a, b) for a, b > 0 and x + y = 1.
+
+    y = 1 - x comes apart from x, so that x near 1 keeps its digits.  The
+    continued fraction of Numerical Recipes (3rd ed., section 6.4) is
+    evaluated by Lentz's method; it converges fast for x < (a+1)/(a+b+2),
+    and above that the symmetry I_x(a, b) = 1 - I_y(b, a) is used.
+    """
+    if x <= 0.0 or y <= 0.0:
+        return 0.0 if x <= 0.0 else 1.0
+    front = math.exp(
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log(y)
+    )
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_fraction(a, b, x) / a
+    return 1.0 - front * _beta_fraction(b, a, y) / b
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of I_x(a, b), two terms per round, by Lentz's method."""
+    tiny = 1e-300  # keeps Lentz's denominators off zero
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 100_000):
+        for num in (
+            m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
+        ):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) <= math.ulp(1.0):
+            return h
+    raise ArithmeticError(f"incomplete beta fraction did not converge for a={a}, b={b}, x={x}")
 
 
 def compare_shares(

@@ -306,20 +306,59 @@ def test_cli_import_leaves_scipy_out():
     assert python_output("import sys, cdrflow.cli; print('scipy' in sys.modules)") == "False"
 
 
-def test_stages_that_compute_nothing_leave_numpy_out(tmp_path, tiny_config):
+@pytest.fixture
+def survey_config(tmp_path, inputs):
+    """TINY with survey shares, a survey count for every pair of towns, and a class map."""
+    regions = json.loads((inputs / ART["regions"]).read_text())["features"]
+    towns = [f["properties"]["region_id"] for f in regions
+             if f["properties"]["level"] == "municipality"]
+    pairs = [(a, b) for a in towns for b in towns]
+    texts = {
+        "survey": "class,share\nall,1.0\n",
+        "survey_pairs": "origin,destination,trips\n"
+                        + "".join(f"{a},{b},{k + 1}\n" for k, (a, b) in enumerate(pairs)),
+        "class_map": "destination,class\n" + "".join(f"{t},all\n" for t in towns),
+    }
+    for name, text in texts.items():
+        (tmp_path / f"{name}.csv").write_text(text)
+    path = tmp_path / "survey.ini"
+    path.write_text(TINY + "[paths]\n" + "".join(f"{n} = {tmp_path / n}.csv\n" for n in texts))
+    return path
+
+
+def regression_p_value(run_dir):
+    return json.loads((run_dir / ART["validation"]).read_text())["comparison"]["regression"]["p_value"]
+
+
+def test_stages_that_compute_nothing_leave_numpy_out(tmp_path, survey_config):
     out = tmp_path / "run"
     for stage in ("synth", "position", "stays"):
-        assert run(stage, "--config", str(tiny_config), "--out", str(out), "--seed", "4") == 0
+        assert run(stage, "--config", str(survey_config), "--out", str(out), "--seed", "4") == 0
     code = (
         "import sys, cdrflow.cli\n"
-        "loaded = ['numpy' in sys.modules]\n"
+        "def loaded(): return [m for m in ('numpy', 'scipy') if m in sys.modules]\n"
+        "seen = [loaded()]\n"
         "for stage in ('trips', 'log', 'discover', 'conform', 'validate'):\n"
         "    argv = [stage, '--config', sys.argv[1], '--out', sys.argv[2], '--seed', '4']\n"
         "    assert cdrflow.cli.main(argv) == 0, stage\n"
-        "    loaded.append('numpy' in sys.modules)\n"
-        "print(loaded)\n"
+        "    seen.append(loaded())\n"
+        "print(seen)\n"
     )
-    assert python_output(code, tiny_config, out) == str([False] * 6)
+    assert python_output(code, survey_config, out) == str([[]] * 6)
+    assert 0.0 < regression_p_value(out) < 1.0  # validate ran the regression
+
+
+def test_all_runs_without_scipy(tmp_path, survey_config):
+    out = tmp_path / "run"
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None  # any import of scipy now fails\n"
+        "import cdrflow.cli\n"
+        "sys.exit(cdrflow.cli.main(['all', '--config', sys.argv[1], '--out', sys.argv[2],"
+        " '--seed', '4']))\n"
+    )
+    python_output(code, survey_config, out)
+    assert 0.0 < regression_p_value(out) < 1.0
 
 
 def test_each_stage_leaves_later_stages_modules_out(tmp_path, tiny_config):
@@ -412,6 +451,31 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith(f"cdrflow {stage}: ")
         assert f"{path}: line 2: " in err and "'abc'" in err
+
+    @pytest.mark.parametrize("name, stage, column, value", [
+        ("towers", "position", "lat", "3_8.7"), ("towers", "position", "lon", " -9.3 "),
+        ("towers", "position", "radius_m", "\u0661\u0660\u0660"),
+        ("positioned", "stays", "lat", "1_0"), ("positioned", "stays", "lon", "-9.3\t"),
+    ])
+    def test_lax_number_exits_1_naming_the_line(
+        self, survey_run, name, stage, column, value, capsys
+    ):
+        ini, out, paths = survey_run
+        path = paths[name] if name in paths else out / ART[name]
+        original = path.read_bytes()
+        lines = original.decode("utf-8").splitlines(keepends=True)
+        header = lines[0].rstrip("\r\n").split(",")
+        fields = lines[1].rstrip("\r\n").split(",")
+        fields[header.index(column)] = value
+        lines[1] = ",".join(fields) + lines[1][len(lines[1].rstrip("\r\n")):]
+        path.write_text("".join(lines), encoding="utf-8", newline="")
+        try:
+            assert run(stage, "--config", str(ini), "--out", str(out), "--seed", "4") == 1
+        finally:
+            path.write_bytes(original)
+        err = capsys.readouterr().err
+        assert err.startswith(f"cdrflow {stage}: ")
+        assert f"{path}: line 2: " in err and repr(value) in err
 
     @pytest.mark.parametrize("column", ["radius_m", "azimuth_deg"])
     def test_non_finite_sector_exits_1(self, survey_run, column, capsys):

@@ -39,13 +39,20 @@ def reference_cdr(path):
     ))
 
 
+def strict_float(text):
+    """float() of a number field, which must be ASCII with no '_' and no padding."""
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
+
+
 def reference_positioned(path):
     """One PositionedEvent per row, its checks run by the dataclasses themselves."""
     return list(read_csv(
         path, POSITIONED_HEADER, "positioned file",
         lambda user_id, ts, cell_id, lat, lon: PositionedEvent(
             user_id=user_id, timestamp=from_iso(ts), cell_id=cell_id,
-            location=GeoPoint(lat=float(lat), lon=float(lon)),
+            location=GeoPoint(lat=strict_float(lat), lon=strict_float(lon)),
         ),
     ))
 
@@ -105,6 +112,7 @@ TIMESTAMPS = [
 COORDINATES = [
     "38.7", "-9.3", "0", "90", "-180", "90.0000001", "-180.5", "nan", "NaN", "inf", "-inf",
     "1e400", " 12.5 ", "1_0", "abc", "", "-0.0",
+    "3_8.7", " -9.3", "-9.3 ", "\t1", "1\x0c", "\u0661\u0660", "\uff11.5", "1\xa0", "1e_5",
 ]
 FIRST_S = int(from_iso("0001-01-01T00:00:00Z"))
 LAST_S = int(from_iso("9999-12-31T23:59:59Z"))

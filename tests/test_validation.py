@@ -1,7 +1,9 @@
 import math
 import random
+import sys
 
 import pytest
+import scipy.special
 import scipy.stats
 
 from cdrflow.errors import ClassMismatch, DegenerateInput
@@ -9,6 +11,7 @@ from cdrflow.geo import GeoPoint
 from cdrflow.stays import Staypoint
 from cdrflow.trips import Trip, Tripleg
 from cdrflow.validation import (
+    _betainc,
     build_od_matrix,
     compare_shares,
     linear_regression,
@@ -135,6 +138,65 @@ class TestLinearRegression:
         scaled = linear_regression(x, [3.0 * v for v in y])
         assert scaled.slope == pytest.approx(3.0 * base.slope, abs=1e-9)
         assert scaled.r == pytest.approx(base.r, abs=1e-9)
+
+
+def data_with_r(n, r):
+    """n points, x evenly spaced, whose Pearson r is r up to rounding."""
+    u = [k - (n - 1) / 2 for k in range(n)]
+    c = sum(v * v for v in u) / n
+    z = [v * v - c for v in u]  # orthogonal to u and to a constant, as u is symmetric
+    nu, nz = math.sqrt(sum(v * v for v in u)), math.sqrt(sum(v * v for v in z))
+    s = math.sqrt(1.0 - r * r)
+    return [float(k) for k in range(n)], [r * a / nu + s * b / nz for a, b in zip(u, z)]
+
+
+P_VALUE_NS = [*range(3, 61), 100, 1000, 10_000]
+
+
+def p_close(got, want):
+    """Equal to a relative 1e-10, or both below the normal range, where digits run out."""
+    return math.isclose(got, want, rel_tol=1e-10) or max(got, want) < sys.float_info.min
+
+P_VALUE_RS = [1 - 1e-12, 0.999, 0.9, 0.5, 0.1, 1e-3, 1e-8]
+
+
+class TestSlopePValue:
+    """The slope p-value against scipy, which the package itself does not import."""
+
+    @pytest.mark.parametrize("n", P_VALUE_NS)
+    def test_matches_scipy_betainc(self, n):
+        df = n - 2
+        for r in P_VALUE_RS + [-r for r in P_VALUE_RS]:
+            got = linear_regression(*data_with_r(n, r))
+            assert got.r == pytest.approx(r, rel=1e-6)
+            t_squared = got.r_squared * df / (1.0 - got.r_squared)
+            x, y = df / (df + t_squared), t_squared / (df + t_squared)
+            # I_x(a, b) = 1 - I_y(b, a): near x = 1 the complement keeps the digits of y
+            want = float(scipy.special.betainc(df / 2.0, 0.5, x) if x < 0.5
+                         else scipy.special.betaincc(0.5, df / 2.0, y))
+            assert p_close(got.p_value, want), (n, r)
+
+    @pytest.mark.parametrize("n", P_VALUE_NS)
+    def test_matches_scipy_linregress(self, n):
+        # Away from |r| = 1, where the two ways of rounding r move p by more, and
+        # from r = 0, where linregress's t.sf has only about 9 digits at n = 3.
+        for r in [0.9, 0.5, 0.1, 1e-3, -0.5, -1e-3]:
+            x, y = data_with_r(n, r)
+            want = scipy.stats.linregress(x, y).pvalue
+            assert p_close(linear_regression(x, y).p_value, want), (n, r)
+
+    @pytest.mark.parametrize("r", [1 - 1e-12, -(1 - 1e-12), 0.99, 0.5, -0.3, 1e-8, -1e-8])
+    def test_three_points_closed_form(self, r):
+        got = linear_regression(*data_with_r(3, r))
+        t = abs(got.r) * math.sqrt(1.0 / (1.0 - got.r_squared))
+        # 1 - (2/pi) atan|t|, written without its cancellation at large |t|
+        assert math.isclose(got.p_value, 2.0 / math.pi * math.atan(1.0 / t), rel_tol=1e-10)
+
+    def test_betainc_at_the_ends_and_symmetry(self):
+        assert _betainc(2.5, 0.5, 0.0, 1.0) == 0.0 and _betainc(2.5, 0.5, 1.0, 0.0) == 1.0
+        for a, b, x in [(0.5, 0.5, 0.3), (2.5, 0.5, 0.9), (40.0, 0.5, 0.99), (3.0, 7.0, 0.2)]:
+            one = _betainc(a, b, x, 1.0 - x) + _betainc(b, a, 1.0 - x, x)
+            assert math.isclose(one, 1.0, rel_tol=1e-14)
 
 
 class TestCompareShares:
