@@ -1,7 +1,8 @@
 """Pipeline configuration: flat INI sections per stage, hash-stamped runs.
 
-The synthetic scenario's settings live here too, so that reading a
-configuration does not import the scenario generator.
+The settings of the synthetic scenario, of stop detection and of mode
+labelling live here too, so that reading a configuration imports none of
+the modules that run the stages.
 """
 
 from __future__ import annotations
@@ -9,15 +10,88 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
 from .errors import InvalidConfig
-from .stays import StopParams
-from .trips import DEFAULT_TRIP_GAP_S, ModeThresholds
 
 _MAX_TRIPS_PER_DAY = 8
+
+DEFAULT_TRIP_GAP_S = 25 * 60.0
+
+
+@dataclass(frozen=True)
+class StopParams:
+    """Thresholds for the two-level scheme, all finite and strictly positive.
+
+    r1: max roaming radius inside one stop, meters.
+    r2: max distance linking stop medians into one destination, meters.
+    min_duration: minimum stop span, seconds.
+    max_gap: max silence between consecutive events inside one stop, seconds.
+    """
+
+    r1: float = 300.0
+    r2: float = 500.0
+    min_duration: float = 600.0
+    max_gap: float = 3600.0
+
+    def __post_init__(self) -> None:
+        for name in ("r1", "r2", "min_duration", "max_gap"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"StopParams.{name} must be finite and > 0, got {value}")
+        if self.r2 < self.r1:
+            import logging
+
+            # the stop detection module's logger: the warning is about its settings
+            logging.getLogger("cdrflow.stays").warning(
+                "StopParams: r2 (%.0f m) < r1 (%.0f m)", self.r2, self.r1
+            )
+
+
+@dataclass(frozen=True)
+class ModeThresholds:
+    """Decision table over (avg speed km/h, path length m).
+
+    Bands, in km/h: walk below walk_max; bicycle to bicycle_max; bus to
+    bus_max, extended to bus_extended_max for short legs; car up to car_max
+    except long fast legs; train above car_max or fast-and-long.  Every
+    (speed, length) pair maps to exactly one mode; legs shorter than
+    min_duration_s get "unknown" because their speed is unreliable.
+    """
+
+    walk_max_kmh: float = 7.0
+    bicycle_max_kmh: float = 15.0
+    bus_max_kmh: float = 27.0
+    bus_extended_max_kmh: float = 45.0
+    bus_max_length_m: float = 3000.0
+    car_max_kmh: float = 60.0
+    train_long_min_length_m: float = 8000.0
+    min_duration_s: float = 60.0
+
+    def __post_init__(self) -> None:
+        speeds = (self.walk_max_kmh, self.bicycle_max_kmh, self.bus_max_kmh,
+                  self.bus_extended_max_kmh, self.car_max_kmh)
+        if any(b <= a for a, b in zip(speeds, speeds[1:])):
+            raise ValueError("mode speed bands must be strictly increasing")
+
+    def classify(self, avg_speed_kmh: float, path_length_m: float, duration_s: float) -> str:
+        if duration_s < self.min_duration_s:
+            return "unknown"
+        s = avg_speed_kmh
+        if s < self.walk_max_kmh:
+            return "walk"
+        if s < self.bicycle_max_kmh:
+            return "bicycle"
+        if s < self.bus_max_kmh:
+            return "bus"
+        if s < self.bus_extended_max_kmh:
+            return "bus" if path_length_m < self.bus_max_length_m else "car"
+        if s < self.car_max_kmh:
+            return "train" if path_length_m >= self.train_long_min_length_m else "car"
+        return "train"
 
 
 @dataclass(frozen=True)

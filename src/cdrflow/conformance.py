@@ -33,12 +33,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import EmptyModel
-from .eventlog import CaseLog
-from .discovery import Dfg
 from .files import write_csv, write_json
+
+if TYPE_CHECKING:
+    from .discovery import Dfg
+    from .eventlog import CaseLog
 
 SOURCE = "source"
 SINK = "sink"

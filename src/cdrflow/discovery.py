@@ -8,12 +8,15 @@ lists, so any execution order yields identical results.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from operator import attrgetter, itemgetter, sub
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from .errors import EmptyLog, EmptySelection, MismatchedLog
-from .eventlog import CaseLog, Ocel, flattened_traces
 from .files import read_json, write_json
+
+if TYPE_CHECKING:
+    from .eventlog import CaseLog, Ocel
 
 # Arc colors per object type, assigned by sorted type index.
 OC_PALETTE = (
@@ -22,7 +25,7 @@ OC_PALETTE = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArcStats:
     frequency: int
     mean_s: Optional[float] = None
@@ -118,12 +121,17 @@ def annotate_durations(dfg: Dfg, log: CaseLog) -> Dfg:
     for pair, stats in dfg.arcs:
         values = sorted(samples.get(pair, []))
         if values:
-            n, half = len(values), len(values) // 2
-            # statistics.median's middle value, or mean of the two middle values
-            median = values[half] if n % 2 else (values[half - 1] + values[half]) / 2
-            stats = ArcStats(stats.frequency, sum(values) / n, float(median))
+            stats = _with_durations(stats.frequency, values)
         annotated.append((pair, stats))
     return replace(dfg, arcs=tuple(annotated))
+
+
+def _with_durations(frequency: int, values: list[float]) -> ArcStats:
+    """ArcStats of an arc with the mean and median of its sorted duration samples."""
+    n, half = len(values), len(values) // 2
+    # statistics.median's middle value, or mean of the two middle values
+    median = values[half] if n % 2 else (values[half - 1] + values[half]) / 2
+    return ArcStats(frequency, sum(values) / n, float(median))
 
 
 def extract_variants(log: CaseLog, top_k: Optional[int] = None) -> list[Variant]:
@@ -162,17 +170,63 @@ def filter_log_by_variants(
 
 
 def discover_ocdfg(ocel: Ocel) -> OcDfg:
-    """Per-type models over flattened object traces, durations included."""
+    """Per-type models over flattened object traces, durations included.
+
+    The flattened trace of an object is its events in (timestamp, event id)
+    order, and its type's model is discover_dfg and annotate_durations over
+    those traces.  Each object's ordered events are folded straight into
+    its types' node, start, end and arc counts and duration samples, so no
+    trace is built.
+    """
     if not ocel.events:
         raise EmptyLog("cannot discover a model from an empty log")
-    per_type = []
-    traces_by_type = flattened_traces(ocel)
-    for object_type in ocel.object_types:
-        traces = traces_by_type.get(object_type)
-        if not traces:
+    types_of: dict[str, set[str]] = {}
+    for o in ocel.objects:
+        types_of.setdefault(o.object_id, set()).add(o.object_type)
+    events_of: dict[str, list] = {}
+    for event in ocel.events:
+        for object_id in {object_id for object_id, _ in event.relations}:
+            events_of.setdefault(object_id, []).append(event)
+
+    folds: dict[str, tuple[dict, dict, dict, dict]] = {}
+    by_time_and_id = attrgetter("timestamp", "event_id")
+    for object_id, events in events_of.items():
+        types = types_of.get(object_id)
+        if types is None:
             continue
-        flat = CaseLog(traces=tuple(traces), level=ocel.level)
-        per_type.append((object_type, annotate_durations(discover_dfg(flat), flat)))
+        events.sort(key=by_time_and_id)
+        acts = [e.activity for e in events]
+        gaps = list(map(sub, [e.timestamp for e in events[1:]], [e.timestamp for e in events]))
+        for object_type in types:
+            if object_type not in folds:
+                folds[object_type] = ({}, {}, {}, {})
+            nodes, starts, ends, samples = folds[object_type]
+            for a in acts:
+                nodes[a] = nodes.get(a, 0) + 1
+            starts[acts[0]] = starts.get(acts[0], 0) + 1
+            ends[acts[-1]] = ends.get(acts[-1], 0) + 1
+            for pair, gap in zip(zip(acts, acts[1:]), gaps):
+                if pair in samples:
+                    samples[pair].append(gap)
+                else:
+                    samples[pair] = [gap]
+
+    per_type = []
+    for object_type in ocel.object_types:
+        if object_type not in folds:
+            continue
+        nodes, starts, ends, samples = folds[object_type]
+        arcs = []
+        for pair in sorted(samples):
+            values = samples[pair]
+            values.sort()
+            arcs.append((pair, _with_durations(len(values), values)))
+        per_type.append((object_type, Dfg(
+            nodes=tuple(sorted(nodes.items())),
+            arcs=tuple(arcs),
+            start_counts=tuple(sorted(starts.items())),
+            end_counts=tuple(sorted(ends.items())),
+        )))
     return OcDfg(per_type=tuple(per_type))
 
 
@@ -211,46 +265,63 @@ def export_dot(
     object type from a fixed palette.
     """
     lines = ["digraph dfg {", "  rankdir=LR;"]
+    quoted: dict[str, str] = {}  # each label is quoted once
+
+    def quote(label: str) -> str:
+        text = quoted.get(label)
+        if text is None:
+            text = quoted[label] = _quote(label)
+        return text
 
     node_totals = model.node_dict()
-    if isinstance(model, Dfg):
-        arc_rows = [(pair, stats, None) for pair, stats in model.arcs]
-    else:
+    if isinstance(model, OcDfg):
         type_color = {
             object_type: OC_PALETTE[i % len(OC_PALETTE)]
             for i, (object_type, _) in enumerate(model.per_type)
         }
-        arc_rows = [
-            (pair, stats, object_type)
-            for object_type, dfg in model.per_type
-            for pair, stats in dfg.arcs
-        ]
 
     for activity in sorted(node_totals):
         if show_frequency:
             lines.append(
-                f"  {_quote(activity)} [label={_quote(f'{activity} ({node_totals[activity]})')}];"
+                f"  {quote(activity)} [label={_quote(f'{activity} ({node_totals[activity]})')}];"
             )
         else:
-            lines.append(f"  {_quote(activity)};")
+            lines.append(f"  {quote(activity)};")
 
-    arc_rows.sort(key=lambda row: (row[0][0], row[0][1], row[2] or ""))
-    for (src, dst), stats, object_type in arc_rows:
+    for src, dst, object_type, stats in _arc_rows(model):
         if stats.frequency < min_arc_frequency:
             continue
-        attrs = [f"label={_quote(_arc_label(stats, show_frequency, show_duration))}"]
+        attrs = [f"label={quote(_arc_label(stats, show_frequency, show_duration))}"]
         if object_type is not None:
             attrs.append(f'color="{type_color[object_type]}"')
-        lines.append(f"  {_quote(src)} -> {_quote(dst)} [{' '.join(attrs)}];")
+        lines.append(f"  {quote(src)} -> {quote(dst)} [{' '.join(attrs)}];")
 
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _arc_entry(pair: tuple[str, str], stats: ArcStats, object_type: Optional[str]) -> dict:
+def _arc_rows(model: Union[Dfg, OcDfg]) -> list[tuple]:
+    """(source, target, object type, stats) of every arc, sorted by the first three.
+
+    The object type is None in a case-centric model.
+    """
+    if isinstance(model, Dfg):
+        rows = [(src, dst, None, stats) for (src, dst), stats in model.arcs]
+        rows.sort(key=itemgetter(0, 1))
+    else:
+        rows = [
+            (src, dst, object_type, stats)
+            for object_type, dfg in model.per_type
+            for (src, dst), stats in dfg.arcs
+        ]
+        rows.sort(key=itemgetter(0, 1, 2))
+    return rows
+
+
+def _arc_entry(src: str, dst: str, object_type: Optional[str], stats: ArcStats) -> dict:
     entry = {
-        "src": pair[0],
-        "dst": pair[1],
+        "src": src,
+        "dst": dst,
         "freq": stats.frequency,
         "mean_s": stats.mean_s,
         "median_s": stats.median_s,
@@ -268,19 +339,13 @@ def model_to_dict(model: Union[Dfg, OcDfg]) -> dict:
     if isinstance(model, Dfg):
         return {
             "nodes": [{"activity": a, "frequency": n} for a, n in model.nodes],
-            "arcs": [_arc_entry(pair, stats, None) for pair, stats in model.arcs],
+            "arcs": [_arc_entry(src, dst, None, stats) for (src, dst), stats in model.arcs],
             "startCounts": [{"activity": a, "count": n} for a, n in model.start_counts],
             "endCounts": [{"activity": a, "count": n} for a, n in model.end_counts],
         }
-    arcs = [
-        _arc_entry(pair, stats, object_type)
-        for object_type, dfg in model.per_type
-        for pair, stats in dfg.arcs
-    ]
-    arcs.sort(key=lambda e: (e["src"], e["dst"], e.get("objectType", "")))
     return {
         "nodes": [{"activity": a, "frequency": n} for a, n in sorted(model.node_dict().items())],
-        "arcs": arcs,
+        "arcs": [_arc_entry(*row) for row in _arc_rows(model)],
         "objectTypes": [object_type for object_type, _ in model.per_type],
     }
 
@@ -289,21 +354,47 @@ def write_model_json(model: Union[Dfg, OcDfg], path: str | Path) -> None:
     write_json(model_to_dict(model), path)
 
 
+def _model_entries(doc: dict, key: str, fields: dict, path: str | Path) -> list[tuple]:
+    """The values of `fields` in each entry of doc[key], checked against their types."""
+    entries = doc.get(key)
+    if not isinstance(entries, list):
+        raise ValueError(f"model file {path}: {key} is not a list")
+    rows = []
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"model file {path}: {key}[{k}] is not an object")
+        for name, kind in fields.items():
+            if name not in entry:
+                raise ValueError(f"model file {path}: {key}[{k}] has no {name!r}")
+            value = entry[name]
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ValueError(f"model file {path}: {key}[{k}]: {name!r} is {value!r}")
+        rows.append(tuple(entry[name] for name in fields))
+    return rows
+
+
 def load_dfg_json(path: str | Path) -> Dfg:
+    """The case-centric model in a dfg_model.json file.
+
+    A file that is no such model, or a malformed entry, raises ValueError
+    naming the file and the entry.
+    """
     doc = read_json(path)
-    if "startCounts" not in doc:
+    if not isinstance(doc, dict) or "startCounts" not in doc:
         raise ValueError(f"model file {path}: not a case-centric model dump")
+    seconds = (int, float, type(None))
+    count = {"activity": str, "count": int}
+    arcs = _model_entries(doc, "arcs", {
+        "src": str, "dst": str, "freq": int, "mean_s": seconds, "median_s": seconds,
+    }, path)
     return Dfg(
-        nodes=tuple((e["activity"], e["frequency"]) for e in doc["nodes"]),
+        nodes=tuple(_model_entries(doc, "nodes", {"activity": str, "frequency": int}, path)),
         arcs=tuple(
-            (
-                (e["src"], e["dst"]),
-                ArcStats(frequency=e["freq"], mean_s=e["mean_s"], median_s=e["median_s"]),
-            )
-            for e in doc["arcs"]
+            ((src, dst), ArcStats(frequency=freq, mean_s=mean_s, median_s=median_s))
+            for src, dst, freq, mean_s, median_s in arcs
         ),
-        start_counts=tuple((e["activity"], e["count"]) for e in doc["startCounts"]),
-        end_counts=tuple((e["activity"], e["count"]) for e in doc["endCounts"]),
+        start_counts=tuple(_model_entries(doc, "startCounts", count, path)),
+        end_counts=tuple(_model_entries(doc, "endCounts", count, path)),
     )
 
 

@@ -11,19 +11,22 @@ mode, so the relation count is always twice the event count.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 from .errors import UnresolvedRegion
 from .files import read_csv, read_json, write_csv, write_json
-from .stays import Staypoint, staypoint_region
 from .timefmt import from_iso, to_iso
-from .trips import Trip
+
+if TYPE_CHECKING:
+    from .stays import Staypoint
+    from .trips import Trip
 
 LEVELS = ("parish", "municipality")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trace:
     """Timestamp-ordered activity sequence of one case."""
 
@@ -49,7 +52,7 @@ class CaseLog:
     dropped_case_ids: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OcelEvent:
     event_id: str
     activity: str
@@ -57,7 +60,7 @@ class OcelEvent:
     relations: tuple  # tuple of (object_id, qualifier), qualifier in {"trip", "mode"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OcelObject:
     object_id: str
     object_type: str
@@ -106,19 +109,20 @@ class LogStats:
 
 
 def _trip_events(
-    trip: Trip, sp_index: dict[str, Staypoint], level: str
+    trip: Trip, sp_index: dict[str, Staypoint], level: str, region_of: Callable
 ) -> list[tuple[str, float]]:
     """Region-label events for one trip at the given level.
 
     Both endpoints always emit an event (a trip can self-loop inside one
     region); intermediate leg boundaries emit only when their region differs
     from the previous emitted one, keeping the first timestamp of each run.
+    region_of is stays.staypoint_region.
     """
     chain = [trip.triplegs[0].origin_staypoint] + [leg.dest_staypoint for leg in trip.triplegs]
     labels: list[str] = []
     times: list[float] = []
     for k, sp_id in enumerate(chain):
-        sp, region = staypoint_region(sp_index, sp_id, level, trip.trip_id)
+        sp, region = region_of(sp_index, sp_id, level, trip.trip_id)
         labels.append(region)
         times.append(trip.t_start if k == 0 else sp.t_start)
 
@@ -134,6 +138,8 @@ def build_case_log(
     trips: Sequence[Trip], staypoints: Sequence[Staypoint], level: str
 ) -> CaseLog:
     """One trace per trip; trips with unresolved regions are dropped and counted."""
+    from .stays import staypoint_region
+
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}")
     sp_index = {sp.staypoint_id: sp for sp in staypoints}
@@ -141,7 +147,7 @@ def build_case_log(
     dropped = []
     for trip in sorted(trips, key=lambda t: t.trip_id):
         try:
-            events = _trip_events(trip, sp_index, level)
+            events = _trip_events(trip, sp_index, level, staypoint_region)
         except UnresolvedRegion:
             dropped.append(trip.trip_id)
             continue
@@ -256,30 +262,84 @@ def write_ocel_json(ocel: Ocel, path: str | Path) -> None:
     write_json(ocel_to_dict(ocel), path)
 
 
+def _malformed(entry: dict, keys: Sequence[str], what: str) -> ValueError:
+    """The error for an ocel.json entry whose `keys` are not all strings."""
+    name = f"{what} {entry['id']!r}" if isinstance(entry.get("id"), str) else f"{what} {entry!r}"
+    key = next(key for key in keys if not isinstance(entry.get(key), str))
+    if key not in entry:
+        return ValueError(f"{name} has no {key!r}")
+    return ValueError(f"{name}: {key!r} is {entry[key]!r}, not a string")
+
+
+def _ocel_entries(doc, key: str, kind: type, what: str, path: str | Path) -> list:
+    """doc[key], checked to be a list of `kind`."""
+    entries = doc.get(key) if isinstance(doc, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError(f"JSON file {path}: {key} is not a list")
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, kind):
+            raise ValueError(f"JSON file {path}: {key}[{k}] is not {what}")
+    return entries
+
+
 def load_ocel_json(path: str | Path, level: str = "unknown") -> Ocel:
-    doc = read_json(path)
-    events = tuple(
-        sorted(
-            (
-                OcelEvent(
-                    event_id=e["id"],
-                    activity=e["activity"],
-                    timestamp=from_iso(e["timestamp"]),
-                    relations=tuple((r["objectId"], r["qualifier"]) for r in e["relations"]),
-                )
-                for e in doc["events"]
-            ),
-            key=lambda e: e.event_id,
+    """The log in an ocel.json file, its records built while the JSON is decoded.
+
+    Events that relate to the same objects share one relations tuple.  A
+    malformed entry raises ValueError naming the file and the entry.
+    """
+    shared: dict[tuple, tuple] = {}
+
+    def record(entry: dict):
+        # relations, then events, then objects; any other JSON object stays a dict
+        if "objectId" in entry or "qualifier" in entry:
+            object_id, qualifier = entry.get("objectId"), entry.get("qualifier")
+            if type(object_id) is not str or type(qualifier) is not str:
+                raise _malformed(entry, ("objectId", "qualifier"), "relation")
+            return object_id, qualifier
+        if "activity" in entry or "timestamp" in entry or "relations" in entry:
+            event_id, activity = entry.get("id"), entry.get("activity")
+            stamp, relations = entry.get("timestamp"), entry.get("relations")
+            if type(event_id) is not str or type(activity) is not str or type(stamp) is not str:
+                raise _malformed(entry, ("id", "activity", "timestamp"), "event")
+            relations = tuple(relations) if type(relations) is list else None
+            try:
+                known = shared.get(relations)  # a relation left a dict is unhashable
+            except TypeError:
+                known = None
+            if known is None:
+                if relations is None or not all(type(r) is tuple for r in relations):
+                    raise ValueError(f"event {event_id!r}: relations is not a list of relations")
+                known = shared[relations] = relations
+            try:
+                timestamp = from_iso(stamp)
+            except ValueError as exc:
+                raise ValueError(f"event {event_id!r}: {exc}") from None
+            return OcelEvent(event_id, activity, timestamp, known)
+        if "type" in entry:
+            object_id, object_type = entry.get("id"), entry.get("type")
+            if type(object_id) is not str or type(object_type) is not str:
+                raise _malformed(entry, ("id", "type"), "object")
+            return OcelObject(object_id, object_type)
+        return entry
+
+    doc = read_json(path, object_hook=record)
+    events = _ocel_entries(doc, "events", OcelEvent, "an event", path)
+    objects = _ocel_entries(doc, "objects", OcelObject, "an object", path)
+    names = [
+        t.get("name") for t in _ocel_entries(doc, "objectTypes", dict, "an object type", path)
+    ]
+    if not all(isinstance(name, str) for name in names):
+        raise ValueError(f"JSON file {path}: an object type has no name")
+    events.sort(key=attrgetter("event_id"))
+    objects.sort(key=attrgetter("object_id"))
+    try:
+        return Ocel(
+            events=tuple(events), objects=tuple(objects), object_types=tuple(sorted(names)),
+            level=level,
         )
-    )
-    objects = tuple(
-        sorted(
-            (OcelObject(object_id=o["id"], object_type=o["type"]) for o in doc["objects"]),
-            key=lambda o: o.object_id,
-        )
-    )
-    object_types = tuple(sorted(t["name"] for t in doc["objectTypes"]))
-    return Ocel(events=events, objects=objects, object_types=object_types, level=level)
+    except ValueError as exc:
+        raise ValueError(f"JSON file {path}: {exc}") from exc
 
 
 def write_drop_report(log: Union[CaseLog, Ocel], path: str | Path) -> None:
@@ -292,41 +352,3 @@ def write_drop_report(log: Union[CaseLog, Ocel], path: str | Path) -> None:
 
 def write_stats_json(stats_by_name: dict[str, LogStats], path: str | Path) -> None:
     write_json({name: asdict(s) for name, s in sorted(stats_by_name.items())}, path)
-
-
-def iter_flattened_traces(ocel: Ocel, object_type: str) -> list[Trace]:
-    """Per-object event sequences for one type, ordered by (timestamp, id)."""
-    events_by_object: dict[str, list[OcelEvent]] = {}
-    typed = {o.object_id for o in ocel.objects if o.object_type == object_type}
-    for event in ocel.events:
-        related = {object_id for object_id, _ in event.relations if object_id in typed}
-        for object_id in sorted(related):
-            events_by_object.setdefault(object_id, []).append(event)
-    traces = []
-    for object_id in sorted(events_by_object):
-        ordered = sorted(events_by_object[object_id], key=lambda e: (e.timestamp, e.event_id))
-        traces.append(
-            Trace(
-                case_id=object_id,
-                events=tuple((e.activity, e.timestamp) for e in ordered),
-            )
-        )
-    return traces
-
-
-def flattened_traces(ocel: Ocel) -> dict[str, list[Trace]]:
-    """iter_flattened_traces for every object type, from one pass over the events."""
-    types_of: dict[str, set[str]] = {}
-    for o in ocel.objects:
-        types_of.setdefault(o.object_id, set()).add(o.object_type)
-    events_by_object: dict[str, list[OcelEvent]] = {}
-    for event in ocel.events:
-        for object_id in {object_id for object_id, _ in event.relations}:
-            events_by_object.setdefault(object_id, []).append(event)
-    by_type: dict[str, list[Trace]] = {}
-    for object_id in sorted(events_by_object):
-        ordered = sorted(events_by_object[object_id], key=lambda e: (e.timestamp, e.event_id))
-        trace = Trace(case_id=object_id, events=tuple((e.activity, e.timestamp) for e in ordered))
-        for object_type in types_of.get(object_id, ()):
-            by_type.setdefault(object_type, []).append(trace)
-    return by_type

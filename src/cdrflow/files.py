@@ -28,10 +28,32 @@ _JSON_SLICE = 256
 
 _COMPACT = json.JSONEncoder(separators=(",", ":"))
 _BRACKET = re.compile(r"([\[\]{}])")
+# A number or literal in compact JSON text outside strings.
+_VALUE = re.compile(r"([^,:\[\]{}]+)")
+
+
+# Digit separator and ASCII whitespace, which float() forgives in a number field.
+_LAX_CHARACTERS = "_ \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+_LAX_SET = frozenset(_LAX_CHARACTERS)
 
 
 class HeaderMismatch(ValueError):
     """The first line of a CSV file is not the header its reader expects."""
+
+
+def is_strict(text: str) -> bool:
+    """Whether text, a number field or fields joined, is ASCII with no '_' and no whitespace.
+
+    It scans text once per lax character, which is fastest on long text.
+    """
+    return text.isascii() and not any(c in text for c in _LAX_CHARACTERS)
+
+
+def strict_float(field: str) -> float:
+    """float(field) for a strict field (see is_strict); any other field raises ValueError."""
+    if not (field.isascii() and _LAX_SET.isdisjoint(field)):  # is_strict, faster on a field
+        raise ValueError(f"could not convert string to float: {field!r}")
+    return float(field)
 
 
 def read_csv(
@@ -153,11 +175,15 @@ def write_csv_blocks(
                 f.write(text)
 
 
-def read_json(path: str | Path):
-    """The document in a JSON file; a file that is not JSON raises ValueError naming it."""
+def read_json(path: str | Path, object_hook: Optional[Callable[[dict], object]] = None):
+    """The document in a JSON file; a file that is not JSON raises ValueError naming it.
+
+    object_hook, as in json.load, replaces each decoded object; a ValueError
+    it raises is reported like a decoding error.
+    """
     with open(path, encoding="utf-8") as f:
         try:
-            return json.load(f)
+            return json.load(f, object_hook=object_hook)
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
             raise ValueError(f"JSON file {path}: {exc}") from exc
 
@@ -215,7 +241,7 @@ def _indented(chunks: Iterable[str]) -> Iterator[str]:
         for i, run in enumerate(runs):
             laid = memo.get(run)
             if laid is None:
-                laid = _layout(run, depth)
+                laid = _layout_run(run, depth, memo)
                 if len(memo) < _JSON_SLICE:
                     memo[run] = laid
             runs[i], after = laid
@@ -226,15 +252,42 @@ def _indented(chunks: Iterable[str]) -> Iterator[str]:
         yield '"'.join(parts).replace("\1", '\\"').replace("\0", "\\\\")
 
 
+def _layout_run(run: str, depth: int, memo: dict) -> tuple[str, int]:
+    """_layout(run, depth), by way of memo for a run with brackets and numbers or literals.
+
+    Such a run, like `:1234.5},{`, is laid out as its skeleton, the run with
+    each value replaced by \\4, which few runs differ in: the skeleton's
+    layout is kept in memo, where it meets no run, and the values are put
+    back.  Other runs are cheaper to lay out than to take apart.
+    """
+    if not _BRACKET.search(run):
+        return _layout_between(run, depth), depth
+    tokens = _VALUE.split(run)  # the skeleton's pieces at even places, values at odd
+    if len(tokens) == 1:
+        return _layout(run, depth)
+    skeleton = "\4".join(tokens[0::2])
+    form = memo.get(skeleton)
+    if form is None:
+        text, after = _layout(skeleton, depth)
+        form = text.split("\4"), after
+        if len(memo) < _JSON_SLICE:
+            memo[skeleton] = form
+    tokens[0::2] = form[0]
+    return "".join(tokens), form[1]
+
+
+def _layout_between(text: str, depth: int) -> str:
+    """Text outside strings and brackets at a depth, laid out."""
+    return text.replace(",", ",\n" + "  " * depth).replace(":", ": ")
+
+
 def _layout(run: str, depth: int) -> tuple[str, int]:
     """Text outside strings at a depth, laid out, and the depth after it."""
-    if not _BRACKET.search(run):
-        return run.replace(",", ",\n" + "  " * depth).replace(":", ": "), depth
     pieces = _BRACKET.split(run.replace("[]", "\2").replace("{}", "\3"))
     for k in range(len(pieces)):
         piece = pieces[k]
         if k % 2 == 0:
-            pieces[k] = piece.replace(",", ",\n" + "  " * depth).replace(":", ": ")
+            pieces[k] = _layout_between(piece, depth)
         elif piece in "[{":
             depth += 1
             pieces[k] = piece + "\n" + "  " * depth

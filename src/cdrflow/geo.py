@@ -16,7 +16,10 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import ClippingExhausted
-from .files import plain_csv_blocks, read_csv, read_json, write_csv, write_csv_blocks, write_json
+from .files import (
+    is_strict, plain_csv_blocks, read_csv, read_json, strict_float, write_csv, write_csv_blocks,
+    write_json,
+)
 from .timefmt import from_iso, from_iso_block, to_iso, to_iso_block
 
 if TYPE_CHECKING:
@@ -719,29 +722,13 @@ def group_by_user(records: Iterable) -> dict[str, list]:
 
 TOWERS_HEADER = ["cell_id", "lat", "lon", "azimuth_deg", "beamwidth_deg", "radius_m"]
 
-# Digit separator and ASCII whitespace, which float() forgives in a number field.
-_LAX_CHARACTERS = "_ \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
-
-
-def _strict(text: str) -> bool:
-    """Whether text, a number field or fields joined, is ASCII with no '_' and no whitespace."""
-    return text.isascii() and not any(c in text for c in _LAX_CHARACTERS)
-
-
-def _number(field: str) -> float:
-    """float(field) for a strict field (see _strict)."""
-    if not _strict(field):
-        raise ValueError(f"could not convert string to float: {field!r}")
-    return float(field)
-
-
 def _tower_row(cell_id, lat, lon, azimuth, beamwidth, radius) -> TowerSector:
     return TowerSector(
         cell_id=cell_id,
-        center=GeoPoint(lat=_number(lat), lon=_number(lon)),
-        azimuth_deg=_number(azimuth),
-        beamwidth_deg=_number(beamwidth),
-        radius_m=_number(radius),
+        center=GeoPoint(lat=strict_float(lat), lon=strict_float(lon)),
+        azimuth_deg=strict_float(azimuth),
+        beamwidth_deg=strict_float(beamwidth),
+        radius_m=strict_float(radius),
     )
 
 
@@ -772,7 +759,7 @@ def _cdr_fields(user_id, ts, cell_id) -> tuple:
 
 def _positioned_fields(user_id, ts, cell_id, lat, lon) -> tuple:
     # the checks and their order are those of PositionedEvent(..., GeoPoint(lat, lon))
-    timestamp, lat, lon = from_iso(ts), _number(lat), _number(lon)
+    timestamp, lat, lon = from_iso(ts), strict_float(lat), strict_float(lon)
     _check_coordinates(lat, lon)
     if not math.isfinite(timestamp):
         raise ValueError("timestamp must be finite")
@@ -811,7 +798,7 @@ def _read_canonical_columns(path: str | Path, header: list[str]) -> Optional[Eve
     """EventColumns of a plain event file in canonical form, or None for any other file.
 
     Canonical is what the writers below give: plain CSV (files.plain_csv_blocks),
-    timestamps in from_iso_block's form, and coordinates that _number reads
+    timestamps in from_iso_block's form, and coordinates that strict_float reads
     within range.  For such a file this gives what _read_rows gives, with
     whole-array passes over each block instead of a check per row.
     """
@@ -825,7 +812,7 @@ def _read_canonical_columns(path: str | Path, header: list[str]) -> Optional[Eve
         ts = from_iso_block(stamps)
         if ts is None:
             return None
-        if not all(map(_strict, map("".join, coordinates))):
+        if not all(map(is_strict, map("".join, coordinates))):
             return None
         try:
             floats = [np.fromiter(map(float, c), np.float64, len(c)) for c in coordinates]

@@ -12,15 +12,15 @@ default, e.g. a modularity- or flow-based community labeler.
 
 from __future__ import annotations
 
-import logging
 import math
 from bisect import insort
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
+from .config import StopParams
 from .errors import UnresolvedRegion, UnsortedInput
-from .files import read_csv, write_csv
+from .files import read_csv, strict_float, write_csv
 from .geo import (
     EARTH_RADIUS_M,
     EventColumns,
@@ -35,32 +35,6 @@ from .timefmt import from_iso, to_iso
 
 if TYPE_CHECKING:
     import numpy as np
-
-log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class StopParams:
-    """Thresholds for the two-level scheme, all finite and strictly positive.
-
-    r1: max roaming radius inside one stop, meters.
-    r2: max distance linking stop medians into one destination, meters.
-    min_duration: minimum stop span, seconds.
-    max_gap: max silence between consecutive events inside one stop, seconds.
-    """
-
-    r1: float = 300.0
-    r2: float = 500.0
-    min_duration: float = 600.0
-    max_gap: float = 3600.0
-
-    def __post_init__(self) -> None:
-        for name in ("r1", "r2", "min_duration", "max_gap"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"StopParams.{name} must be finite and > 0, got {value}")
-        if self.r2 < self.r1:
-            log.warning("StopParams: r2 (%.0f m) < r1 (%.0f m)", self.r2, self.r1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -500,7 +474,7 @@ def _staypoint_row(
 ) -> Staypoint:
     return Staypoint(
         staypoint_id=sp_id, user_id=user_id, location_id=location_id,
-        median=GeoPoint(lat=float(lat), lon=float(lon)),
+        median=GeoPoint(lat=strict_float(lat), lon=strict_float(lon)),
         t_start=from_iso(t_start), t_end=from_iso(t_end),
         region_parish=parish or None, region_municipality=municipality or None,
     )

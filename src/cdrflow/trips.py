@@ -11,57 +11,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .files import read_csv, write_csv
+from .config import DEFAULT_TRIP_GAP_S, ModeThresholds
+from .files import read_csv, strict_float, write_csv
 from .geo import GeoPoint, PositionedEvent, group_by_user, haversine_distance
 from .stays import Staypoint
 from .timefmt import from_iso, to_iso
 
 MODES = ("walk", "bicycle", "bus", "car", "train", "unknown")
-
-DEFAULT_TRIP_GAP_S = 25 * 60.0
-
-
-@dataclass(frozen=True)
-class ModeThresholds:
-    """Decision table over (avg speed km/h, path length m).
-
-    Bands, in km/h: walk below walk_max; bicycle to bicycle_max; bus to
-    bus_max, extended to bus_extended_max for short legs; car up to car_max
-    except long fast legs; train above car_max or fast-and-long.  Every
-    (speed, length) pair maps to exactly one mode; legs shorter than
-    min_duration_s get "unknown" because their speed is unreliable.
-    """
-
-    walk_max_kmh: float = 7.0
-    bicycle_max_kmh: float = 15.0
-    bus_max_kmh: float = 27.0
-    bus_extended_max_kmh: float = 45.0
-    bus_max_length_m: float = 3000.0
-    car_max_kmh: float = 60.0
-    train_long_min_length_m: float = 8000.0
-    min_duration_s: float = 60.0
-
-    def __post_init__(self) -> None:
-        speeds = (self.walk_max_kmh, self.bicycle_max_kmh, self.bus_max_kmh,
-                  self.bus_extended_max_kmh, self.car_max_kmh)
-        if any(b <= a for a, b in zip(speeds, speeds[1:])):
-            raise ValueError("mode speed bands must be strictly increasing")
-
-    def classify(self, avg_speed_kmh: float, path_length_m: float, duration_s: float) -> str:
-        if duration_s < self.min_duration_s:
-            return "unknown"
-        s = avg_speed_kmh
-        if s < self.walk_max_kmh:
-            return "walk"
-        if s < self.bicycle_max_kmh:
-            return "bicycle"
-        if s < self.bus_max_kmh:
-            return "bus"
-        if s < self.bus_extended_max_kmh:
-            return "bus" if path_length_m < self.bus_max_length_m else "car"
-        if s < self.car_max_kmh:
-            return "train" if path_length_m >= self.train_long_min_length_m else "car"
-        return "train"
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,7 +39,7 @@ class Tripleg:
             raise ValueError(f"tripleg {self.tripleg_id}: unknown mode {self.mode!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trip:
     trip_id: str
     user_id: str
@@ -248,7 +204,7 @@ def load_trips_csv(trips_path: str | Path, triplegs_path: str | Path) -> list[Tr
         return trip_id, Tripleg(
             tripleg_id=leg_id, user_id=user_id, origin_staypoint=origin, dest_staypoint=dest,
             t_start=from_iso(t_start), t_end=from_iso(t_end),
-            path_length_m=float(length), avg_speed_kmh=float(speed), mode=mode,
+            path_length_m=strict_float(length), avg_speed_kmh=strict_float(speed), mode=mode,
         )
 
     legs_by_trip: dict[str, list[Tripleg]] = {}

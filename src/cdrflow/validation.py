@@ -8,7 +8,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import ClassMismatch, DegenerateInput, UnresolvedRegion
-from .files import HeaderMismatch, read_csv, write_csv, write_json
+from .files import HeaderMismatch, read_csv, strict_float, write_csv, write_json
 from .stays import Staypoint, staypoint_region
 from .trips import Trip
 
@@ -266,14 +266,14 @@ def load_survey_csv(path: str | Path) -> dict:
     `origin,destination,trips` yields {"pairs": {...}}.
     """
     try:
-        rows = read_csv(path, ["class", "share"], "survey file", lambda c, s: (c, float(s)))
+        rows = read_csv(path, ["class", "share"], "survey file", lambda c, s: (c, strict_float(s)))
         return {"shares": dict(rows)}
     except HeaderMismatch:
         pass
     try:
         rows = read_csv(
             path, ["origin", "destination", "trips"], "survey file",
-            lambda origin, dest, n: ((origin, dest), float(n)),
+            lambda origin, dest, n: ((origin, dest), strict_float(n)),
         )
         return {"pairs": dict(rows)}
     except HeaderMismatch:

@@ -32,7 +32,7 @@ from cdrflow.synth import ScenarioConfig, generate_scenario, score_recovery
 from cdrflow.trips import Trip, Tripleg, build_trips
 from cdrflow.validation import linear_regression
 
-from conftest import random_case_log, square_region
+from conftest import iter_flattened_traces, random_case_log, square_region
 
 
 @contextmanager
@@ -180,23 +180,7 @@ def test_criterion_6_ocdfg_oracle_equivalence():
             assert len(ocel.events) <= 10000
             ocdfg = discover_ocdfg(ocel)
             for object_type, got in ocdfg.per_type:
-                typed = {o.object_id for o in ocel.objects if o.object_type == object_type}
-                per_object = {}
-                for event in ocel.events:
-                    for oid in sorted({o for o, _ in event.relations if o in typed}):
-                        per_object.setdefault(oid, []).append(event)
-                traces = tuple(
-                    Trace(
-                        case_id=oid,
-                        events=tuple(
-                            (e.activity, e.timestamp)
-                            for e in sorted(
-                                per_object[oid], key=lambda e: (e.timestamp, e.event_id)
-                            )
-                        ),
-                    )
-                    for oid in sorted(per_object)
-                )
+                traces = tuple(iter_flattened_traces(ocel, object_type))
                 flat = CaseLog(traces=traces, level=ocel.level)
                 expected = annotate_durations(discover_dfg(flat), flat)
                 assert got == expected

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -168,6 +169,31 @@ class TestExitCodes:
         assert run(stage, "--config", str(tiny_config), "--out", str(out), "--seed", "4") == 1
         err = capsys.readouterr().err
         assert str(out / ART[name]) in err and "Expecting value" in err
+
+    @pytest.mark.parametrize("name, stage, before, mutate, message", [
+        ("ocel", "discover", ("synth", "position", "stays", "trips", "log"),
+         lambda doc: doc["events"][0].pop("timestamp"), "has no 'timestamp'"),
+        ("ocel", "discover", ("synth", "position", "stays", "trips", "log"),
+         lambda doc: doc["events"][0].update(timestamp=1706745600), "'timestamp' is 1706745600"),
+        ("ocel", "discover", ("synth", "position", "stays", "trips", "log"),
+         lambda doc: doc.update(events={"e0_0": doc["events"][0]}), "events is not a list"),
+        ("dfg_model", "conform", ("synth", "position", "stays", "trips", "log", "discover"),
+         lambda doc: doc["nodes"][0].pop("activity"), "nodes[0] has no 'activity'"),
+    ], ids=["event-without-timestamp", "numeric-timestamp", "events-object",
+            "node-without-activity"])
+    def test_malformed_json_entry_exits_1_naming_file_and_entry(
+        self, tmp_path, tiny_config, capsys, name, stage, before, mutate, message
+    ):
+        out = tmp_path / "run"
+        for done in before:
+            assert run(done, "--config", str(tiny_config), "--out", str(out), "--seed", "4") == 0
+        doc = json.loads((out / ART[name]).read_text())
+        mutate(doc)
+        (out / ART[name]).write_text(json.dumps(doc))
+        assert run(stage, "--config", str(tiny_config), "--out", str(out), "--seed", "4") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cdrflow {stage}: ") and str(out / ART[name]) in err
+        assert message in err
 
     def test_config_mismatch_exits_1(self, tmp_path, tiny_config, capsys):
         out = tmp_path / "run"
@@ -371,11 +397,44 @@ def test_each_stage_leaves_later_stages_modules_out(tmp_path, tiny_config):
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('cdrflow.'))))\n"
     )
     mining = {"cdrflow.eventlog", "cdrflow.discovery", "cdrflow.conformance"}
+    trip_making = {"cdrflow.geo", "cdrflow.stays", "cdrflow.trips"}
     for stage in ("position", "stays", "trips", "log", "discover", "conform", "validate"):
         loaded = set(json.loads(python_output(code, stage, tiny_config, out)))
         assert "cdrflow.synth" not in loaded, stage
         if stage in ("position", "stays", "trips", "validate"):
             assert not loaded & mining, stage
+        if stage == "position":
+            assert not loaded & {"cdrflow.stays", "cdrflow.trips"}
+        if stage in ("discover", "conform"):
+            assert not loaded & trip_making, stage
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("stage, code", [("synth", 0), ("conform", 1)])  # conform: no model
+def test_main_restores_the_collector_state(tmp_path, tiny_config, enabled, stage, code):
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert run(stage, "--config", str(tiny_config), "--out", str(tmp_path / "run")) == code
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+def test_cyclic_garbage_does_not_grow_with_the_input(tmp_path):
+    """The stages leave a fixed count of cyclic garbage, so they need no collector."""
+    code = (
+        "import gc, sys, cdrflow.cli\n"
+        "gc.collect()\n"
+        "gc.disable()\n"
+        "assert cdrflow.cli.main(['all', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "print(gc.collect())\n"
+    )
+    found = []
+    for n_agents in (3, 9):
+        ini = tmp_path / f"agents_{n_agents}.ini"
+        ini.write_text(f"[synth]\nn_agents = {n_agents}\nn_days = 1\n")
+        found.append(int(python_output(code, ini, tmp_path / f"run_{n_agents}")))
+    assert abs(found[1] - found[0]) <= 20, found
 
 
 @pytest.fixture(scope="module")
@@ -456,6 +515,10 @@ class TestMalformedInput:
         ("towers", "position", "lat", "3_8.7"), ("towers", "position", "lon", " -9.3 "),
         ("towers", "position", "radius_m", "\u0661\u0660\u0660"),
         ("positioned", "stays", "lat", "1_0"), ("positioned", "stays", "lon", "-9.3\t"),
+        ("staypoints", "trips", "lat", "3_8.7"), ("staypoints", "trips", "lon", " -9.3 "),
+        ("triplegs", "log", "path_length_m", "1_0"),
+        ("triplegs", "log", "avg_speed_kmh", "\u0661\u0660"),
+        ("survey", "validate", "share", "1_0"), ("survey_pairs", "validate", "trips", " 3"),
     ])
     def test_lax_number_exits_1_naming_the_line(
         self, survey_run, name, stage, column, value, capsys

@@ -18,7 +18,7 @@ from cdrflow.discovery import (
 from cdrflow.errors import EmptyLog, EmptySelection, MismatchedLog
 from cdrflow.eventlog import CaseLog, Ocel, OcelEvent, OcelObject, Trace
 
-from conftest import random_case_log
+from conftest import flattened_traces, iter_flattened_traces, random_case_log
 
 
 def log_of(*sequences):
@@ -209,20 +209,38 @@ class TestDiscoverOcdfg:
         ocdfg = discover_ocdfg(ocel)
         for object_type, got in ocdfg.per_type:
             # oracle: flatten by scanning relations per object, then discover
-            per_object = {}
-            typed = {o.object_id for o in ocel.objects if o.object_type == object_type}
-            for event in ocel.events:
-                for oid in sorted({o for o, _ in event.relations if o in typed}):
-                    per_object.setdefault(oid, []).append(event)
-            traces = []
-            for oid in sorted(per_object):
-                ordered = sorted(per_object[oid], key=lambda e: (e.timestamp, e.event_id))
-                traces.append(
-                    Trace(case_id=oid, events=tuple((e.activity, e.timestamp) for e in ordered))
-                )
-            flat = CaseLog(traces=tuple(traces))
+            flat = CaseLog(traces=tuple(iter_flattened_traces(ocel, object_type)))
             expected = annotate_durations(discover_dfg(flat), flat)
             assert got == expected
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_one_pass_fold_equals_flattened_log_discovery(self, seed):
+        rng = random.Random(seed)
+        types = ["Bus", "Car", "Walk"][: rng.randint(1, 3)]
+        # an id may carry two types, a type may have no events, an object no type
+        objects = {(f"o{k}", rng.choice(types)) for k in range(rng.randint(1, 10))}
+        ids = sorted({object_id for object_id, _ in objects}) + ["untyped"]
+        n_events = rng.randint(1, 80)
+        events = tuple(  # not in event id order, and with tied timestamps
+            OcelEvent(
+                f"e{k:03d}", rng.choice("ABCD"), float(rng.randint(0, 30)),
+                tuple((rng.choice(ids), rng.choice(("trip", "mode")))
+                      for _ in range(rng.randint(0, 3))),
+            )
+            for k in rng.sample(range(n_events), n_events)
+        )
+        ocel = Ocel(
+            events=events,
+            objects=tuple(OcelObject(i, t) for i, t in sorted(objects | {("untyped", "Idle")})),
+            object_types=tuple(sorted(types)),
+        )
+        by_type = flattened_traces(ocel)
+        expected = []
+        for object_type in ocel.object_types:
+            if by_type.get(object_type):
+                flat = CaseLog(traces=tuple(by_type[object_type]))
+                expected.append((object_type, annotate_durations(discover_dfg(flat), flat)))
+        assert discover_ocdfg(ocel).per_type == tuple(expected)
 
     def test_empty_raises(self):
         with pytest.raises(EmptyLog):
@@ -282,6 +300,28 @@ class TestModelJson:
         first = path.read_bytes()
         write_model_json(load_dfg_json(path), path)
         assert path.read_bytes() == first
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda doc: doc["nodes"][0].pop("activity"), "nodes[0] has no 'activity'"),
+        (lambda doc: doc["arcs"][1].update(freq="3"), "arcs[1]: 'freq' is '3'"),
+        (lambda doc: doc["arcs"][0].update(mean_s=True), "arcs[0]: 'mean_s' is True"),
+        (lambda doc: doc["endCounts"].append(["A", 1]), "endCounts[2] is not an object"),
+        (lambda doc: doc.update(arcs={}), "arcs is not a list"),
+        (lambda doc: doc.pop("startCounts"), "not a case-centric model dump"),
+    ], ids=["no-activity", "text-freq", "bool-mean", "list-entry", "arcs-object", "ocdfg"])
+    def test_malformed_model_raises_naming_file_and_entry(self, tmp_path, mutate, message):
+        import json
+
+        log = log_of("AB", "AB", "BA")
+        path = tmp_path / "dfg.json"
+        write_model_json(annotate_durations(discover_dfg(log), log), path)
+        doc = json.loads(path.read_text())
+        mutate(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            load_dfg_json(path)
+        assert str(info.value).startswith(f"model file {path}: ")
+        assert message in str(info.value)
 
     def test_ocdfg_dump_arcs_sorted_and_typed(self):
         ocel = _random_ocel(random.Random(60), n_events=100)

@@ -11,8 +11,6 @@ from cdrflow.eventlog import (
     build_case_log,
     build_ocel,
     compute_stats,
-    flattened_traces,
-    iter_flattened_traces,
     load_case_log_csv,
     load_ocel_json,
     write_case_log_csv,
@@ -21,6 +19,8 @@ from cdrflow.eventlog import (
 from cdrflow.geo import GeoPoint
 from cdrflow.stays import Staypoint
 from cdrflow.trips import Trip, Tripleg
+
+from conftest import flattened_traces, iter_flattened_traces
 
 BASE = GeoPoint(38.70, -9.30)
 
@@ -185,6 +185,48 @@ class TestBuildOcel:
         write_ocel_json(loaded, path)
         assert path.read_bytes() == first
 
+    def test_load_shares_one_relations_tuple_per_relation_set(self, tmp_path):
+        sps, trips = _random_trip_world(random.Random(17), n_trips=10)
+        ocel = build_ocel(build_case_log(trips, sps, "municipality"), trips)
+        path = tmp_path / "ocel.json"
+        write_ocel_json(ocel, path)
+        loaded = load_ocel_json(path)
+        distinct = {e.relations for e in loaded.events}
+        assert len({id(e.relations) for e in loaded.events}) == len(distinct) == len(trips)
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda doc: doc["events"][1].pop("timestamp"), "event 'e0_1' has no 'timestamp'"),
+        (lambda doc: doc["events"][1].update(timestamp=5), "'timestamp' is 5, not a string"),
+        (lambda doc: doc["events"][1].update(timestamp="noon"), "event 'e0_1': Invalid isoformat"),
+        (lambda doc: doc["events"][0]["relations"][0].pop("qualifier"), "has no 'qualifier'"),
+        (lambda doc: doc["events"][0]["relations"][0].update(qualifier="bus"),
+         "unknown relation qualifier 'bus'"),
+        (lambda doc: doc["events"][0]["relations"].append(3), "event 'e0_0': relations is not"),
+        (lambda doc: doc.update(events={"e0_0": {}}), "events is not a list"),
+        (lambda doc: doc["events"].append(7), "events[5] is not an event"),
+        (lambda doc: doc["objects"][0].update(type=None), "'type' is None, not a string"),
+        (lambda doc: doc["objects"][0].pop("type"), "objects[0] is not an object"),
+        (lambda doc: doc["objectTypes"].append({}), "an object type has no name"),
+        (lambda doc: doc["events"].append(doc["events"][0]), "event ids must be unique"),
+    ], ids=["no-timestamp", "numeric-timestamp", "bad-timestamp", "no-qualifier",
+            "unknown-qualifier", "bad-relation", "events-object", "bad-event", "bad-type",
+            "no-type", "unnamed-type", "duplicate-event"])
+    def test_malformed_entry_raises_naming_file_and_entry(self, tmp_path, mutate, message):
+        import json
+
+        sps, trips = _random_trip_world(random.Random(18), n_trips=2)
+        ocel = build_ocel(build_case_log(trips, sps, "municipality"), trips)
+        path = tmp_path / "ocel.json"
+        write_ocel_json(ocel, path)
+        doc = json.loads(path.read_text())
+        assert [e["id"] for e in doc["events"]][:2] == ["e0_0", "e0_1"]
+        mutate(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            load_ocel_json(path)
+        assert str(info.value).startswith(f"JSON file {path}: ")
+        assert message in str(info.value)
+
     def test_schema_top_level_keys(self, tmp_path):
         import json
 
@@ -308,6 +350,25 @@ class TestFlattening:
         expected = {t: iter_flattened_traces(ocel, t) for t in ocel.object_types}
         got = flattened_traces(ocel)
         assert got == {t: traces for t, traces in expected.items() if traces}
+
+
+class TestSlottedRecords:
+    def test_records_pickle_and_compare_equal(self):
+        import pickle
+
+        from cdrflow.discovery import ArcStats
+
+        sps, trips = _random_trip_world(random.Random(19), n_trips=3)
+        log = build_case_log(trips, sps, "municipality")
+        ocel = build_ocel(log, trips)
+        records = [
+            log.traces[0], ocel.events[0], ocel.objects[0], trips[0], trips[0].triplegs[0],
+            sps[0], BASE, ArcStats(3, 60.0, 30.0), ArcStats(1),
+        ]
+        for record in records:
+            assert not hasattr(record, "__dict__"), type(record).__name__
+            copy = pickle.loads(pickle.dumps(record))
+            assert copy == record and copy is not record
 
 
 def _random_trip_world(rng, n_trips):
