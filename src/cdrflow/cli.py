@@ -197,10 +197,7 @@ def stage_conform(cfg: PipelineConfig) -> None:
 def stage_validate(cfg: PipelineConfig) -> None:
     from . import stays, trips, validation
 
-    all_trips = trips.load_trips_csv(
-        _stage_artifact(cfg, "trips", "trips"),
-        _stage_artifact(cfg, "triplegs", "trips"),
-    )
+    all_trips = trips.load_trip_ends_csv(_stage_artifact(cfg, "trips", "trips"))
     staypoints = stays.load_staypoints_csv(_stage_artifact(cfg, "staypoints", "stays"))
     od = validation.build_od_matrix(all_trips, staypoints, cfg.level)
     if cfg.region_aliases_path is not None:

@@ -7,8 +7,9 @@ lists, so any execution order yields identical results.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
-from operator import attrgetter, itemgetter, sub
+from dataclasses import asdict, dataclass, field, replace
+from functools import cache
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
@@ -79,59 +80,81 @@ class Variant:
     mean_duration_s: float
 
 
-def discover_dfg(log: CaseLog) -> Dfg:
-    """Count adjacent activity pairs, trace starts and trace ends."""
-    if not log.traces:
-        raise EmptyLog("cannot discover a model from an empty log")
-    nodes: dict[str, int] = {}
-    arcs: dict[tuple[str, str], int] = {}
-    starts: dict[str, int] = {}
-    ends: dict[str, int] = {}
-    for trace in log.traces:
-        acts = trace.activities
-        for a in acts:
-            nodes[a] = nodes.get(a, 0) + 1
-        starts[acts[0]] = starts.get(acts[0], 0) + 1
-        ends[acts[-1]] = ends.get(acts[-1], 0) + 1
-        for a, b in zip(acts, acts[1:]):
-            arcs[(a, b)] = arcs.get((a, b), 0) + 1
-    return Dfg(
-        nodes=tuple(sorted(nodes.items())),
-        arcs=tuple((pair, ArcStats(frequency=n)) for pair, n in sorted(arcs.items())),
-        start_counts=tuple(sorted(starts.items())),
-        end_counts=tuple(sorted(ends.items())),
-    )
+@dataclass(eq=False, slots=True)  # compared and hashed by identity
+class _Fold:
+    """Node, start and end counts and per-arc duration samples of folded traces.
 
-
-def annotate_durations(dfg: Dfg, log: CaseLog) -> Dfg:
-    """Attach mean and median transit seconds to every arc of the model.
-
-    Each adjacent event pair contributes t(target) - t(source); samples are
-    sorted before aggregation so results do not depend on fold order.
+    Both models are this fold: the case-centric one over the cases' traces,
+    the object-centric one per type over its objects' flattened traces.
     """
-    samples: dict[tuple[str, str], list[float]] = {}
-    for trace in log.traces:
-        for (a, ta), (b, tb) in zip(trace.events, trace.events[1:]):
-            samples.setdefault((a, b), []).append(tb - ta)
-    known = {pair for pair, _ in dfg.arcs}
-    for pair in samples:
-        if pair not in known:
-            raise MismatchedLog(f"log contains pair {pair} absent from the model")
-    annotated = []
-    for pair, stats in dfg.arcs:
-        values = sorted(samples.get(pair, []))
-        if values:
-            stats = _with_durations(stats.frequency, values)
-        annotated.append((pair, stats))
-    return replace(dfg, arcs=tuple(annotated))
+
+    nodes: dict[str, int] = field(default_factory=dict)
+    starts: dict[str, int] = field(default_factory=dict)
+    ends: dict[str, int] = field(default_factory=dict)
+    samples: dict[tuple[str, str], list[float]] = field(default_factory=dict)
+
+    def add(self, traces: Iterable[Sequence[tuple[str, float]]]) -> _Fold:
+        """Fold in traces, each a sequence of (activity, timestamp) pairs; returns self."""
+        nodes, starts, ends, samples = self.nodes, self.starts, self.ends, self.samples
+        for events in traces:
+            for a, _ in events:
+                nodes[a] = nodes.get(a, 0) + 1
+            starts[events[0][0]] = starts.get(events[0][0], 0) + 1
+            ends[events[-1][0]] = ends.get(events[-1][0], 0) + 1
+            # each adjacent event pair contributes t(target) - t(source)
+            for (a, ta), (b, tb) in zip(events, events[1:]):
+                if (a, b) in samples:
+                    samples[a, b].append(tb - ta)
+                else:
+                    samples[a, b] = [tb - ta]
+        return self
+
+    def dfg(self, durations: bool) -> Dfg:
+        """The folded model, sorted; its arcs carry duration statistics if asked."""
+        arcs = []
+        for pair in sorted(self.samples):
+            values = self.samples[pair]
+            stats = _arc_stats(len(values), values) if durations else ArcStats(len(values))
+            arcs.append((pair, stats))
+        return Dfg(
+            nodes=tuple(sorted(self.nodes.items())),
+            arcs=tuple(arcs),
+            start_counts=tuple(sorted(self.starts.items())),
+            end_counts=tuple(sorted(self.ends.items())),
+        )
 
 
-def _with_durations(frequency: int, values: list[float]) -> ArcStats:
-    """ArcStats of an arc with the mean and median of its sorted duration samples."""
+def _arc_stats(frequency: int, values: list[float]) -> ArcStats:
+    """ArcStats of an arc with the mean and median of its duration samples, sorted first."""
+    values.sort()
     n, half = len(values), len(values) // 2
     # statistics.median's middle value, or mean of the two middle values
     median = values[half] if n % 2 else (values[half - 1] + values[half]) / 2
     return ArcStats(frequency, sum(values) / n, float(median))
+
+
+def discover_dfg(log: CaseLog) -> Dfg:
+    """Count adjacent activity pairs, trace starts and trace ends."""
+    if not log.traces:
+        raise EmptyLog("cannot discover a model from an empty log")
+    return _Fold().add(trace.events for trace in log.traces).dfg(durations=False)
+
+
+def annotate_durations(dfg: Dfg, log: CaseLog) -> Dfg:
+    """Attach mean and median transit seconds to every arc of the model found in the log.
+
+    Arcs keep the model's frequency; an arc absent from the log is left as it is.
+    """
+    samples = _Fold().add(trace.events for trace in log.traces).samples
+    known = {pair for pair, _ in dfg.arcs}
+    for pair in samples:
+        if pair not in known:
+            raise MismatchedLog(f"log contains pair {pair} absent from the model")
+    arcs = []
+    for pair, stats in dfg.arcs:
+        values = samples.get(pair)
+        arcs.append((pair, stats if values is None else _arc_stats(stats.frequency, values)))
+    return replace(dfg, arcs=tuple(arcs))
 
 
 def extract_variants(log: CaseLog, top_k: Optional[int] = None) -> list[Variant]:
@@ -173,61 +196,30 @@ def discover_ocdfg(ocel: Ocel) -> OcDfg:
     """Per-type models over flattened object traces, durations included.
 
     The flattened trace of an object is its events in (timestamp, event id)
-    order, and its type's model is discover_dfg and annotate_durations over
-    those traces.  Each object's ordered events are folded straight into
-    its types' node, start, end and arc counts and duration samples, so no
-    trace is built.
+    order; it is folded straight into the fold of each of the object's types.
     """
     if not ocel.events:
         raise EmptyLog("cannot discover a model from an empty log")
-    types_of: dict[str, set[str]] = {}
+    folds = {object_type: _Fold() for object_type in ocel.object_types}
+    folds_of: dict[str, set[_Fold]] = {}
     for o in ocel.objects:
-        types_of.setdefault(o.object_id, set()).add(o.object_type)
+        if o.object_type in folds:
+            folds_of.setdefault(o.object_id, set()).add(folds[o.object_type])
     events_of: dict[str, list] = {}
     for event in ocel.events:
         for object_id in {object_id for object_id, _ in event.relations}:
             events_of.setdefault(object_id, []).append(event)
 
-    folds: dict[str, tuple[dict, dict, dict, dict]] = {}
     by_time_and_id = attrgetter("timestamp", "event_id")
     for object_id, events in events_of.items():
-        types = types_of.get(object_id)
-        if types is None:
-            continue
-        events.sort(key=by_time_and_id)
-        acts = [e.activity for e in events]
-        gaps = list(map(sub, [e.timestamp for e in events[1:]], [e.timestamp for e in events]))
-        for object_type in types:
-            if object_type not in folds:
-                folds[object_type] = ({}, {}, {}, {})
-            nodes, starts, ends, samples = folds[object_type]
-            for a in acts:
-                nodes[a] = nodes.get(a, 0) + 1
-            starts[acts[0]] = starts.get(acts[0], 0) + 1
-            ends[acts[-1]] = ends.get(acts[-1], 0) + 1
-            for pair, gap in zip(zip(acts, acts[1:]), gaps):
-                if pair in samples:
-                    samples[pair].append(gap)
-                else:
-                    samples[pair] = [gap]
-
-    per_type = []
-    for object_type in ocel.object_types:
-        if object_type not in folds:
-            continue
-        nodes, starts, ends, samples = folds[object_type]
-        arcs = []
-        for pair in sorted(samples):
-            values = samples[pair]
-            values.sort()
-            arcs.append((pair, _with_durations(len(values), values)))
-        per_type.append((object_type, Dfg(
-            nodes=tuple(sorted(nodes.items())),
-            arcs=tuple(arcs),
-            start_counts=tuple(sorted(starts.items())),
-            end_counts=tuple(sorted(ends.items())),
-        )))
-    return OcDfg(per_type=tuple(per_type))
+        if object_id in folds_of:
+            events.sort(key=by_time_and_id)
+            trace = [(e.activity, e.timestamp) for e in events]
+            for fold in folds_of[object_id]:
+                fold.add((trace,))
+    return OcDfg(per_type=tuple(
+        (object_type, fold.dfg(durations=True)) for object_type, fold in folds.items() if fold.nodes
+    ))
 
 
 # --- export -----------------------------------------------------------------
@@ -265,13 +257,7 @@ def export_dot(
     object type from a fixed palette.
     """
     lines = ["digraph dfg {", "  rankdir=LR;"]
-    quoted: dict[str, str] = {}  # each label is quoted once
-
-    def quote(label: str) -> str:
-        text = quoted.get(label)
-        if text is None:
-            text = quoted[label] = _quote(label)
-        return text
+    quote = cache(_quote)  # each label is quoted once
 
     node_totals = model.node_dict()
     if isinstance(model, OcDfg):
@@ -303,18 +289,15 @@ def export_dot(
 def _arc_rows(model: Union[Dfg, OcDfg]) -> list[tuple]:
     """(source, target, object type, stats) of every arc, sorted by the first three.
 
-    The object type is None in a case-centric model.
+    A case-centric model is read as one of object type None.
     """
-    if isinstance(model, Dfg):
-        rows = [(src, dst, None, stats) for (src, dst), stats in model.arcs]
-        rows.sort(key=itemgetter(0, 1))
-    else:
-        rows = [
-            (src, dst, object_type, stats)
-            for object_type, dfg in model.per_type
-            for (src, dst), stats in dfg.arcs
-        ]
-        rows.sort(key=itemgetter(0, 1, 2))
+    per_type = ((None, model),) if isinstance(model, Dfg) else model.per_type
+    rows = [
+        (src, dst, object_type, stats)
+        for object_type, dfg in per_type
+        for (src, dst), stats in dfg.arcs
+    ]
+    rows.sort(key=itemgetter(0, 1, 2))
     return rows
 
 

@@ -221,3 +221,21 @@ def load_trips_csv(trips_path: str | Path, triplegs_path: str | Path) -> list[Tr
         )
 
     return list(read_csv(trips_path, TRIPS_HEADER, "trips file", trip))
+
+
+@dataclass(frozen=True, slots=True)
+class TripEnds:
+    """A trip's id and endpoint staypoints: all that an OD matrix reads of a trip."""
+
+    trip_id: str
+    origin_staypoint: str
+    dest_staypoint: str
+
+
+def load_trip_ends_csv(trips_path: str | Path) -> list[TripEnds]:
+    """The trips of a trip export without their triplegs, timestamps checked as on load."""
+    def ends(trip_id, user_id, origin, dest, t_start, t_end, *_) -> TripEnds:
+        from_iso(t_start), from_iso(t_end)  # a malformed timestamp fails as on load
+        return TripEnds(trip_id, origin, dest)
+
+    return list(read_csv(trips_path, TRIPS_HEADER, "trips file", ends))

@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 from .errors import ClassMismatch, DegenerateInput, UnresolvedRegion
 from .files import HeaderMismatch, read_csv, strict_float, write_csv, write_json
 from .stays import Staypoint, staypoint_region
-from .trips import Trip
+from .trips import Trip, TripEnds
 
 # half a percentage point of rounding slack across all survey classes
 SHARE_SUM_TOLERANCE = 5e-3
@@ -49,7 +49,7 @@ class ShareComparison:
 
 
 def build_od_matrix(
-    trips: Sequence[Trip], staypoints: Sequence[Staypoint], level: str
+    trips: Sequence[Trip | TripEnds], staypoints: Sequence[Staypoint], level: str
 ) -> OdMatrix:
     """Trip counts per (origin region, destination region) at the given level.
 

@@ -50,8 +50,9 @@ def random_case_log(rng: random.Random, n_traces=None, alphabet=None) -> CaseLog
 
 
 # --- the flattening reference ------------------------------------------------
-# discovery.discover_ocdfg folds each object's events without building these
-# traces; the tests compare it with discover_dfg and annotate_durations over them.
+# discovery.discover_ocdfg folds each object's events into its types' models
+# with the fold that discover_dfg and annotate_durations run over a case log,
+# without building these traces; the tests compare it with those two over them.
 
 def iter_flattened_traces(ocel: Ocel, object_type: str) -> list[Trace]:
     """Per-object event sequences for one type, ordered by (timestamp, id)."""

@@ -170,6 +170,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert str(out / ART[name]) in err and "Expecting value" in err
 
+    @pytest.mark.parametrize("name, stage", [
+        ("cdr", "position"), ("towers", "position"), ("positioned", "stays"),
+        ("staypoints", "trips"), ("moving", "trips"), ("trips", "log"), ("triplegs", "log"),
+        ("trips", "validate"), ("case_log", "discover"),
+    ])
+    def test_empty_csv_exits_1_naming_the_file(self, survey_run, capsys, name, stage):
+        ini, out, paths = survey_run
+        path = paths.get(name, out / ART[name])
+        original = path.read_bytes()
+        path.write_bytes(b"")
+        try:
+            assert run(stage, "--config", str(ini), "--out", str(out), "--seed", "4") == 1
+        finally:
+            path.write_bytes(original)
+        err = capsys.readouterr().err
+        assert err.startswith(f"cdrflow {stage}: ")
+        assert f"{path}: line 1: expected header" in err
+
     @pytest.mark.parametrize("name, stage, before, mutate, message", [
         ("ocel", "discover", ("synth", "position", "stays", "trips", "log"),
          lambda doc: doc["events"][0].pop("timestamp"), "has no 'timestamp'"),
@@ -317,10 +335,11 @@ mode_trip_distance_m = car:4200:7000,bus:3500:7000
         assert config_hash(a) != config_hash(c)
 
 
-def python_output(code, *args):
-    """Standard output of `python -c code args` run against this cdrflow."""
+def python_output(code, *args, env=None):
+    """Standard output of `python -c code args` run against this cdrflow, `env` added."""
     src = str(Path(cdrflow.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {**os.environ, **(env or {}),
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
         [sys.executable, "-c", code, *map(str, args)],
         capture_output=True, text=True, check=True, env=env,
@@ -385,6 +404,29 @@ def test_all_runs_without_scipy(tmp_path, survey_config):
     )
     python_output(code, survey_config, out)
     assert 0.0 < regression_p_value(out) < 1.0
+
+
+def test_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
+    """String hashing, and so set and dict order over ids, varies with PYTHONHASHSEED."""
+    ini = tmp_path / "parish.ini"
+    ini.write_text(
+        "[run]\nlevel = parish\nper_trace = true\n"
+        "[synth]\nn_agents = 4\nn_days = 2\nmoving_rate_per_h = 30\ntower_noise_p = 0.1\n"
+        "trips_per_day_kind = poisson\n"
+    )
+    code = (
+        "import sys, cdrflow.cli\n"
+        "sys.exit(cdrflow.cli.main(['all', '--config', sys.argv[1], '--out', sys.argv[2],"
+        " '--seed', '17']))\n"
+    )
+    outs = [tmp_path / "hash_seed_0", tmp_path / "hash_seed_4242"]
+    for out in outs:
+        python_output(code, ini, out, env={"PYTHONHASHSEED": out.name.rsplit("_", 1)[1]})
+    names = sorted(path.name for path in outs[0].iterdir())
+    assert names == sorted(path.name for path in outs[1].iterdir())
+    assert {ART["ocdfg_model"], ART["per_trace"], ART["moving"]} <= set(names)
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_each_stage_leaves_later_stages_modules_out(tmp_path, tiny_config):
@@ -539,6 +581,20 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith(f"cdrflow {stage}: ")
         assert f"{path}: line 2: " in err and repr(value) in err
+
+    def test_duplicate_cell_id_exits_1_naming_it(self, survey_run, capsys):
+        ini, out, paths = survey_run
+        path = paths["towers"]
+        original = path.read_text()
+        first_tower = original.splitlines(keepends=True)[1]
+        path.write_text(original + first_tower)
+        try:
+            assert run("position", "--config", str(ini), "--out", str(out), "--seed", "4") == 1
+        finally:
+            path.write_text(original)
+        err = capsys.readouterr().err
+        assert err.startswith("cdrflow position: ")
+        assert f"duplicate cell_id {first_tower.split(',')[0]!r} in {path}" in err
 
     @pytest.mark.parametrize("column", ["radius_m", "azimuth_deg"])
     def test_non_finite_sector_exits_1(self, survey_run, column, capsys):
