@@ -92,12 +92,11 @@ def _load_land(cfg: PipelineConfig):
 def stage_synth(cfg: PipelineConfig) -> None:
     from . import geo, synth
 
-    scenario = replace(cfg.scenario, seed=cfg.seed)
-    events, towers, regions, truth = synth.generate_scenario(scenario)
-    geo.write_cdr_csv(events, _artifact(cfg, "cdr"))
-    geo.write_towers_csv(towers.values(), _artifact(cfg, "towers"))
-    geo.write_regions_geojson(regions.regions(), _artifact(cfg, "regions"))
-    synth.write_ground_truth_json(truth, _artifact(cfg, "ground_truth"))
+    scenario = synth.Scenario(replace(cfg.scenario, seed=cfg.seed))
+    geo.write_cdr_columns(scenario.agent_events(), _artifact(cfg, "cdr"))
+    geo.write_towers_csv(scenario.towers.values(), _artifact(cfg, "towers"))
+    geo.write_regions_geojson(scenario.regions.regions(), _artifact(cfg, "regions"))
+    synth.write_ground_truth_json(scenario.truth, _artifact(cfg, "ground_truth"))
 
 
 def stage_position(cfg: PipelineConfig) -> None:

@@ -13,7 +13,7 @@ from array import array
 from dataclasses import dataclass, replace
 from hashlib import blake2b
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .errors import ClippingExhausted
 from .files import (
@@ -890,19 +890,36 @@ def write_positioned_csv(events: Iterable[PositionedEvent], path: str | Path) ->
 
 def write_positioned_columns(events: EventColumns, path: str | Path) -> None:
     """write_positioned_csv over columns, converting one block of rows at a time."""
-    def blocks():
-        users, cells = events.users, events.cells
-        for start in range(0, len(events), _BLOCK_EVENTS):
-            block = slice(start, start + _BLOCK_EVENTS)
-            yield (
-                list(map(users.__getitem__, events.user[block].tolist())),
-                to_iso_block(events.ts[block]),
-                list(map(cells.__getitem__, events.cell[block].tolist())),
-                list(map(repr, events.lat[block].tolist())),
-                list(map(repr, events.lon[block].tolist())),
-            )
+    write_csv_blocks(path, POSITIONED_HEADER, _text_blocks(events))
 
-    write_csv_blocks(path, POSITIONED_HEADER, blocks())
+
+def write_cdr_columns(parts: Iterable[EventColumns], path: str | Path) -> None:
+    """write_cdr_csv of the unpositioned events of each part in turn, a block of rows at a time.
+
+    Only one part is converted at a time, so the parts can be made as
+    they are written.
+    """
+    write_csv_blocks(path, CDR_HEADER, (text for events in parts for text in _text_blocks(events)))
+
+
+def _text_blocks(events: EventColumns) -> Iterator[list[list[str]]]:
+    """The rows of events as string columns, _BLOCK_EVENTS rows at a time.
+
+    The columns are those of the event files: user_id, timestamp and
+    cell_id, then lat and lon when the events are positioned.
+    """
+    users, cells = events.users, events.cells
+    for start in range(0, len(events), _BLOCK_EVENTS):
+        block = slice(start, start + _BLOCK_EVENTS)
+        columns = [
+            list(map(users.__getitem__, events.user[block].tolist())),
+            to_iso_block(events.ts[block]),
+            list(map(cells.__getitem__, events.cell[block].tolist())),
+        ]
+        if events.lat is not None:
+            columns.append(list(map(repr, events.lat[block].tolist())))
+            columns.append(list(map(repr, events.lon[block].tolist())))
+        yield columns
 
 
 def _rings_to_coords(polygons: tuple) -> list:

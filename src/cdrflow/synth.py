@@ -15,18 +15,22 @@ or length outside its mode's decision band.
 
 from __future__ import annotations
 
+import bisect
+import copy
+import itertools
 import math
 import random
 from dataclasses import asdict, dataclass
 from hashlib import blake2b
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 from .config import _MAX_TRIPS_PER_DAY, ScenarioConfig, TowerGridSpec  # noqa: F401 (re-exported)
 from .errors import InvalidConfig, ScenarioMismatch
 from .files import read_json, write_json
 from .geo import (
     CdrEvent,
+    EventColumns,
     GeoPoint,
     Region,
     RegionIndex,
@@ -124,6 +128,35 @@ def _poisson(rng: random.Random, lam: float) -> int:
         k += 1
 
 
+def _k_smallest(values: np.ndarray, k: int) -> np.ndarray:
+    """np.argsort(values, kind="stable")[:k] of values without NaN, by selection instead of a sort.
+
+    The k-th smallest value bounds the answer: it holds every index with a
+    smaller value and the lowest-indexed ones equal to it, which a stable
+    sort of the candidates at most that value puts first.
+    """
+    import numpy as np
+
+    if k >= len(values):
+        return np.argsort(values, kind="stable")
+    kth = np.partition(values, k - 1)[k - 1]
+    candidates = np.flatnonzero(values <= kth)
+    return candidates[np.argsort(values[candidates], kind="stable")[:k]]
+
+
+def _hav(angle: float) -> float:
+    return math.sin(angle / 2.0) ** 2
+
+
+def _clearly_less(a: float, b: float) -> bool:
+    """Whether haversine a < b by more than any rounding of either could make up.
+
+    The margin, 1e-9 relative plus 1e-24 (a distance of about 1e-5 m),
+    is far above the few ulps by which two computations of h differ.
+    """
+    return b - a > 1e-9 * b + 1e-24
+
+
 class _World:
     """Tower and region geometry derived from the grid layout."""
 
@@ -161,6 +194,13 @@ class _World:
         self._tower_lat = lats
         self._tower_lon = lons
         self._tower_cos = np.cos(lats)
+        # The grid's rows share a latitude and its columns a longitude, both
+        # increasing with the index; nearest_towers looks at a window of it.
+        self._shape = (spec.rows, spec.cols)
+        self._row_phi = lats[::spec.cols].tolist()
+        self._row_cos = self._tower_cos[::spec.cols].tolist()
+        self._col_lam = lons[:spec.cols].tolist()
+        self._cos_min = min(self._row_cos)
         # Anchors live on a sparse subgrid (every third tower per axis) so
         # that stop medians of distinct anchors can never chain into one
         # destination cluster through intermediate towers.
@@ -183,15 +223,68 @@ class _World:
         )
 
     def nearest_towers(self, p: GeoPoint, k: int = 2) -> list[int]:
-        import numpy as np
+        """Indices of the k towers nearest to p; of equal distances, the lower index first."""
+        phi, lam = math.radians(p.lat), math.radians(p.lon)
+        cos_phi = math.cos(phi)
+        found = self._nearest_in_window(phi, lam, cos_phi, k)
+        if found is None:
+            d = haversine_m_array(
+                phi, lam, cos_phi, self._tower_lat, self._tower_lon, self._tower_cos
+            )
+            found = _k_smallest(d, k).tolist()
+        return found
 
-        phi = math.radians(p.lat)
-        d = haversine_m_array(
-            phi, math.radians(p.lon), math.cos(phi),
-            self._tower_lat, self._tower_lon, self._tower_cos,
-        )
-        order = np.argsort(d, kind="stable")
-        return [int(i) for i in order[:k]]
+    def _nearest_in_window(self, phi: float, lam: float, cos_phi: float, k: int):
+        """nearest_towers from the 4 x 4 towers around the point, or None if they do not decide it.
+
+        Distance grows with h = hav(dphi) + cos(phi) cos(phi_t) hav(dlam),
+        which for a tower splits into a term of its row and one of its
+        column, so the window's h come from 8 sines.  The window decides
+        when the k + 1 smallest h in it are clearly apart, so that no
+        rounding (here or in haversine_m_array) can reorder them, and
+        every tower outside is clearly farther than the k-th.  The window
+        holds the two rows and the two columns on each side of the point
+        (bisect), so a tower in the rows below it has h >= hav(phi - phi'),
+        phi' being the latitude of the nearest such row, and one in the
+        columns to its left has h >= cos(phi) * min cos(phi_t) * hav(lam - lam')
+        while no column is more than pi from the point; likewise above and
+        to the right.
+        """
+        rows, cols = self._shape
+        row_phi, col_lam = self._row_phi, self._col_lam
+        row, col = bisect.bisect(row_phi, phi), bisect.bisect(col_lam, lam)
+        r0, r1 = max(0, row - 2), min(rows, row + 2)
+        c0, c1 = max(0, col - 2), min(cols, col + 2)
+        across = [_hav(col_lam[c] - lam) for c in range(c0, c1)]
+        h: list[float] = []
+        for r in range(r0, r1):
+            along, scale = _hav(row_phi[r] - phi), cos_phi * self._row_cos[r]
+            h.extend([along + scale * a for a in across])
+        if len(h) <= k:
+            return None
+        order = sorted(range(len(h)), key=h.__getitem__)[:k + 1]
+        nearest = [h[i] for i in order]
+        if not all(map(_clearly_less, nearest, nearest[1:])):
+            return None
+        bounds = [math.inf]
+        if r0 > 0:
+            bounds.append(_hav(phi - row_phi[r0 - 1]))
+        if r1 < rows:
+            bounds.append(_hav(row_phi[r1] - phi))
+        # (gap, spread): the longitude differences to the nearest and the farthest column
+        sides = []
+        if c0 > 0:
+            sides.append((lam - col_lam[c0 - 1], lam - col_lam[0]))
+        if c1 < cols:
+            sides.append((col_lam[c1] - lam, col_lam[-1] - lam))
+        for gap, spread in sides:
+            if spread > math.pi:
+                return None
+            bounds.append(cos_phi * self._cos_min * _hav(gap))
+        if not _clearly_less(nearest[k - 1], min(bounds)):
+            return None
+        width = c1 - c0
+        return [(r0 + i // width) * cols + c0 + i % width for i in order[:k]]
 
     def parish_of(self, x_m: float, y_m: float) -> tuple[int, int]:
         p = self.config.parish_size_m
@@ -241,109 +334,162 @@ class _World:
 def generate_scenario(
     config: ScenarioConfig,
 ) -> tuple[list[CdrEvent], dict[str, TowerSector], RegionIndex, GroundTruth]:
-    """Synthesize events, the tower map, the region index and full ground truth."""
-    config.validate()
-    world = _World(config)
-    regions = world.build_regions()
-    horizon = config.n_days * _DAY_S
+    """Synthesize events, the tower map, the region index and full ground truth.
+
+    The events are those of Scenario.agent_events() as CdrEvent records,
+    in (user_id, timestamp) order.
+    """
+    scenario = Scenario(config)
+    events: list[CdrEvent] = []
+    for block in scenario.agent_events():
+        events.extend(map(
+            CdrEvent, itertools.repeat(block.users[0]), block.ts.tolist(),
+            map(block.cells.__getitem__, block.cell.tolist()),
+        ))
+    return events, scenario.towers, scenario.regions, scenario.truth
+
+
+class _Plan(NamedTuple):
+    """One agent's truth and the generator its pings draw from."""
+
+    agent: AgentTruth
+    trips: list[TrueTrip]
+    dwells: list[TrueDwell]
+    rng: random.Random
+
+
+class Scenario:
+    """A synthetic scenario whose events are generated one agent at a time.
+
+    The towers, regions and ground truth are made up front; the events,
+    which are most of the scenario, come from agent_events() as columns,
+    so that a writer never holds them all.
+    """
+
+    def __init__(self, config: ScenarioConfig):
+        config.validate()
+        self.config = config
+        self._world = _World(config)
+        self.regions = self._world.build_regions()
+        self.towers = {t.cell_id: t for t in self._world.towers}
+        self._plans = [_plan_agent(self._world, config, idx) for idx in range(config.n_agents)]
+        self.truth = GroundTruth(
+            seed=config.seed,
+            start_epoch=config.start_epoch,
+            horizon_s=config.n_days * _DAY_S,
+            agents=tuple(plan.agent for plan in self._plans),
+            trips=tuple(trip for plan in self._plans for trip in plan.trips),
+            dwells=tuple(dwell for plan in self._plans for dwell in plan.dwells),
+        )
+
+    def agent_events(self) -> Iterator[EventColumns]:
+        """Each agent's pings as EventColumns in time order, agents in user_id order.
+
+        Read one after another, the blocks are the scenario's events in
+        (user_id, timestamp) order.  Each call gives the same blocks.
+        """
+        import numpy as np
+
+        config = self.config
+        dwell_gap = max(1, round(3600.0 / config.dwell_rate_per_h))
+        moving_gap = (
+            max(1, round(3600.0 / config.moving_rate_per_h)) if config.moving_rate_per_h > 0 else 0
+        )
+        cell_ids = list(self.towers)
+        for idx in _user_order(len(self._plans)):
+            agent, trips, dwells, rng = self._plans[idx]
+            ts, cell = _agent_pings(
+                self._world, config, copy.copy(rng), agent, trips, dwells, dwell_gap, moving_gap
+            )
+            yield EventColumns(
+                [agent.user_id], cell_ids, np.zeros(len(ts), dtype=np.int32), cell, ts
+            )
+
+
+def _user_id(idx: int) -> str:
+    return f"u{idx:04d}"
+
+
+def _user_order(n_agents: int) -> list[int]:
+    """Agent indices in the order of their user ids, which is the events' order.
+
+    Ids have at least four digits, so from 10,000 agents on this is not the
+    index order: u10000 sorts between u1000 and u1001.
+    """
+    return sorted(range(n_agents), key=_user_id)
+
+
+def _plan_agent(world: _World, config: ScenarioConfig, idx: int) -> _Plan:
+    """Agent idx's mode, anchors and timeline of dwells and trips."""
     epoch = config.start_epoch
+    horizon = config.n_days * _DAY_S
+    user_id = _user_id(idx)
+    rng = random.Random(_derive_seed(config.seed, "agent", idx))
+    mode = _weighted_choice(rng, config.mode_mix)
+    d_lo, d_hi = config.mode_trip_distance_m[mode]
 
-    dwell_gap = max(1, round(3600.0 / config.dwell_rate_per_h))
-    moving_gap = (
-        max(1, round(3600.0 / config.moving_rate_per_h)) if config.moving_rate_per_h > 0 else 0
-    )
+    home_idx = work_idx = -1
+    for _ in range(1000):
+        candidate = world.anchor_indices[rng.randrange(len(world.anchor_indices))]
+        dists = world.tower_distances(candidate)
+        partners = [
+            k for k in world.anchor_indices
+            if k != candidate and d_lo <= dists[k] <= d_hi
+        ]
+        if partners:
+            home_idx = candidate
+            work_idx = partners[rng.randrange(len(partners))]
+            break
+    if home_idx < 0:
+        raise InvalidConfig(
+            f"no anchor pair at {d_lo:.0f}..{d_hi:.0f} m exists for mode {mode!r}"
+        )
 
-    agents: list[AgentTruth] = []
+    anchors = {
+        "home": _anchor_truth("home", world, home_idx),
+        "work": _anchor_truth("work", world, work_idx),
+    }
+    agent = AgentTruth(user_id=user_id, mode=mode, home=anchors["home"], work=anchors["work"])
+
+    lo_kmh, hi_kmh = config.mode_speed_bands_kmh[mode]
+    distance = haversine_distance(anchors["home"].point, anchors["work"].point)
+
     trips: list[TrueTrip] = []
     dwells: list[TrueDwell] = []
-    events: list[CdrEvent] = []
-
-    for idx in range(config.n_agents):
-        first_trip, first_dwell = len(trips), len(dwells)
-        user_id = f"u{idx:04d}"
-        rng = random.Random(_derive_seed(config.seed, "agent", idx))
-        mode = _weighted_choice(rng, config.mode_mix)
-        d_lo, d_hi = config.mode_trip_distance_m[mode]
-
-        home_idx = work_idx = -1
-        for _ in range(1000):
-            candidate = world.anchor_indices[rng.randrange(len(world.anchor_indices))]
-            dists = world.tower_distances(candidate)
-            partners = [
-                k for k in world.anchor_indices
-                if k != candidate and d_lo <= dists[k] <= d_hi
-            ]
-            if partners:
-                home_idx = candidate
-                work_idx = partners[rng.randrange(len(partners))]
-                break
-        if home_idx < 0:
-            raise InvalidConfig(
-                f"no anchor pair at {d_lo:.0f}..{d_hi:.0f} m exists for mode {mode!r}"
+    current = "home"
+    dwell_start = epoch
+    for day in range(config.n_days):
+        if config.trips_per_day_kind == "fixed":
+            n_trips = int(config.trips_per_day_value)
+        else:
+            n_trips = min(_poisson(rng, config.trips_per_day_value), _MAX_TRIPS_PER_DAY)
+        if n_trips == 0:
+            continue
+        window = _SCHEDULE_SPAN_S / n_trips
+        jitter_cap = min(3600.0, window - (_MAX_TRIP_S + _MIN_DWELL_S))
+        for k in range(n_trips):
+            departure = epoch + int(
+                day * _DAY_S + _FIRST_DEPARTURE_S + k * window + rng.random() * jitter_cap
             )
-
-        anchors = {
-            "home": _anchor_truth("home", world, home_idx),
-            "work": _anchor_truth("work", world, work_idx),
-        }
-        agent = AgentTruth(user_id=user_id, mode=mode, home=anchors["home"], work=anchors["work"])
-        agents.append(agent)
-
-        lo_kmh, hi_kmh = config.mode_speed_bands_kmh[mode]
-        distance = haversine_distance(anchors["home"].point, anchors["work"].point)
-
-        current = "home"
-        dwell_start = epoch
-        for day in range(config.n_days):
-            if config.trips_per_day_kind == "fixed":
-                n_trips = int(config.trips_per_day_value)
-            else:
-                n_trips = min(_poisson(rng, config.trips_per_day_value), _MAX_TRIPS_PER_DAY)
-            if n_trips == 0:
-                continue
-            window = _SCHEDULE_SPAN_S / n_trips
-            jitter_cap = min(3600.0, window - (_MAX_TRIP_S + _MIN_DWELL_S))
-            for k in range(n_trips):
-                departure = epoch + int(
-                    day * _DAY_S + _FIRST_DEPARTURE_S + k * window + rng.random() * jitter_cap
-                )
-                speed_kmh = lo_kmh if lo_kmh == hi_kmh else rng.uniform(lo_kmh, hi_kmh)
-                duration = max(1, round(distance / (speed_kmh / 3.6)))
-                arrival = departure + duration
-                dest = "work" if current == "home" else "home"
-                dwells.append(
-                    TrueDwell(user_id=user_id, anchor=current, t_start=dwell_start, t_end=departure)
-                )
-                trips.append(
-                    TrueTrip(
-                        user_id=user_id, origin_anchor=current, dest_anchor=dest,
-                        mode=mode, departure=departure, arrival=arrival, distance_m=distance,
-                    )
-                )
-                dwell_start = arrival
-                current = dest
-        dwells.append(
-            TrueDwell(user_id=user_id, anchor=current, t_start=dwell_start, t_end=epoch + horizon)
-        )
-
-        events.extend(
-            _agent_events(
-                world, config, rng, agent,
-                trips[first_trip:], dwells[first_dwell:], dwell_gap, moving_gap,
+            speed_kmh = lo_kmh if lo_kmh == hi_kmh else rng.uniform(lo_kmh, hi_kmh)
+            duration = max(1, round(distance / (speed_kmh / 3.6)))
+            arrival = departure + duration
+            dest = "work" if current == "home" else "home"
+            dwells.append(
+                TrueDwell(user_id=user_id, anchor=current, t_start=dwell_start, t_end=departure)
             )
-        )
-
-    events.sort(key=lambda e: (e.user_id, e.timestamp))
-    towers = {t.cell_id: t for t in world.towers}
-    truth = GroundTruth(
-        seed=config.seed,
-        start_epoch=config.start_epoch,
-        horizon_s=horizon,
-        agents=tuple(agents),
-        trips=tuple(trips),
-        dwells=tuple(dwells),
+            trips.append(
+                TrueTrip(
+                    user_id=user_id, origin_anchor=current, dest_anchor=dest,
+                    mode=mode, departure=departure, arrival=arrival, distance_m=distance,
+                )
+            )
+            dwell_start = arrival
+            current = dest
+    dwells.append(
+        TrueDwell(user_id=user_id, anchor=current, t_start=dwell_start, t_end=epoch + horizon)
     )
-    return events, towers, regions, truth
+    return _Plan(agent, trips, dwells, rng)
 
 
 def _anchor_truth(name: str, world: _World, tower_idx: int) -> AnchorTruth:
@@ -360,7 +506,7 @@ def _anchor_truth(name: str, world: _World, tower_idx: int) -> AnchorTruth:
     )
 
 
-def _agent_events(
+def _agent_pings(
     world: _World,
     config: ScenarioConfig,
     rng: random.Random,
@@ -369,52 +515,49 @@ def _agent_events(
     dwells: list[TrueDwell],
     dwell_gap: int,
     moving_gap: int,
-) -> list[CdrEvent]:
-    """Pings for one agent from its own trips and dwells, chronological."""
-    noisy = config.tower_noise_p > 0
-    anchor_cells = {}
-    for anchor in (agent.home, agent.work):
-        nearest = world.nearest_towers(anchor.point, k=2)
-        anchor_cells[anchor.name] = (
-            world.towers[nearest[0]].cell_id,
-            world.towers[nearest[1]].cell_id,
-        )
+) -> tuple[np.ndarray, np.ndarray]:
+    """Timestamps (float64) and tower indices (int32) of one agent's pings, in time order.
 
-    out: list[CdrEvent] = []
+    The pings are made dwell by dwell, then trip by trip; each of them, in
+    that order, draws from rng whether it is served by its second-nearest
+    tower when tower_noise_p > 0, and the stable time sort keeps that order
+    among equal timestamps.
+    """
+    import numpy as np
 
-    def emit(t: int, primary: str, secondary: str) -> None:
-        cell = primary
-        if noisy and rng.random() < config.tower_noise_p:
-            cell = secondary
-        out.append(CdrEvent(user_id=agent.user_id, timestamp=float(t), cell_id=cell))
-
+    anchor_towers = {
+        anchor.name: world.nearest_towers(anchor.point, k=2) for anchor in (agent.home, agent.work)
+    }
+    times, nearest = [], []  # nearest: (n, 2) blocks of the nearest and second-nearest tower
     for dwell in dwells:
-        primary, secondary = anchor_cells[dwell.anchor]
-        t = dwell.t_start
-        while t <= dwell.t_end:
-            emit(t, primary, secondary)
-            t += dwell_gap
+        t = np.arange(dwell.t_start, dwell.t_end + 1, dwell_gap, dtype=np.int64)
+        times.append(t)
+        nearest.append(np.full((len(t), 2), anchor_towers[dwell.anchor], dtype=np.int32))
 
     if moving_gap:
+        moving_t, moving_nearest = [], []
         for trip in trips:
             origin = agent.anchor(trip.origin_anchor).point
             dest = agent.anchor(trip.dest_anchor).point
             bearing = initial_bearing(origin, dest)
             duration = trip.arrival - trip.departure
-            t = trip.departure + moving_gap
-            while t < trip.arrival:
+            for t in range(trip.departure + moving_gap, trip.arrival, moving_gap):
                 fraction = (t - trip.departure) / duration
                 pos = destination_point(origin, bearing, fraction * trip.distance_m)
-                nearest = world.nearest_towers(pos, k=2)
-                emit(
-                    t,
-                    world.towers[nearest[0]].cell_id,
-                    world.towers[nearest[1]].cell_id,
-                )
-                t += moving_gap
+                moving_t.append(t)
+                moving_nearest.append(world.nearest_towers(pos, k=2))
+        times.append(np.array(moving_t, dtype=np.int64))
+        nearest.append(np.array(moving_nearest, dtype=np.int32).reshape(-1, 2))
 
-    out.sort(key=lambda e: e.timestamp)
-    return out
+    ts = np.concatenate(times)
+    towers = np.concatenate(nearest)
+    cell = towers[:, 0]
+    if config.tower_noise_p > 0:
+        draw = rng.random
+        noisy = np.fromiter((draw() for _ in range(len(ts))), np.float64, len(ts))
+        cell = np.where(noisy < config.tower_noise_p, towers[:, 1], cell)
+    order = np.argsort(ts, kind="stable")
+    return ts[order].astype(np.float64), cell[order]
 
 
 # --- recovery scoring --------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -153,16 +154,90 @@ def _betainc(a: float, b: float, x: float, y: float) -> float:
     y = 1 - x comes apart from x, so that x near 1 keeps its digits.  The
     continued fraction of Numerical Recipes (3rd ed., section 6.4) is
     evaluated by Lentz's method; it converges fast for x < (a+1)/(a+b+2),
-    and above that the symmetry I_x(a, b) = 1 - I_y(b, a) is used.
+    and above that the symmetry I_x(a, b) = 1 - I_y(b, a) is used.  The
+    slope p-value's I_x(a, 1/2) for large a goes to _betainc_large_a.
     """
     if x <= 0.0 or y <= 0.0:
         return 0.0 if x <= 0.0 else 1.0
+    if b == 0.5 and a >= _LARGE_A:
+        return _betainc_large_a(a, x, y)
     front = math.exp(
         math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log(y)
     )
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_fraction(a, b, x) / a
     return 1.0 - front * _beta_fraction(b, a, y) / b
+
+
+# From this a on (n = 202 points), _betainc_large_a is the more accurate;
+# both are within 1e-13 of scipy's betainc there.
+_LARGE_A = 100.0
+
+
+def _betainc_large_a(a: float, x: float, y: float) -> float:
+    """I_x(a, 1/2) for a >= _LARGE_A, to about 1e-13 relative.
+
+    _betainc's way loses digits as a grows (1e-9 at a = 5e6): its
+    lgamma(a + 1/2) - lgamma(a) and a log x cancel, and so do the continued
+    fraction's terms below x = (a+1)/(a+5/2).  Here log x is log1p(-y),
+    log B(a, 1/2) comes from _log_beta, and below that bound Temme's
+    asymptotic expansion replaces the fraction: BGRAT of DiDonato & Morris
+    (1992, ACM TOMS 708) for b = 1/2, where the incomplete gamma function
+    Q(1/2, z) it needs is erfc(sqrt z).
+    """
+    b = 0.5
+    log_x = math.log1p(-y)
+    if x >= (a + 1.0) / (a + b + 2.0):
+        front = math.exp(a * log_x + b * math.log(y) - _log_beta(b, a))
+        return 1.0 - front * _beta_fraction(b, a, y) / b
+    nu = a + 0.5 * (b - 1.0)
+    z = -nu * log_x
+    r = math.exp(-z) * math.sqrt(z / math.pi)  # exp(-z) z^b / gamma(b)
+    if r < sys.float_info.min:
+        return 0.0  # I_x(a, 1/2) is about erfc(sqrt z), which is below r / z
+    u = math.exp(nu * log_x + b * math.log(-log_x) - _log_beta(b, a))
+    j = math.erfc(math.sqrt(z)) / r
+    v, t2 = 0.25 / (nu * nu), 0.25 * log_x * log_x
+    total, t, cn, n2 = j, 1.0, 1.0, 0.0
+    c: list[float] = []
+    d: list[float] = []
+    for n in range(1, 31):
+        bp2n = b + n2
+        j = (bp2n * (bp2n + 1.0) * j + (z + bp2n + 1.0) * t) * v
+        n2 += 2.0
+        t *= t2
+        cn /= n2 * (n2 + 1.0)
+        c.append(cn)
+        s = sum((i * b - n) * c[i - 1] * d[n - i - 1] for i in range(1, n))
+        d.append((b - 1.0) * cn + s / n)
+        term = d[-1] * j
+        total += term
+        if abs(term) <= math.ulp(1.0) * total:
+            return u * total
+    raise ArithmeticError(f"incomplete beta expansion did not converge for a={a}, x={x}")
+
+
+def _log_beta(p: float, q: float) -> float:
+    """log B(p, q) for q >= 10, where lgamma(p) + lgamma(q) - lgamma(p + q) cancels.
+
+    lgamma(q) - lgamma(p + q) is taken as a difference of Stirling series,
+    whose large leading terms cancel on paper instead of in rounding: it is
+    p - p log(p + q) + (q - 1/2) log1p(-p / (p + q)) plus the difference of
+    the series' tails.
+    """
+    return (
+        math.lgamma(p) + _stirling_tail(q) - _stirling_tail(p + q)
+        + p - p * math.log(p + q) + (q - 0.5) * math.log1p(-p / (p + q))
+    )
+
+
+def _stirling_tail(z: float) -> float:
+    """lgamma(z) - ((z - 1/2) log z - z + log(2 pi) / 2), to within 1e-15 for z >= 10."""
+    w = 1.0 / (z * z)
+    return (
+        1 / 12 - w * (1 / 360 - w * (1 / 1260 - w * (1 / 1680 - w * (1 / 1188 - w * (
+            691 / 360360 - w / 156)))))
+    ) / z
 
 
 def _beta_fraction(a: float, b: float, x: float) -> float:

@@ -352,6 +352,10 @@ def test_writers_write_what_csv_writer_writes(events, block_events):
             writer.writerow(CDR_HEADER)
             writer.writerows([ev.user_id, to_iso(ev.timestamp), ev.cell_id] for ev in events)
         assert (tmp / "cdr.csv").read_bytes() == (tmp / "reference.csv").read_bytes()
+        cdr, cut = cdr_columns(events), len(events) // 3
+        parts = [cdr.take(slice(0, cut)), cdr.take(slice(cut, cut)), cdr.take(slice(cut, None))]
+        geo.write_cdr_columns(iter(parts), tmp / "parts.csv")
+        assert (tmp / "parts.csv").read_bytes() == (tmp / "reference.csv").read_bytes()
 
 
 @pytest.mark.parametrize("ts", [float(LAST_S + 1), float(FIRST_S - 1), math.nan, math.inf])

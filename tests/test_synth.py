@@ -1,11 +1,19 @@
+import math
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cdrflow import cli, synth
+from cdrflow.config import load_config
 from cdrflow.errors import InvalidConfig, ScenarioMismatch
 from cdrflow.geo import (
     GeoPoint,
     haversine_distance,
+    haversine_m_array,
     position_events,
     write_cdr_csv,
 )
@@ -19,6 +27,7 @@ from cdrflow.synth import (
     write_ground_truth_json,
 )
 from cdrflow.trips import build_trips
+from conftest import reference_generate_scenario, reference_nearest_towers
 
 
 def small_config(**overrides):
@@ -205,3 +214,150 @@ class TestGroundTruthJson:
         path = tmp_path / "truth.json"
         write_ground_truth_json(truth, path)
         assert load_ground_truth_json(path) == truth
+
+
+# --- the columnar generator against the per-ping reference -------------------
+
+# Towers in two rows, anchors all on the upper one (the anchor subgrid starts
+# at row 1): trips run along a row of towers and exact distance ties occur.
+ONE_ROW = dict(
+    towers=TowerGridSpec(rows=2, cols=40), origin_lat=0.0, origin_lon=0.0,
+    moving_rate_per_h=120.0, tower_noise_p=0.2,
+    mode_mix={"walk": 0.5, "bicycle": 0.5},
+)
+
+REFERENCE_CONFIGS = {
+    "small_default": small_config(),
+    "moving_noise_poisson": small_config(
+        n_agents=6, n_days=3, seed=9, moving_rate_per_h=30.0, tower_noise_p=0.1,
+        trips_per_day_kind="poisson", trips_per_day_value=2.5,
+    ),
+    "grid_48x48": small_config(
+        n_agents=10, n_days=2, seed=13, towers=TowerGridSpec(rows=48, cols=48),
+        dwell_rate_per_h=6.0, moving_rate_per_h=12.0, tower_noise_p=0.05,
+        trips_per_day_kind="poisson", trips_per_day_value=3.0,
+    ),
+    "one_row_ties": small_config(n_agents=6, seed=21, **ONE_ROW),
+}
+
+
+class TestAgainstPerPingReference:
+    @pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
+    def test_events_and_truth_equal_the_reference(self, name):
+        events, towers, regions, truth = generate_scenario(REFERENCE_CONFIGS[name])
+        ref_events, ref_towers, ref_regions, ref_truth = reference_generate_scenario(
+            REFERENCE_CONFIGS[name]
+        )
+        assert len(events) == len(ref_events)
+        for k, (got, want) in enumerate(zip(events, ref_events)):
+            assert got == want, k
+        assert truth == ref_truth
+        assert towers == ref_towers
+        assert regions.regions() == ref_regions.regions()
+
+    def test_one_row_config_has_exact_ties(self):
+        # ties between the second and third nearest tower, so the order
+        # among equal distances decides which cell is the noisy one
+        world = synth._World(REFERENCE_CONFIGS["one_row_ties"])
+        *_, truth = generate_scenario(REFERENCE_CONFIGS["one_row_ties"])
+        ties = 0
+        for agent in truth.agents:
+            for anchor in (agent.home, agent.work):
+                phi = math.radians(anchor.point.lat)
+                d = np.sort(haversine_m_array(
+                    phi, math.radians(anchor.point.lon), math.cos(phi),
+                    world._tower_lat, world._tower_lon, world._tower_cos,
+                ))
+                ties += d[1] == d[2]
+        assert ties > 0
+
+    @pytest.mark.parametrize("rows, cols", [(2, 40), (5, 3), (48, 48)])
+    def test_nearest_towers_equal_the_full_sort(self, rows, cols):
+        config = small_config(towers=TowerGridSpec(rows=rows, cols=cols), origin_lat=0.0,
+                              origin_lon=0.0)
+        world = synth._World(config)
+        rng = random.Random(rows * cols)
+        lats = sorted({t.center.lat for t in world.towers})
+        lons = sorted({t.center.lon for t in world.towers})
+        pad = 0.02
+        points = [t.center for t in world.towers[:: max(1, len(world.towers) // 50)]]
+        points += [  # midway between towers, where distances tie
+            GeoPoint((la + lb) / 2, lo) for la, lb in zip(lats, lats[1:]) for lo in lons[:5]
+        ] + [GeoPoint(la, (la_ + lb_) / 2) for la in lats[:3] for la_, lb_ in zip(lons, lons[1:])]
+        points += [  # inside the grid and well outside it
+            GeoPoint(rng.uniform(lats[0] - pad, lats[-1] + pad),
+                     rng.uniform(lons[0] - pad, lons[-1] + pad))
+            for _ in range(400)
+        ]
+        for p in points:
+            for k in (1, 2, 3, 10):  # 10: the window rarely decides it
+                assert world.nearest_towers(p, k) == reference_nearest_towers(world, p, k), (p, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # few distinct values, so most entries tie
+    st.lists(st.sampled_from([0.0, 1.0, 2.0, 2.0 + 1e-12, 3.5, float("inf")]),
+             min_size=1, max_size=60).map(np.array),
+    st.sampled_from(["1", "2", "all"]),
+)
+def test_k_smallest_is_the_stable_argsort_prefix(values, which):
+    k = len(values) if which == "all" else int(which)
+    want = np.argsort(values, kind="stable")[:k]
+    assert synth._k_smallest(values, k).tolist() == want.tolist()
+
+
+class TestUserOrder:
+    def test_order_beyond_ten_thousand_agents_is_string_order(self):
+        order = synth._user_order(10_001)
+        ids = [synth._user_id(idx) for idx in order]
+        assert ids == sorted(synth._user_id(idx) for idx in range(10_001))
+        at = ids.index("u1000")
+        assert ids[at:at + 3] == ["u1000", "u10000", "u1001"]
+
+    def test_blocks_in_user_order_equal_the_global_sort(self):
+        # each agent's block in time order, blocks concatenated in user order,
+        # is the (user_id, timestamp) sort of every event
+        rng = random.Random(4)
+        n = 10_003
+        blocks = {idx: sorted(rng.randrange(50) for _ in range(rng.randrange(3))) for idx in range(n)}
+        concatenated = [
+            (synth._user_id(idx), t) for idx in synth._user_order(n) for t in blocks[idx]
+        ]
+        everything = [(synth._user_id(idx), t) for idx in range(n) for t in blocks[idx]]
+        assert concatenated == sorted(everything)
+
+
+class TestStreamingSynth:
+    def test_agent_events_are_the_events_and_repeat(self):
+        config = REFERENCE_CONFIGS["moving_noise_poisson"]
+        scenario = synth.Scenario(config)
+        events, *_, truth = generate_scenario(config)
+        for _ in range(2):
+            flat = [
+                (block.users[u], t, block.cells[c])
+                for block in scenario.agent_events()
+                for u, t, c in zip(block.user.tolist(), block.ts.tolist(), block.cell.tolist())
+            ]
+            assert flat == [(e.user_id, e.timestamp, e.cell_id) for e in events]
+        assert scenario.truth == truth
+
+    def test_cli_synth_writes_cdr_without_event_records(self, tmp_path, monkeypatch):
+        config = tmp_path / "run.ini"
+        config.write_text(
+            "[synth]\nn_agents = 5\nn_days = 2\nmoving_rate_per_h = 30\n"
+            "tower_noise_p = 0.1\ntrips_per_day_kind = poisson\ntrips_per_day_value = 2.5\n",
+            encoding="utf-8",
+        )
+
+        def no_records(*args, **kwargs):
+            raise AssertionError("cdrflow synth built a CdrEvent")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(synth, "CdrEvent", no_records)
+            code = cli.main(["synth", "--config", str(config), "--seed", "17",
+                             "--out", str(tmp_path / "run")])
+        assert code == 0
+        events, *_ = generate_scenario(replace(load_config(config).scenario, seed=17))
+        write_cdr_csv(events, tmp_path / "expected.csv")
+        assert (tmp_path / "run" / "cdr.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()

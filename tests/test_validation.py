@@ -192,6 +192,29 @@ class TestSlopePValue:
         # 1 - (2/pi) atan|t|, written without its cancellation at large |t|
         assert math.isclose(got.p_value, 2.0 / math.pi * math.atan(1.0 / t), rel_tol=1e-10)
 
+    @pytest.mark.parametrize("n", [1003, 10_000, 123_457, 10**6, 7_654_321, 10**8])
+    def test_large_n_matches_scipy_to_1e_12(self, n):
+        # lgamma(a + 1/2) - lgamma(a) and the continued fraction both lose
+        # digits as a = df / 2 grows (1e-6 at n = 1e10 before)
+        df = n - 2
+        t_squares = [r * r * df / (1.0 - r * r) for r in (1e-8, 1e-4, 1e-3, 3e-3)]
+        t_squares += [1e-12, 0.25, 2.0, 3.5, 10.0, 50.0, 300.0, 1400.0]
+        for t_squared in t_squares:
+            x, y = df / (df + t_squared), t_squared / (df + t_squared)
+            got = _betainc(df / 2.0, 0.5, x, y)
+            want = float(scipy.special.betaincc(0.5, df / 2.0, y))
+            assert math.isclose(got, want, rel_tol=1e-12) or max(got, want) < sys.float_info.min, (
+                n, t_squared,
+            )
+
+    @pytest.mark.parametrize("r", [0.02, 0.005, -1e-3, 1e-8])
+    def test_slope_p_value_at_100k_points(self, r):
+        n = 100_000
+        got = linear_regression(*data_with_r(n, r))
+        t_squared = got.r_squared * (n - 2) / (1.0 - got.r_squared)
+        want = float(scipy.special.betaincc(0.5, (n - 2) / 2.0, t_squared / (n - 2 + t_squared)))
+        assert math.isclose(got.p_value, want, rel_tol=1e-12), r
+
     def test_betainc_at_the_ends_and_symmetry(self):
         assert _betainc(2.5, 0.5, 0.0, 1.0) == 0.0 and _betainc(2.5, 0.5, 1.0, 0.0) == 1.0
         for a, b, x in [(0.5, 0.5, 0.3), (2.5, 0.5, 0.9), (40.0, 0.5, 0.99), (3.0, 7.0, 0.2)]:
