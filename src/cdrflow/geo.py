@@ -7,8 +7,8 @@ All distances are great-circle meters on a sphere of radius 6,371,000 m.
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from array import array
 from dataclasses import dataclass, replace
 from hashlib import blake2b
@@ -20,7 +20,7 @@ from .files import (
     is_strict, plain_csv_blocks, read_csv, read_json, strict_float, write_csv, write_csv_blocks,
     write_json,
 )
-from .timefmt import from_iso, from_iso_block, to_iso, to_iso_block
+from .timefmt import from_iso, from_iso_block, to_iso_block
 
 if TYPE_CHECKING:
     import numpy as np
@@ -342,25 +342,6 @@ def _place(
     return lat, lon, at_centre
 
 
-def _place_block(
-    cells: list[str], users: list[str], stamps: list[float], sectors: _Sectors,
-    land: Optional["_Land"],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_place for one block of events given as parallel lists, seeded by event_seed.
-
-    The events before an unknown cell are placed first, as one at a time
-    would, so that their ClippingExhausted comes before the unknown cell's
-    ValueError.
-    """
-    rows = [sectors.row.get(cell_id) for cell_id in cells]
-    known = rows.index(None) if None in rows else len(rows)
-    seeds = [event_seed(c, u, t) for c, u, t in zip(cells[:known], users, stamps)]
-    placed = _place(seeds, rows[:known], sectors, land, DEFAULT_CLIP_ATTEMPTS)
-    if known < len(rows):
-        raise ValueError(f"event references unknown cell_id {cells[known]!r}")
-    return placed
-
-
 def sample_sector_point(
     sector: TowerSector,
     seed: int,
@@ -609,43 +590,17 @@ class RegionIndex:
         return None
 
 
-def position_events(
-    events: Iterable[CdrEvent],
-    towers: dict[str, TowerSector],
-    land: Sequence[Region] = (),
-) -> list[PositionedEvent]:
-    """Attach a deterministic pseudo-location to every CDR event.
-
-    Equivalent to calling sample_sector_point with event_seed per event;
-    the events are placed block by block with one array kernel.
-    """
-    sectors = _Sectors(towers)
-    land_arrays = _Land(land) if land else None
-    out: list[PositionedEvent] = []
-    events = iter(events)
-    while block := list(itertools.islice(events, _BLOCK_EVENTS)):
-        lat, lon, at_centre = _place_block(
-            [ev.cell_id for ev in block], [ev.user_id for ev in block],
-            [ev.timestamp for ev in block], sectors, land_arrays,
-        )
-        out.extend(
-            PositionedEvent(
-                user_id=ev.user_id, timestamp=ev.timestamp, cell_id=ev.cell_id,
-                location=towers[ev.cell_id].center if centre else GeoPoint(lat=la, lon=lo),
-            )
-            for ev, la, lo, centre in zip(block, lat.tolist(), lon.tolist(), at_centre.tolist())
-        )
-    return out
-
-
-@dataclass(frozen=True)
-class EventColumns:
-    """Events as parallel columns, the staged CLI's form of cdr.csv and positioned.csv.
+@dataclass(frozen=True, eq=False)
+class EventColumns(Sequence):
+    """Events as parallel columns, the library's and the staged CLI's one event type.
 
     `user` and `cell` are int32 codes into the `users` and `cells` tables,
-    which list each id once in order of first appearance; `ts`, `lat` and
-    `lon` are float64.  `lat` and `lon` are None until the events are
-    positioned.
+    which list each id once; `ts`, `lat` and `lon` are float64.  `lat` and
+    `lon` are None until the events are positioned.
+
+    As a read-only sequence the columns give one record per event, a
+    CdrEvent or, once positioned, a PositionedEvent, made when it is read;
+    they equal a list or tuple of the same records.  take() gives columns.
     """
 
     users: list[str]
@@ -658,6 +613,28 @@ class EventColumns:
 
     def __len__(self) -> int:
         return len(self.ts)
+
+    def __getitem__(self, index):
+        if not isinstance(index, slice):
+            k = range(len(self))[index]
+            return self[k:k + 1][0]
+        fields = (
+            map(self.users.__getitem__, self.user[index].tolist()), self.ts[index].tolist(),
+            map(self.cells.__getitem__, self.cell[index].tolist()),
+        )
+        if self.lat is None:
+            return list(map(CdrEvent, *fields))
+        locations = map(GeoPoint, self.lat[index].tolist(), self.lon[index].tolist())
+        return list(map(PositionedEvent, *fields, locations))
+
+    def __iter__(self) -> Iterator:
+        for start in range(0, len(self), _BLOCK_EVENTS):
+            yield from self[start:start + _BLOCK_EVENTS]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, tuple, EventColumns)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
 
     def take(self, index: np.ndarray) -> EventColumns:
         """The events at `index`, an index array or a boolean mask, in its order."""
@@ -676,6 +653,25 @@ class EventColumns:
         return rank
 
 
+def event_columns(records: Iterable) -> EventColumns:
+    """EventColumns of CdrEvent or PositionedEvent records; EventColumns come back unchanged.
+
+    The columns hold lat and lon when every record is a PositionedEvent.
+    """
+    import numpy as np
+
+    if isinstance(records, EventColumns):
+        return records
+    records = list(records)
+    users, cells = {}, {}
+    user = _codes(users, [ev.user_id for ev in records])
+    cell = _codes(cells, [ev.cell_id for ev in records])
+    columns = [[ev.timestamp for ev in records]]
+    if all(isinstance(ev, PositionedEvent) for ev in records):
+        columns += [[ev.location.lat for ev in records], [ev.location.lon for ev in records]]
+    return EventColumns(list(users), list(cells), user, cell, *np.array(columns, dtype=np.float64))
+
+
 def sort_by_user_time(events: EventColumns) -> EventColumns:
     """The events in (user_id, timestamp) order; ties keep their input order.
 
@@ -690,21 +686,38 @@ def sort_by_user_time(events: EventColumns) -> EventColumns:
 def position_columns(
     events: EventColumns, towers: dict[str, TowerSector], land: Sequence[Region] = ()
 ) -> EventColumns:
-    """The events with lat and lon set: position_events over columns."""
+    """The events with lat and lon set: sample_sector_point with event_seed, per event.
+
+    Blocks of _BLOCK_EVENTS events go through one array kernel.  The events
+    before an unknown cell are placed first, as one at a time would, so that
+    their ClippingExhausted comes before the unknown cell's ValueError.
+    """
     import numpy as np
 
     sectors = _Sectors(towers)
-    land_arrays = _Land(land) if land else None
+    land = _Land(land) if land else None
+    rows = np.array([sectors.row.get(c, -1) for c in events.cells], dtype=np.intp)  # per cell
+    unknown = np.flatnonzero(np.isin(events.cell, np.flatnonzero(rows < 0)))
+    known = int(unknown[0]) if unknown.size else len(events)
     lat, lon = np.empty(len(events)), np.empty(len(events))
-    users, cells = events.users, events.cells
-    for start in range(0, len(events), _BLOCK_EVENTS):
-        block = slice(start, start + _BLOCK_EVENTS)
-        lat[block], lon[block], _ = _place_block(
-            [cells[c] for c in events.cell[block].tolist()],
-            [users[u] for u in events.user[block].tolist()],
-            events.ts[block].tolist(), sectors, land_arrays,
-        )
+    for start in range(0, known, _BLOCK_EVENTS):
+        block = slice(start, min(start + _BLOCK_EVENTS, known))
+        codes = events.cell[block]
+        seeds = list(map(
+            event_seed, map(events.cells.__getitem__, codes.tolist()),
+            map(events.users.__getitem__, events.user[block].tolist()), events.ts[block].tolist(),
+        ))
+        lat[block], lon[block], _ = _place(seeds, rows[codes], sectors, land, DEFAULT_CLIP_ATTEMPTS)
+    if unknown.size:
+        raise ValueError(f"event references unknown cell_id {events.cells[events.cell[known]]!r}")
     return replace(events, lat=lat, lon=lon)
+
+
+def position_events(
+    events: Iterable[CdrEvent], towers: dict[str, TowerSector], land: Sequence[Region] = ()
+) -> EventColumns:
+    """position_columns of CdrEvent records or of EventColumns; it reads as PositionedEvents."""
+    return position_columns(event_columns(events), towers, land)
 
 
 def group_by_user(records: Iterable) -> dict[str, list]:
@@ -853,20 +866,13 @@ def read_cdr_columns(path: str | Path) -> EventColumns:
     return _read_columns(path, CDR_HEADER, "cdr file", _cdr_fields)
 
 
-def load_cdr_csv(path: str | Path) -> list[CdrEvent]:
-    return [CdrEvent(*fields) for fields in read_csv(path, CDR_HEADER, "cdr file", _cdr_fields)]
+# The row-wise parse gives the same values and errors (see _read_columns).
+load_cdr_csv = read_cdr_columns
 
 
 def write_cdr_csv(events: Iterable[CdrEvent], path: str | Path) -> None:
-    import numpy as np
-
-    def blocks():
-        rest = iter(events)
-        while block := list(itertools.islice(rest, _BLOCK_EVENTS)):
-            stamps = np.array([ev.timestamp for ev in block], dtype=np.float64)
-            yield [ev.user_id for ev in block], to_iso_block(stamps), [ev.cell_id for ev in block]
-
-    write_csv_blocks(path, CDR_HEADER, blocks())
+    """cdr.csv of CdrEvent or PositionedEvent records, or of EventColumns, positioned or not."""
+    write_cdr_columns([event_columns(events)], path)
 
 
 def read_positioned_columns(path: str | Path) -> EventColumns:
@@ -874,6 +880,7 @@ def read_positioned_columns(path: str | Path) -> EventColumns:
 
 
 def load_positioned_csv(path: str | Path) -> list[PositionedEvent]:
+    """PositionedEvents of the file, parsed row by row without numpy, for the trips stage."""
     return [
         PositionedEvent(user_id, ts, cell_id, GeoPoint(lat, lon))
         for user_id, ts, cell_id, lat, lon
@@ -882,31 +889,29 @@ def load_positioned_csv(path: str | Path) -> list[PositionedEvent]:
 
 
 def write_positioned_csv(events: Iterable[PositionedEvent], path: str | Path) -> None:
-    write_csv(path, POSITIONED_HEADER, (
-        [ev.user_id, to_iso(ev.timestamp), ev.cell_id, repr(ev.location.lat), repr(ev.location.lon)]
-        for ev in events
-    ))
+    """positioned.csv of PositionedEvent records or of positioned EventColumns."""
+    write_positioned_columns(event_columns(events), path)
 
 
 def write_positioned_columns(events: EventColumns, path: str | Path) -> None:
-    """write_positioned_csv over columns, converting one block of rows at a time."""
-    write_csv_blocks(path, POSITIONED_HEADER, _text_blocks(events))
+    """positioned.csv of positioned EventColumns, converting one block of rows at a time."""
+    write_csv_blocks(path, POSITIONED_HEADER, _text_blocks(events, coordinates=True))
 
 
 def write_cdr_columns(parts: Iterable[EventColumns], path: str | Path) -> None:
-    """write_cdr_csv of the unpositioned events of each part in turn, a block of rows at a time.
+    """cdr.csv of the events of each part in turn, a block of rows at a time.
 
     Only one part is converted at a time, so the parts can be made as
-    they are written.
+    they are written.  Coordinates, if any, are left out.
     """
     write_csv_blocks(path, CDR_HEADER, (text for events in parts for text in _text_blocks(events)))
 
 
-def _text_blocks(events: EventColumns) -> Iterator[list[list[str]]]:
+def _text_blocks(events: EventColumns, coordinates: bool = False) -> Iterator[list[list[str]]]:
     """The rows of events as string columns, _BLOCK_EVENTS rows at a time.
 
     The columns are those of the event files: user_id, timestamp and
-    cell_id, then lat and lon when the events are positioned.
+    cell_id, then lat and lon if `coordinates` is set.
     """
     users, cells = events.users, events.cells
     for start in range(0, len(events), _BLOCK_EVENTS):
@@ -916,7 +921,7 @@ def _text_blocks(events: EventColumns) -> Iterator[list[list[str]]]:
             to_iso_block(events.ts[block]),
             list(map(cells.__getitem__, events.cell[block].tolist())),
         ]
-        if events.lat is not None:
+        if coordinates:
             columns.append(list(map(repr, events.lat[block].tolist())))
             columns.append(list(map(repr, events.lon[block].tolist())))
         yield columns

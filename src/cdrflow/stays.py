@@ -27,7 +27,7 @@ from .geo import (
     GeoPoint,
     PositionedEvent,
     RegionIndex,
-    group_by_user,
+    event_columns,
     haversine_m,
     haversine_m_array,
 )
@@ -143,14 +143,13 @@ def detect_stops(trace: Sequence[PositionedEvent], params: StopParams) -> list[S
         if cur.user_id != prev.user_id:
             raise ValueError("detect_stops expects a single user's trace")
     return _scan_stops(
-        [e.user_id for e in events], [e.timestamp for e in events],
+        events[0].user_id if events else "", [e.timestamp for e in events],
         [e.location.lat for e in events], [e.location.lon for e in events], params,
     )
 
 
 def _scan_stops(
-    user_ids: Sequence[str], ts: list[float], lats: list[float], lons: list[float],
-    params: StopParams,
+    user_id: str, ts: list[float], lats: list[float], lons: list[float], params: StopParams
 ) -> list[Stop]:
     """detect_stops over one user's columns, already checked to be in time order.
 
@@ -202,7 +201,7 @@ def _scan_stops(
             if boxed:
                 med = (_mid(sorted(lats[i:j])), _mid(sorted(lons[i:j])))
             stops.append(Stop(
-                user_id=user_ids[i],
+                user_id=user_id,
                 median=GeoPoint(lat=med[0], lon=med[1]),
                 t_start=ts[i],
                 t_end=ts[j - 1],
@@ -223,19 +222,21 @@ def moving_events(
     """
     events = list(trace)
     outside = _outside_stops([ev.timestamp for ev in events], stops)
-    return [ev for ev, moving in zip(events, outside) if moving]
+    return [ev for ev, moving in zip(events, outside.tolist()) if moving]
 
 
-def _outside_stops(ts: list[float], stops: Sequence) -> list[bool]:
-    """Per time-ordered timestamp, whether it lies outside every stop interval."""
-    spans = sorted((s.t_start, s.t_end) for s in stops)
-    out = []
-    k = 0
-    for t in ts:
-        while k < len(spans) and spans[k][1] < t:
-            k += 1
-        out.append(k == len(spans) or t < spans[k][0])
-    return out
+def _outside_stops(ts: Sequence[float], stops: Sequence) -> np.ndarray:
+    """Per timestamp, whether no stop interval [t_start, t_end] holds it.
+
+    A time is inside an interval exactly when the latest end among the
+    intervals that start by then is not before it.
+    """
+    import numpy as np
+
+    spans = sorted((s.t_start, s.t_end) for s in stops) or [(math.inf, math.inf)]
+    starts, ends = np.array(spans).T
+    last = np.searchsorted(starts, ts, "right") - 1  # the last interval to start by each time
+    return (last < 0) | (np.maximum.accumulate(ends)[last] < ts)
 
 
 # Grid cells are this much wider than the farthest a pair within r2 can
@@ -383,14 +384,11 @@ def build_staypoints(
 ) -> list[Staypoint]:
     """Detect stops per user, cluster destinations globally, assign regions.
 
-    Output is sorted by (user_id, t_start); staypoint ids are sequential in
-    that order, so identical inputs always produce identical ids and labels.
+    traces are PositionedEvent records or positioned EventColumns, each user's
+    events in time order.  Output is sorted by (user_id, t_start) with sequential
+    staypoint ids, so identical inputs always produce identical ids and labels.
     """
-    by_user = group_by_user(traces)
-    all_stops: list[Stop] = []  # in (user_id, t_start) order: detect_stops emits in time order
-    for user_id in sorted(by_user):
-        all_stops.extend(detect_stops(by_user[user_id], params))
-    return _label_stops(all_stops, params, regions, cluster_fn)
+    return _staypoints(event_columns(traces), params, regions, cluster_fn)[0]
 
 
 def staypoints_from_columns(
@@ -401,10 +399,22 @@ def staypoints_from_columns(
     The mask is true for the events that moving_events keeps for their
     user's staypoints, indexed like `events`.
     """
+    return _staypoints(events, params, regions, cluster_destinations)
+
+
+def _staypoints(
+    events: EventColumns, params: StopParams, regions: Optional[RegionIndex],
+    cluster_fn: ClusterFn,
+) -> tuple[list[Staypoint], np.ndarray]:
+    """Staypoints of positioned columns in (user_id, t_start) order, and the moving mask.
+
+    The stop scan runs over each user's events in input order, users in
+    sorted order; one cluster_fn call labels the stops of all users.
+    """
     import numpy as np
 
     rank = events.user_rank()[events.user]
-    order = np.argsort(rank, kind="stable")  # by user, in file order within each
+    order = np.argsort(rank, kind="stable")  # by user, in input order within each
     ends = np.cumsum(np.bincount(rank, minlength=len(events.users))).tolist()
     moving = np.zeros(len(events), dtype=bool)
     all_stops: list[Stop] = []
@@ -412,45 +422,28 @@ def staypoints_from_columns(
     for user_id, end in zip(sorted(events.users), ends):
         index = order[start:end]
         start = end
-        ts = events.ts[index].tolist()
-        for prev, cur in zip(ts, ts[1:]):
-            if cur < prev:
-                raise UnsortedInput(f"timestamps decrease for user {user_id!r} at t={cur}")
+        ts = events.ts[index]
+        back = np.flatnonzero(ts[1:] < ts[:-1])
+        if back.size:
+            t = ts[back[0] + 1].tolist()
+            raise UnsortedInput(f"timestamps decrease for user {user_id!r} at t={t}")
         stops = _scan_stops(
-            [user_id] * len(ts), ts, events.lat[index].tolist(), events.lon[index].tolist(),
-            params,
+            user_id, ts.tolist(), events.lat[index].tolist(), events.lon[index].tolist(), params
         )
         moving[index] = _outside_stops(ts, stops)
         all_stops.extend(stops)
-    return _label_stops(all_stops, params, regions, cluster_destinations), moving
-
-
-def _label_stops(
-    all_stops: list[Stop], params: StopParams, regions: Optional[RegionIndex],
-    cluster_fn: ClusterFn,
-) -> list[Staypoint]:
-    """Staypoints of stops in (user_id, t_start) order: destination labels and regions."""
-    labels = cluster_fn(all_stops, params.r2)
 
     staypoints = []
-    for i, (stop, label) in enumerate(zip(all_stops, labels)):
+    for i, (stop, label) in enumerate(zip(all_stops, cluster_fn(all_stops, params.r2))):
         parish = municipality = None
         if regions is not None:
             parish = regions.assign(stop.median, "parish")
             municipality = regions.assign(stop.median, "municipality")
-        staypoints.append(
-            Staypoint(
-                staypoint_id=f"sp{i:06d}",
-                user_id=stop.user_id,
-                location_id=label,
-                median=stop.median,
-                t_start=stop.t_start,
-                t_end=stop.t_end,
-                region_parish=parish,
-                region_municipality=municipality,
-            )
-        )
-    return staypoints
+        staypoints.append(Staypoint(
+            f"sp{i:06d}", stop.user_id, label, stop.median, stop.t_start, stop.t_end,
+            parish, municipality,
+        ))
+    return staypoints, moving
 
 
 STAYPOINTS_HEADER = [

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import bisect
 import copy
-import itertools
 import math
 import random
 from dataclasses import asdict, dataclass
@@ -29,7 +28,6 @@ from .config import _MAX_TRIPS_PER_DAY, ScenarioConfig, TowerGridSpec  # noqa: F
 from .errors import InvalidConfig, ScenarioMismatch
 from .files import read_json, write_json
 from .geo import (
-    CdrEvent,
     EventColumns,
     GeoPoint,
     Region,
@@ -333,19 +331,22 @@ class _World:
 
 def generate_scenario(
     config: ScenarioConfig,
-) -> tuple[list[CdrEvent], dict[str, TowerSector], RegionIndex, GroundTruth]:
+) -> tuple[EventColumns, dict[str, TowerSector], RegionIndex, GroundTruth]:
     """Synthesize events, the tower map, the region index and full ground truth.
 
-    The events are those of Scenario.agent_events() as CdrEvent records,
-    in (user_id, timestamp) order.
+    The events are the blocks of Scenario.agent_events() joined into one
+    EventColumns, in (user_id, timestamp) order; they read as CdrEvents.
     """
+    import numpy as np
+
     scenario = Scenario(config)
-    events: list[CdrEvent] = []
-    for block in scenario.agent_events():
-        events.extend(map(
-            CdrEvent, itertools.repeat(block.users[0]), block.ts.tolist(),
-            map(block.cells.__getitem__, block.cell.tolist()),
-        ))
+    blocks = list(scenario.agent_events())  # one user each, all with the towers' cell table
+    events = EventColumns(
+        [block.users[0] for block in blocks], blocks[0].cells,
+        np.repeat(np.arange(len(blocks), dtype=np.int32), list(map(len, blocks))),
+        np.concatenate([block.cell for block in blocks]),
+        np.concatenate([block.ts for block in blocks]),
+    )
     return events, scenario.towers, scenario.regions, scenario.truth
 
 

@@ -5,8 +5,8 @@ import pytest
 
 from cdrflow.eventlog import CaseLog, Ocel, OcelEvent, Trace
 from cdrflow.geo import (
-    CdrEvent, GeoPoint, Region, RegionIndex, destination_point, haversine_distance,
-    initial_bearing,
+    CdrEvent, GeoPoint, Region, RegionIndex, destination_point, group_by_user,
+    haversine_distance, initial_bearing,
 )
 
 
@@ -94,6 +94,34 @@ def flattened_traces(ocel: Ocel) -> dict[str, list[Trace]]:
         for object_type in types_of.get(object_id, ()):
             by_type.setdefault(object_type, []).append(trace)
     return by_type
+
+
+# --- the object-path staypoint reference ---------------------------------------
+# stays.build_staypoints and stays.staypoints_from_columns run one stop scan over
+# each user's columns; this is the record path they replaced: records grouped by
+# user, detect_stops per user in sorted order, one clustering of all stops, and
+# moving_events per user.
+
+def reference_staypoints(positioned, params, regions=None):
+    """(staypoints, moving events) of PositionedEvent records, as the object path made them."""
+    from cdrflow.stays import Staypoint, cluster_destinations, detect_stops, moving_events
+
+    by_user = group_by_user(positioned)
+    stops = [stop for user_id in sorted(by_user) for stop in detect_stops(by_user[user_id], params)]
+    staypoints = [
+        Staypoint(
+            f"sp{i:06d}", stop.user_id, label, stop.median, stop.t_start, stop.t_end,
+            regions.assign(stop.median, "parish") if regions is not None else None,
+            regions.assign(stop.median, "municipality") if regions is not None else None,
+        )
+        for i, (stop, label) in enumerate(zip(stops, cluster_destinations(stops, params.r2)))
+    ]
+    sp_by_user = group_by_user(staypoints)
+    moving = [
+        ev for user_id, trace in by_user.items()
+        for ev in moving_events(trace, sp_by_user.get(user_id, []))
+    ]
+    return staypoints, moving
 
 
 # --- the per-ping synth reference --------------------------------------------

@@ -1,8 +1,16 @@
-"""The staged CLI's columnar event path against the library's object path."""
+"""The columnar event path against independent oracles.
+
+EventColumns is the library's one event type: the readers, writers,
+positioning and stop scan run on it, and as a sequence it reads as
+CdrEvent or PositionedEvent records.  The oracles here are a csv.writer,
+the row-wise reader, the one-event-at-a-time sampler of test_geo and the
+object-path staypoint reference of conftest.
+"""
 
 import csv
 import io
 import math
+import pickle
 import random
 import re
 import tempfile
@@ -28,7 +36,8 @@ from cdrflow.geo import (
 )
 from cdrflow.timefmt import from_iso, to_iso
 
-from test_geo import RIVER_LAND, TestLandPositioning as LandWorld
+from conftest import reference_staypoints
+from test_geo import RIVER_LAND, TestLandPositioning as LandWorld, scalar_positions
 
 
 def reference_cdr(path):
@@ -282,16 +291,40 @@ def land_world():
     return towers, events
 
 
+def write_reference(path, header, rows):
+    """The file that csv.writer writes for the rows, as the writers always wrote it."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def positioned_rows(events):
+    return [
+        [ev.user_id, to_iso(ev.timestamp), ev.cell_id, repr(ev.location.lat), repr(ev.location.lon)]
+        for ev in events
+    ]
+
+
 def test_position_columns_equal_position_events(land_world, tmp_path, monkeypatch):
     towers, events = land_world
-    expected = position_events(events, towers, land=RIVER_LAND)
+    expected = scalar_positions(events, towers, RIVER_LAND)
+    write_reference(tmp_path / "reference.csv", POSITIONED_HEADER, positioned_rows(expected))
     for size in (1000, 7):
         monkeypatch.setattr(geo, "_BLOCK_EVENTS", size)
         got = geo.position_columns(cdr_columns(events), towers, land=RIVER_LAND)
         assert column_rows(got) == object_rows(expected)
+        assert position_events(events, towers, land=RIVER_LAND) == expected
         geo.write_positioned_columns(got, tmp_path / "columns.csv")
-        geo.write_positioned_csv(expected, tmp_path / "objects.csv")
-        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "objects.csv").read_bytes()
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def scalar_one_at_a_time(events, towers, land):
+    """scalar_positions of each event in turn, an unknown cell raising as positioning does."""
+    for ev in events:
+        if ev.cell_id not in towers:
+            raise ValueError(f"event references unknown cell_id {ev.cell_id!r}")
+        scalar_positions([ev], towers, land)
 
 
 def test_position_columns_raise_as_position_events(land_world, monkeypatch):
@@ -299,11 +332,12 @@ def test_position_columns_raise_as_position_events(land_world, monkeypatch):
     monkeypatch.setattr(geo, "_BLOCK_EVENTS", 4)
     towers = {**towers, "sea": geo.TowerSector("sea", GeoPoint(10.0, 10.0), 0.0, 120.0, 500.0)}
     sea, ghost = CdrEvent("u", 10.0, "sea"), CdrEvent("u", 11.0, "ghost")
-    for case in ([sea, ghost], [ghost, sea], events[:5] + [ghost]):
+    for case in ([sea, ghost], [ghost, sea], events[:5] + [ghost], events[:6] + [sea]):
         with pytest.raises(Exception) as expected:
-            position_events(case, towers, land=RIVER_LAND)
-        with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
-            geo.position_columns(cdr_columns(case), towers, land=RIVER_LAND)
+            scalar_one_at_a_time(case, towers, RIVER_LAND)
+        for position, given in ((geo.position_columns, cdr_columns(case)), (position_events, case)):
+            with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
+                position(given, towers, land=RIVER_LAND)
 
 
 # --- writers ------------------------------------------------------------------
@@ -343,14 +377,15 @@ def columns_of(events):
 def test_writers_write_what_csv_writer_writes(events, block_events):
     with tempfile.TemporaryDirectory() as tmp, patch.object(geo, "_BLOCK_EVENTS", block_events):
         tmp = Path(tmp)
+        write_reference(tmp / "positioned.csv", POSITIONED_HEADER, positioned_rows(events))
         geo.write_positioned_csv(events, tmp / "objects.csv")
         geo.write_positioned_columns(columns_of(events), tmp / "columns.csv")
-        assert (tmp / "columns.csv").read_bytes() == (tmp / "objects.csv").read_bytes()
+        for name in ("objects.csv", "columns.csv"):
+            assert (tmp / name).read_bytes() == (tmp / "positioned.csv").read_bytes()
+        # PositionedEvent records give cdr.csv their three CDR columns only
         geo.write_cdr_csv(events, tmp / "cdr.csv")
-        with open(tmp / "reference.csv", "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow(CDR_HEADER)
-            writer.writerows([ev.user_id, to_iso(ev.timestamp), ev.cell_id] for ev in events)
+        write_reference(tmp / "reference.csv", CDR_HEADER,
+                        ([ev.user_id, to_iso(ev.timestamp), ev.cell_id] for ev in events))
         assert (tmp / "cdr.csv").read_bytes() == (tmp / "reference.csv").read_bytes()
         cdr, cut = cdr_columns(events), len(events) // 3
         parts = [cdr.take(slice(0, cut)), cdr.take(slice(cut, cut)), cdr.take(slice(cut, None))]
@@ -391,16 +426,6 @@ def test_codec_output_does_not_depend_on_block_size(land_world, tmp_path, monkey
 
 # --- stays ----------------------------------------------------------------------
 
-def moving_by_user(positioned, staypoints):
-    """The object path's moving events: moving_events per user."""
-    sp_by_user = geo.group_by_user(staypoints)
-    return [
-        ev
-        for user_id, trace in geo.group_by_user(positioned).items()
-        for ev in stays.moving_events(trace, sp_by_user.get(user_id, []))
-    ]
-
-
 @pytest.mark.parametrize("seed", [3, 8])
 @pytest.mark.parametrize("interleave", [False, True], ids=["by-user", "by-time"])
 def test_staypoints_from_columns_equal_build_staypoints(tmp_path, seed, interleave):
@@ -413,10 +438,11 @@ def test_staypoints_from_columns_equal_build_staypoints(tmp_path, seed, interlea
     geo.write_positioned_csv(position_events(sorted(events, key=order), towers), path)
     positioned = geo.load_positioned_csv(path)
     params = stays.StopParams()
-    expected = stays.build_staypoints(positioned, params, regions=regions)
+    expected, expected_moving = reference_staypoints(positioned, params, regions)
     got, moving = stays.staypoints_from_columns(geo.read_positioned_columns(path), params, regions)
     assert got == expected and len(expected) > 5
-    kept = {id(ev) for ev in moving_by_user(positioned, expected)}
+    assert stays.build_staypoints(positioned, params, regions=regions) == expected
+    kept = {id(ev) for ev in expected_moving}
     assert moving.tolist() == [id(ev) in kept for ev in positioned]
     assert 0 < moving.sum() < len(positioned)
 
@@ -431,7 +457,58 @@ def test_staypoints_from_columns_reject_unsorted_users_alike(tmp_path):
     geo.write_positioned_csv(rows, path)
     params = stays.StopParams()
     with pytest.raises(UnsortedInput) as expected:
-        stays.build_staypoints(geo.load_positioned_csv(path), params)
-    with pytest.raises(UnsortedInput, match=re.escape(str(expected.value))) as got:
-        stays.staypoints_from_columns(geo.read_positioned_columns(path), params)
+        reference_staypoints(geo.load_positioned_csv(path), params)
+    for staypoints in (stays.staypoints_from_columns, stays.build_staypoints):
+        with pytest.raises(UnsortedInput, match=re.escape(str(expected.value))) as got:
+            staypoints(geo.read_positioned_columns(path), params)
     assert "'a'" in str(got.value)
+
+
+# --- EventColumns as a sequence of records -------------------------------------
+
+@pytest.fixture(scope="module")
+def sequence_world(land_world):
+    towers, events = land_world
+    return events[:50], list(position_events(events[:50], towers, land=RIVER_LAND))
+
+
+@pytest.mark.parametrize("block_events", [1, 7, 1024])
+@pytest.mark.parametrize("kind", ["cdr", "positioned"])
+def test_event_columns_are_a_sequence_of_records(sequence_world, kind, block_events, monkeypatch):
+    records = dict(zip(("cdr", "positioned"), sequence_world))[kind]
+    columns = geo.event_columns(records)
+    assert geo.event_columns(columns) is columns and (columns.lat is None) == (kind == "cdr")
+    monkeypatch.setattr(geo, "_BLOCK_EVENTS", block_events)
+
+    assert list(columns) == records and len(columns) == len(records) == 50
+    for other in (records, tuple(records), geo.event_columns(list(records))):
+        assert columns == other and other == columns
+        assert not (columns != other) and not (other != columns)
+    changed = records[:-1] + [CdrEvent("u", 0.0, "c")]
+    for other in (records[:-1], tuple(changed), changed, [], records + records[:1], "abc", None):
+        assert columns != other and other != columns
+        assert not (columns == other) and not (other == columns)
+
+    assert columns[0] == records[0] and columns[-1] == records[-1] == columns[49]
+    assert columns[-50] == records[0] and columns[np.int64(3)] == records[3]
+    for index in (50, -51, 10**9):
+        with pytest.raises(IndexError):
+            columns[index]
+    for index in (slice(3, 9), slice(None), slice(40, 60), slice(None, None, -3), slice(5, 5)):
+        got = columns[index]
+        assert type(got) is list and got == records[index]
+
+    copy = pickle.loads(pickle.dumps(columns, protocol=pickle.HIGHEST_PROTOCOL))
+    assert copy == records and column_rows(copy) == column_rows(columns)
+    with pytest.raises(TypeError):
+        hash(columns)
+
+
+def test_cdr_writer_leaves_positioned_columns_coordinates_out(sequence_world, tmp_path):
+    events, positioned = sequence_world
+    columns = geo.event_columns(positioned)
+    assert columns.lat is not None
+    geo.write_cdr_csv(columns, tmp_path / "cdr.csv")
+    write_reference(tmp_path / "reference.csv", CDR_HEADER,
+                    ([ev.user_id, to_iso(ev.timestamp), ev.cell_id] for ev in events))
+    assert (tmp_path / "cdr.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()

@@ -386,6 +386,18 @@ class TestMovingEvents:
         mv = moving_events(events, stops)
         assert mv == motion
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 40), st.integers(0, 15)), max_size=6),
+        st.lists(st.integers(-2, 60), max_size=30),
+    )
+    def test_outside_every_interval_even_when_they_overlap(self, spans, times):
+        stops = [Stop("u", BASE, float(start), float(start + length), 2) for start, length in spans]
+        events = [ev("u", t, BASE) for t in sorted(times)]
+        expected = [e for e in events
+                    if not any(s.t_start <= e.timestamp <= s.t_end for s in stops)]
+        assert moving_events(events, stops) == expected
+
 
 class TestClusterDestinations:
     def make_stop(self, user, t, point):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdrflow import cli, synth
+from cdrflow import cli, geo, synth
 from cdrflow.config import load_config
 from cdrflow.errors import InvalidConfig, ScenarioMismatch
 from cdrflow.geo import (
@@ -354,7 +354,7 @@ class TestStreamingSynth:
             raise AssertionError("cdrflow synth built a CdrEvent")
 
         with monkeypatch.context() as patch:
-            patch.setattr(synth, "CdrEvent", no_records)
+            patch.setattr(geo, "CdrEvent", no_records)  # where EventColumns makes records
             code = cli.main(["synth", "--config", str(config), "--seed", "17",
                              "--out", str(tmp_path / "run")])
         assert code == 0
