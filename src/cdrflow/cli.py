@@ -105,10 +105,10 @@ def stage_position(cfg: PipelineConfig) -> None:
     # Inputs come from [paths] when configured, else from the synth stage.
     cdr_path = cfg.cdr_path or _artifact(cfg, "cdr")
     towers_path = cfg.towers_path or _artifact(cfg, "towers")
-    events = geo.sort_by_user_time(geo.read_cdr_columns(cdr_path))
+    events = geo.sort_by_user_time(geo.load_cdr_csv(cdr_path))
     towers = geo.load_towers_csv(towers_path)
-    positioned = geo.position_columns(events, towers, land=_load_land(cfg))
-    geo.write_positioned_columns(positioned, _artifact(cfg, "positioned"))
+    positioned = geo.position_events(events, towers, land=_load_land(cfg))
+    geo.write_positioned_csv(positioned, _artifact(cfg, "positioned"))
 
 
 def stage_stays(cfg: PipelineConfig) -> None:
@@ -118,7 +118,7 @@ def stage_stays(cfg: PipelineConfig) -> None:
     regions = geo.load_regions_geojson(cfg.regions_path or _artifact(cfg, "regions"))
     staypoints, moving = stays.staypoints_from_columns(positioned, cfg.stop_params, regions=regions)
     stays.write_staypoints_csv(staypoints, _artifact(cfg, "staypoints"))
-    geo.write_positioned_columns(positioned.take(moving), _artifact(cfg, "moving"))
+    geo.write_positioned_csv(positioned.take(moving), _artifact(cfg, "moving"))
 
 
 def stage_trips(cfg: PipelineConfig) -> None:

@@ -565,9 +565,6 @@ class RegionIndex:
             max(p.lat for p in pts) + eps,
         )
 
-    def get(self, region_id: str) -> Region:
-        return self._by_id[region_id]
-
     def regions(self, level: Optional[str] = None) -> list[Region]:
         if level is None:
             return sorted(self._by_id.values(), key=lambda r: r.region_id)
@@ -683,17 +680,19 @@ def sort_by_user_time(events: EventColumns) -> EventColumns:
     return events.take(np.lexsort((events.ts, events.user_rank()[events.user])))
 
 
-def position_columns(
-    events: EventColumns, towers: dict[str, TowerSector], land: Sequence[Region] = ()
+def position_events(
+    events: Iterable[CdrEvent], towers: dict[str, TowerSector], land: Sequence[Region] = ()
 ) -> EventColumns:
-    """The events with lat and lon set: sample_sector_point with event_seed, per event.
+    """The events, CdrEvent records or EventColumns, as columns with lat and lon set.
 
-    Blocks of _BLOCK_EVENTS events go through one array kernel.  The events
+    Each event goes where sample_sector_point puts it with its event_seed;
+    blocks of _BLOCK_EVENTS events go through one array kernel.  The events
     before an unknown cell are placed first, as one at a time would, so that
     their ClippingExhausted comes before the unknown cell's ValueError.
     """
     import numpy as np
 
+    events = event_columns(events)
     sectors = _Sectors(towers)
     land = _Land(land) if land else None
     rows = np.array([sectors.row.get(c, -1) for c in events.cells], dtype=np.intp)  # per cell
@@ -711,13 +710,6 @@ def position_columns(
     if unknown.size:
         raise ValueError(f"event references unknown cell_id {events.cells[events.cell[known]]!r}")
     return replace(events, lat=lat, lon=lon)
-
-
-def position_events(
-    events: Iterable[CdrEvent], towers: dict[str, TowerSector], land: Sequence[Region] = ()
-) -> EventColumns:
-    """position_columns of CdrEvent records or of EventColumns; it reads as PositionedEvents."""
-    return position_columns(event_columns(events), towers, land)
 
 
 def group_by_user(records: Iterable) -> dict[str, list]:
@@ -889,13 +881,8 @@ def load_positioned_csv(path: str | Path) -> list[PositionedEvent]:
 
 
 def write_positioned_csv(events: Iterable[PositionedEvent], path: str | Path) -> None:
-    """positioned.csv of PositionedEvent records or of positioned EventColumns."""
-    write_positioned_columns(event_columns(events), path)
-
-
-def write_positioned_columns(events: EventColumns, path: str | Path) -> None:
-    """positioned.csv of positioned EventColumns, converting one block of rows at a time."""
-    write_csv_blocks(path, POSITIONED_HEADER, _text_blocks(events, coordinates=True))
+    """positioned.csv of PositionedEvent records or positioned EventColumns, a block at a time."""
+    write_csv_blocks(path, POSITIONED_HEADER, _text_blocks(event_columns(events), coordinates=True))
 
 
 def write_cdr_columns(parts: Iterable[EventColumns], path: str | Path) -> None:
@@ -938,37 +925,49 @@ def _coords_to_polygon(coords, where: str) -> tuple:
     def point(pt) -> GeoPoint:
         if not isinstance(pt, list) or len(pt) < 2:
             raise ValueError(f"{where}: position {pt!r} has fewer than 2 numbers")
-        return GeoPoint(lat=float(pt[1]), lon=float(pt[0]))
+        try:
+            return GeoPoint(lat=float(pt[1]), lon=float(pt[0]))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: position {pt!r}: {exc}") from None
 
+    if not isinstance(coords, list) or not all(isinstance(ring, list) for ring in coords):
+        raise ValueError(f"{where}: a polygon is not a list of rings")
     return tuple(tuple(point(pt) for pt in ring) for ring in coords)
 
 
 def load_regions_geojson(path: str | Path) -> RegionIndex:
+    """Regions of a FeatureCollection; other documents raise ValueError naming file and feature."""
     doc = read_json(path)
-    if doc.get("type") != "FeatureCollection":
+    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ValueError(f"regions file {path}: expected a GeoJSON FeatureCollection")
+    features = doc.get("features", [])
+    if not isinstance(features, list):
+        raise ValueError(f"regions file {path}: features is not a list")
     regions = []
-    for k, feature in enumerate(doc.get("features", [])):
+    for k, feature in enumerate(features):
+        where = f"regions file {path}: feature {k}"
+        if not isinstance(feature, dict):
+            raise ValueError(f"{where} is not an object")
         props = feature.get("properties") or {}
         geom = feature.get("geometry") or {}
         for key, holder in (("region_id", props), ("level", props), ("coordinates", geom)):
-            if key not in holder:
-                raise ValueError(f"regions file {path}: feature {k} has no {key}")
-        gtype = geom.get("type")
-        where = f"regions file {path}: feature {k}"
+            if not isinstance(holder, dict) or key not in holder:
+                raise ValueError(f"{where} has no {key}")
+        gtype, coords = geom.get("type"), geom["coordinates"]
         if gtype == "Polygon":
-            polygons = (_coords_to_polygon(geom["coordinates"], where),)
-        elif gtype == "MultiPolygon":
-            polygons = tuple(_coords_to_polygon(c, where) for c in geom["coordinates"])
-        else:
-            raise ValueError(f"region {props['region_id']}: unsupported geometry {gtype}")
+            coords = [coords]
+        elif gtype != "MultiPolygon":
+            raise ValueError(f"{where}: unsupported geometry {gtype}")
+        elif not isinstance(coords, list):
+            raise ValueError(f"{where}: a MultiPolygon is not a list of polygons")
+        parent_id = props.get("parent_id")
         regions.append(
             Region(
                 region_id=str(props["region_id"]),
                 name=str(props.get("name", props["region_id"])),
                 level=str(props["level"]),
-                parent_id=props.get("parent_id"),
-                polygons=polygons,
+                parent_id=None if parent_id is None else str(parent_id),
+                polygons=tuple(_coords_to_polygon(c, where) for c in coords),
             )
         )
     return RegionIndex(regions)

@@ -129,29 +129,35 @@ def _grow_exact(
 def detect_stops(trace: Sequence[PositionedEvent], params: StopParams) -> list[Stop]:
     """Greedy stop extraction over one user's time-ordered events.
 
-    A candidate stop accumulates consecutive events while each new event is
-    within r1 of the running median and within max_gap of the previous one;
-    it is emitted only when its span reaches min_duration.  Events in no
-    emitted stop are moving points.
+    trace is PositionedEvent records or positioned EventColumns.  A candidate
+    stop accumulates consecutive events while each new event is within r1 of
+    the running median and within max_gap of the previous one; it is emitted
+    only when its span reaches min_duration.  Events in no emitted stop are
+    moving points.  The first pair of events out of order decides the error:
+    UnsortedInput when its time decreases, else ValueError for a user change.
     """
-    events = list(trace)
-    for prev, cur in zip(events, events[1:]):
-        if cur.timestamp < prev.timestamp:
-            raise UnsortedInput(
-                f"timestamps decrease for user {cur.user_id!r} at t={cur.timestamp}"
-            )
-        if cur.user_id != prev.user_id:
-            raise ValueError("detect_stops expects a single user's trace")
+    import numpy as np
+
+    events = event_columns(trace)
+    ts, user = events.ts, events.user
+    back = ts[1:] < ts[:-1]
+    bad = np.flatnonzero(back | (user[1:] != user[:-1]))
+    if bad.size:
+        k = int(bad[0]) + 1
+        if back[k - 1]:
+            user_id, t = events.users[user[k]], ts[k].tolist()
+            raise UnsortedInput(f"timestamps decrease for user {user_id!r} at t={t}")
+        raise ValueError("detect_stops expects a single user's trace")
     return _scan_stops(
-        events[0].user_id if events else "", [e.timestamp for e in events],
-        [e.location.lat for e in events], [e.location.lon for e in events], params,
+        events.users[user[0]] if len(events) else "", ts.tolist(),
+        events.lat.tolist(), events.lon.tolist(), params,
     )
 
 
 def _scan_stops(
     user_id: str, ts: list[float], lats: list[float], lons: list[float], params: StopParams
 ) -> list[Stop]:
-    """detect_stops over one user's columns, already checked to be in time order.
+    """The stop scan of detect_stops over one user's columns, already in time order.
 
     While the members' bounding box, grown by the new event, is provably
     within r1 across (see _BOX_SLACK), both tests pass without computing
@@ -408,7 +414,7 @@ def _staypoints(
 ) -> tuple[list[Staypoint], np.ndarray]:
     """Staypoints of positioned columns in (user_id, t_start) order, and the moving mask.
 
-    The stop scan runs over each user's events in input order, users in
+    detect_stops runs over each user's events in input order, users in
     sorted order; one cluster_fn call labels the stops of all users.
     """
     import numpy as np
@@ -418,19 +424,11 @@ def _staypoints(
     ends = np.cumsum(np.bincount(rank, minlength=len(events.users))).tolist()
     moving = np.zeros(len(events), dtype=bool)
     all_stops: list[Stop] = []
-    start = 0
-    for user_id, end in zip(sorted(events.users), ends):
+    for start, end in zip([0] + ends, ends):
         index = order[start:end]
-        start = end
-        ts = events.ts[index]
-        back = np.flatnonzero(ts[1:] < ts[:-1])
-        if back.size:
-            t = ts[back[0] + 1].tolist()
-            raise UnsortedInput(f"timestamps decrease for user {user_id!r} at t={t}")
-        stops = _scan_stops(
-            user_id, ts.tolist(), events.lat[index].tolist(), events.lon[index].tolist(), params
-        )
-        moving[index] = _outside_stops(ts, stops)
+        trace = events.take(index)
+        stops = detect_stops(trace, params)
+        moving[index] = _outside_stops(trace.ts, stops)
         all_stops.extend(stops)
 
     staypoints = []

@@ -40,8 +40,7 @@ def to_iso(ts: float) -> str:
             hour, second = divmod(second, 3600)
             minute, second = divmod(second, 60)
             return f"{prefix}{hour:02d}:{minute:02d}:{second:02d}Z"
-        moment = datetime.fromtimestamp(int(ts), tz=timezone.utc)
-        return _date_prefix(moment) + moment.strftime("%H:%M:%SZ")
+        datetime.fromtimestamp(int(ts), tz=timezone.utc)  # outside years 1 to 9999: raises
     moment = datetime.fromtimestamp(float(ts), tz=timezone.utc)
     return _date_prefix(moment) + moment.strftime("%H:%M:%S.%fZ")
 

@@ -85,6 +85,25 @@ class TestRunAll:
             if a.exists():
                 assert a.read_bytes() == b.read_bytes(), name
 
+    def test_command_line_overrides_reach_the_stages(self, tmp_path, tiny_config):
+        cfg = load_config(tiny_config)
+        assert (cfg.level, cfg.min_arc_frequency) == ("municipality", 0) and cfg.top_k > 1
+        plain, flagged = tmp_path / "plain", tmp_path / "flagged"
+        assert run("all", "--config", str(tiny_config), "--out", str(plain)) == 0
+        assert run("all", "--config", str(tiny_config), "--out", str(flagged), "--level", "parish",
+                   "--top-k", "1", "--min-arc-freq", "1000000") == 0
+        features = json.loads((plain / ART["regions"]).read_text())["features"]
+        for run_dir, level in ((plain, "municipality"), (flagged, "parish")):
+            ids = {f["properties"]["region_id"] for f in features
+                   if f["properties"]["level"] == level}
+            rows = (run_dir / ART["case_log"]).read_text().splitlines()[1:]
+            assert rows and {row.split(",")[1] for row in rows} <= ids
+        assert len(json.loads((plain / ART["variants"]).read_text())) > 1
+        assert len(json.loads((flagged / ART["variants"]).read_text())) == 1
+        for name in ("dfg_dot", "ocdfg_dot"):  # every arc is below the frequency floor
+            assert "->" in (plain / ART[name]).read_text()
+            assert "->" not in (flagged / ART[name]).read_text()
+
     def test_deterministic_across_runs_and_threads(self, tmp_path, tiny_config):
         outs = []
         for name, threads in (("r1", "1"), ("r2", "1"), ("r4", "4")):
@@ -626,6 +645,28 @@ class TestMalformedInput:
         assert err.startswith("cdrflow stays: ") and "Traceback" not in err
         assert "feature 3: position [1.0] has fewer than 2 numbers" in err
 
+    def test_broken_leg_chain_exits_1_naming_file_and_line(self, survey_run, capsys):
+        ini, out, _ = survey_run
+        path = out / ART["triplegs"]
+        original = path.read_text()
+        header, first, *_ = original.splitlines()
+        fields = first.split(",")
+        trip_id, t_end = fields[1], fields[6]
+        # a second leg of the first trip that starts where no leg ended
+        fields[0], fields[3], fields[5] = "extra", "nowhere", t_end
+        fields[6] = t_end.replace("Z", ".5Z")
+        path.write_text(original + ",".join(fields) + "\n")
+        try:
+            assert run("log", "--config", str(ini), "--out", str(out), "--seed", "4") == 1
+        finally:
+            path.write_text(original)
+        line = next(k for k, row in enumerate((out / ART["trips"]).read_text().splitlines(), 1)
+                    if row.startswith(trip_id + ","))
+        assert capsys.readouterr().err == (
+            f"cdrflow log: trips file {out / ART['trips']}: line {line}: "
+            f"trip {trip_id}: tripleg chain is broken\n"
+        )
+
     @pytest.mark.parametrize("key", ["region_id", "level", "coordinates"])
     def test_region_without_required_key_exits_1(self, tmp_path, inputs, key, capsys):
         bad = tmp_path / "bad_inputs"
@@ -641,6 +682,44 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("cdrflow stays: ")
         assert f"feature 3 has no {key}" in err
+
+
+    @pytest.mark.parametrize("stage", ["stays", "position"])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: [], ": expected a GeoJSON FeatureCollection"),
+        (lambda doc: {"features": doc["features"]}, ": expected a GeoJSON FeatureCollection"),
+        (lambda doc: {**doc, "features": [1]}, ": feature 0 is not an object"),
+        (lambda doc: {**doc, "features": {"a": 1}}, ": features is not a list"),
+        (lambda doc: with_geometry(doc, "Polygon", 5), ": feature 3: a polygon is not a list of rings"),
+        (lambda doc: with_geometry(doc, "MultiPolygon", 5),
+         ": feature 3: a MultiPolygon is not a list of polygons"),
+        (lambda doc: with_geometry(doc, "MultiPolygon", [[[[1.0, None]]]]),
+         ": feature 3: position [1.0, None]: float() argument must be"),
+        (lambda doc: with_geometry(doc, "Point", [1.0, 2.0]), ": feature 3: unsupported geometry Point"),
+    ], ids=["list", "untyped", "int-feature", "feature-object", "int-polygon", "int-multipolygon",
+            "null-number", "point"])
+    def test_malformed_regions_file_exits_1_naming_file_and_feature(
+        self, tmp_path, inputs, stage, edit, message, capsys
+    ):
+        # the stays stage reads it as the regions, the position stage as the land mask
+        bad = tmp_path / "bad.geojson"
+        bad.write_text(json.dumps(edit(json.loads((inputs / ART["regions"]).read_text()))))
+        ini = external_config(tmp_path, "bad_regions", inputs, inputs / ART["cdr"])
+        out = tmp_path / "run"
+        if stage == "stays":
+            ini.write_text(ini.read_text().replace(str(inputs / ART["regions"]), str(bad)))
+            assert run("position", "--config", str(ini), "--out", str(out)) == 0
+        else:
+            ini.write_text(ini.read_text() + f"land_mask = {bad}\n")
+        capsys.readouterr()
+        assert run(stage, "--config", str(ini), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cdrflow {stage}: regions file {bad}{message}") and err.count("\n") == 1
+
+
+def with_geometry(doc, kind, coordinates):
+    doc["features"][3]["geometry"] = {"type": kind, "coordinates": coordinates}
+    return doc
 
 
 def test_position_with_land_mask_puts_every_point_on_land(tmp_path, inputs):

@@ -307,16 +307,19 @@ def positioned_rows(events):
 
 
 def test_position_columns_equal_position_events(land_world, tmp_path, monkeypatch):
+    """position_events of columns and of records, and both writer inputs, against the oracles."""
     towers, events = land_world
     expected = scalar_positions(events, towers, RIVER_LAND)
     write_reference(tmp_path / "reference.csv", POSITIONED_HEADER, positioned_rows(expected))
     for size in (1000, 7):
         monkeypatch.setattr(geo, "_BLOCK_EVENTS", size)
-        got = geo.position_columns(cdr_columns(events), towers, land=RIVER_LAND)
+        got = position_events(cdr_columns(events), towers, land=RIVER_LAND)
         assert column_rows(got) == object_rows(expected)
         assert position_events(events, towers, land=RIVER_LAND) == expected
-        geo.write_positioned_columns(got, tmp_path / "columns.csv")
-        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        geo.write_positioned_csv(got, tmp_path / "columns.csv")
+        geo.write_positioned_csv(expected, tmp_path / "objects.csv")
+        for name in ("columns.csv", "objects.csv"):
+            assert (tmp_path / name).read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def scalar_one_at_a_time(events, towers, land):
@@ -328,6 +331,7 @@ def scalar_one_at_a_time(events, towers, land):
 
 
 def test_position_columns_raise_as_position_events(land_world, monkeypatch):
+    """position_events of columns and of records raises as one event at a time does."""
     towers, events = land_world
     monkeypatch.setattr(geo, "_BLOCK_EVENTS", 4)
     towers = {**towers, "sea": geo.TowerSector("sea", GeoPoint(10.0, 10.0), 0.0, 120.0, 500.0)}
@@ -335,9 +339,9 @@ def test_position_columns_raise_as_position_events(land_world, monkeypatch):
     for case in ([sea, ghost], [ghost, sea], events[:5] + [ghost], events[:6] + [sea]):
         with pytest.raises(Exception) as expected:
             scalar_one_at_a_time(case, towers, RIVER_LAND)
-        for position, given in ((geo.position_columns, cdr_columns(case)), (position_events, case)):
+        for given in (cdr_columns(case), case):
             with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
-                position(given, towers, land=RIVER_LAND)
+                position_events(given, towers, land=RIVER_LAND)
 
 
 # --- writers ------------------------------------------------------------------
@@ -379,7 +383,7 @@ def test_writers_write_what_csv_writer_writes(events, block_events):
         tmp = Path(tmp)
         write_reference(tmp / "positioned.csv", POSITIONED_HEADER, positioned_rows(events))
         geo.write_positioned_csv(events, tmp / "objects.csv")
-        geo.write_positioned_columns(columns_of(events), tmp / "columns.csv")
+        geo.write_positioned_csv(columns_of(events), tmp / "columns.csv")
         for name in ("objects.csv", "columns.csv"):
             assert (tmp / name).read_bytes() == (tmp / "positioned.csv").read_bytes()
         # PositionedEvent records give cdr.csv their three CDR columns only
@@ -405,13 +409,13 @@ def test_cdr_writer_raises_as_to_iso(tmp_path, ts):
 def test_codec_output_does_not_depend_on_block_size(land_world, tmp_path, monkeypatch):
     towers, events = land_world
     events = events[:600] + [replace(ev, timestamp=ev.timestamp + 0.25) for ev in events[600:700]]
-    positioned = geo.position_columns(cdr_columns(events), towers, land=RIVER_LAND)
+    positioned = position_events(cdr_columns(events), towers, land=RIVER_LAND)
     expected_bytes = expected_rows = None
     for block_events, block_bytes in ((1024, 1 << 16), (1, 1), (7, 100), (333, 4096)):
         monkeypatch.setattr(geo, "_BLOCK_EVENTS", block_events)
         monkeypatch.setattr(files, "_PLAIN_BLOCK_BYTES", block_bytes)
-        geo.write_positioned_columns(positioned, tmp_path / "positioned.csv")
-        geo.write_positioned_columns(positioned.take(slice(0, 600)), tmp_path / "canonical.csv")
+        geo.write_positioned_csv(positioned, tmp_path / "positioned.csv")
+        geo.write_positioned_csv(positioned.take(slice(0, 600)), tmp_path / "canonical.csv")
         geo.write_cdr_csv(events, tmp_path / "cdr.csv")
         written = [(tmp_path / name).read_bytes()
                    for name in ("positioned.csv", "canonical.csv", "cdr.csv")]

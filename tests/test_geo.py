@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -318,8 +319,10 @@ class TestEventSeedAndPositioning:
             assert haversine_distance(towers["c1"].center, ev.location) <= 300.0
 
     def test_unknown_cell_raises(self):
-        with pytest.raises(ValueError, match="unknown cell_id"):
-            position_events([CdrEvent("u1", 0.0, "nope")], {})
+        events = [CdrEvent("u1", 0.0, "nope")]
+        for given in (events, geo.event_columns(events)):
+            with pytest.raises(ValueError, match="unknown cell_id"):
+                position_events(given, {})
 
 
 class TestFileFormats:
@@ -343,6 +346,38 @@ class TestFileFormats:
         write_regions_geojson(two_municipalities.regions(), path)
         loaded = load_regions_geojson(path)
         assert loaded.regions() == two_municipalities.regions()
+
+    def test_multipolygon_round_trip(self, tmp_path):
+        # two squares, the first with a square hole
+        outer, hole, far = (
+            square_region("r", "municipality", lon, 38.0 + inset, 1.0 - 2 * inset).polygons[0][0]
+            for lon, inset in ((-10.0, 0.0), (-9.75, 0.25), (-8.0, 0.0))
+        )
+        region = Region("two", "two", "municipality", None, ((outer, hole), (far,)))
+        path = tmp_path / "regions.geojson"
+        write_regions_geojson([region], path)
+        assert json.loads(path.read_text())["features"][0]["geometry"]["type"] == "MultiPolygon"
+        loaded = load_regions_geojson(path)
+        assert loaded.regions() == [region]
+        assert loaded.assign(GeoPoint(38.5, -7.5), "municipality") == "two"  # second polygon
+        assert loaded.assign(GeoPoint(38.5, -9.5), "municipality") is None  # in the hole
+        assert loaded.assign(GeoPoint(38.1, -9.9), "municipality") == "two"
+
+    def test_region_ids_are_read_as_text(self, tmp_path):
+        # a numeric parent_id names the municipality whose numeric region_id it equals
+        doc = {"type": "FeatureCollection", "features": [
+            {"properties": {"region_id": region_id, "level": level, "parent_id": parent},
+             "geometry": {"type": "Polygon", "coordinates": [[[0, 0], [1, 0], [1, 1], [0, 0]]]}}
+            for region_id, level, parent in ((7, "municipality", None), (8, "parish", 7))
+        ]}
+        path = tmp_path / "regions.geojson"
+        path.write_text(json.dumps(doc))
+        regions = load_regions_geojson(path).regions()
+        assert [(r.region_id, r.parent_id) for r in regions] == [("7", None), ("8", "7")]
+        doc["features"][1]["properties"]["parent_id"] = [7]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="parish 8 must reference an existing municipality"):
+            load_regions_geojson(path)
 
     def test_cdr_round_trip(self, tmp_path):
         events = [CdrEvent("u1", 1706745600.0, "c1"), CdrEvent("u2", 1706745660.0, "c2")]
@@ -386,6 +421,7 @@ class TestLandPositioning:
         events = self.events(towers)  # more than two blocks
         got = position_events(events, towers, land=RIVER_LAND)
         assert got == scalar_positions(events, towers, RIVER_LAND)
+        assert position_events(geo.event_columns(events), towers, land=RIVER_LAND) == got
         for ev in got:
             assert any(region_contains(r, ev.location) for r in RIVER_LAND)
         centre = towers["wet"].center
@@ -410,7 +446,9 @@ class TestLandPositioning:
     def test_land_free_matches_scalar_reference(self):
         towers = self.sectors()
         events = self.events(towers, n=1500)
-        assert position_events(events, towers) == scalar_positions(events, towers)
+        expected = scalar_positions(events, towers)
+        assert position_events(events, towers) == expected
+        assert position_events(geo.event_columns(events), towers) == expected
 
     def test_clipping_exhausted_names_the_first_failing_sector(self):
         towers = self.sectors()

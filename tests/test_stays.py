@@ -1,6 +1,7 @@
 import logging
 import math
 import random
+import re
 from bisect import insort
 
 import numpy as np
@@ -13,6 +14,7 @@ from cdrflow.geo import (
     GeoPoint,
     PositionedEvent,
     destination_point,
+    event_columns,
     haversine_distance,
     haversine_m,
     haversine_m_array,
@@ -43,6 +45,11 @@ def ev(user, t, point):
 def offset(point, east_m=0.0, north_m=0.0):
     p = destination_point(point, 90.0, east_m) if east_m else point
     return destination_point(p, 0.0, north_m) if north_m else p
+
+
+def forms(events):
+    """The records and their positioned EventColumns: detect_stops takes either."""
+    return events, event_columns(events)
 
 
 def mid(sorted_vals):
@@ -242,16 +249,22 @@ class TestDetectStops:
     def test_pure_dwell(self):
         params = StopParams(min_duration=600)
         events = [ev("u", t * 200, BASE) for t in range(10)]  # 30 min span
-        stops = detect_stops(events, params)
-        assert len(stops) == 1
-        assert stops[0].n_events == 10
-        assert stops[0].median == BASE
-        assert stops[0].t_start == 0.0 and stops[0].t_end == 1800.0
+        for given in forms(events):
+            stops = detect_stops(given, params)
+            assert len(stops) == 1
+            assert stops[0].n_events == 10
+            assert stops[0].median == BASE
+            assert stops[0].t_start == 0.0 and stops[0].t_end == 1800.0
 
     def test_pure_motion(self):
         params = StopParams(r1=50)
         events = [ev("u", i * 60, offset(BASE, east_m=1000.0 * i)) for i in range(10)]
-        assert detect_stops(events, params) == []
+        for given in forms(events):
+            assert detect_stops(given, params) == []
+
+    def test_empty_trace(self):
+        for given in forms([]):
+            assert detect_stops(given, StopParams()) == []
 
     def test_two_planted_dwells_match_grouping_oracle(self):
         params = StopParams(r1=300, min_duration=600, max_gap=3600)
@@ -269,6 +282,7 @@ class TestDetectStops:
             events.append(ev("u", t, offset(cluster_b, east_m=(t % 3) * 20.0)))
             t += 133
         stops = detect_stops(events, params)
+        assert detect_stops(event_columns(events), params) == stops
 
         # independent brute-force grouping oracle for the planted fixture:
         # maximal runs of consecutive events within r1 of the run's first
@@ -295,20 +309,36 @@ class TestDetectStops:
     def test_max_gap_splits(self):
         params = StopParams(min_duration=600, max_gap=600)
         events = [ev("u", t, BASE) for t in (0, 300, 700, 5000, 5300, 5700)]
-        stops = detect_stops(events, params)
-        assert len(stops) == 2
-        assert stops[0].t_end == 700.0
-        assert stops[1].t_start == 5000.0
+        for given in forms(events):
+            stops = detect_stops(given, params)
+            assert len(stops) == 2
+            assert stops[0].t_end == 700.0
+            assert stops[1].t_start == 5000.0
 
     def test_unsorted_raises(self):
         events = [ev("u", 100, BASE), ev("u", 50, BASE)]
-        with pytest.raises(UnsortedInput):
-            detect_stops(events, StopParams())
+        for given in forms(events):
+            with pytest.raises(UnsortedInput, match=r"for user 'u' at t=50\.0$"):
+                detect_stops(given, StopParams())
 
     def test_mixed_users_raise(self):
         events = [ev("u1", 0, BASE), ev("u2", 10, BASE)]
-        with pytest.raises(ValueError, match="single user"):
-            detect_stops(events, StopParams())
+        for given in forms(events):
+            with pytest.raises(ValueError, match="single user"):
+                detect_stops(given, StopParams())
+
+    @pytest.mark.parametrize("times, error, message", [
+        # a user change first, a step back in time later
+        ((0, 10, 5), ValueError, "single user"),
+        # both in one pair: the step back in time is named
+        ((10, 5, 20), UnsortedInput, "for user 'u2' at t=5.0"),
+    ])
+    def test_first_bad_pair_decides_the_error(self, times, error, message):
+        events = [ev(user, t, BASE) for user, t in zip(("u1", "u2", "u2"), times)]
+        for given in forms(events):
+            with pytest.raises(error, match=re.escape(message)) as raised:
+                detect_stops(given, StopParams())
+            assert type(raised.value) is error
 
     def test_disjoint_and_member_containment(self):
         rng = random.Random(9)
@@ -328,6 +358,7 @@ class TestDetectStops:
                 anchor = offset(anchor, east_m=rng.uniform(2000, 4000))
                 t += rng.randint(30, 600)
         stops = detect_stops(events, params)
+        assert detect_stops(event_columns(events), params) == stops
         for a, b in zip(stops, stops[1:]):
             assert a.t_end < b.t_start  # disjoint, ordered
         for stop in stops:
@@ -342,7 +373,9 @@ class TestDetectStopsReference:
     def test_equals_reference_scan(self, case):
         r1, events = case
         params = StopParams(r1=r1, min_duration=600.0, max_gap=900.0)
-        assert detect_stops(events, params) == reference_detect_stops(events, params)
+        expected = reference_detect_stops(events, params)
+        for given in forms(events):
+            assert detect_stops(given, params) == expected
 
     def test_long_dwells_equal_reference_scan(self):
         # long candidates that grow on the box bound, then leave it by a few metres
@@ -358,8 +391,10 @@ class TestDetectStopsReference:
                                                      north_m=rng.uniform(-spread, spread))))
                     t += rng.choice((30, 60, 120))
             params = StopParams(r1=300.0)
-            stops = detect_stops(events, params)
-            assert stops and stops == reference_detect_stops(events, params)
+            expected = reference_detect_stops(events, params)
+            for given in forms(events):
+                stops = detect_stops(given, params)
+                assert stops and stops == expected
 
     @pytest.mark.parametrize("anchor", [GeoPoint(0.05, 30.0), GeoPoint(-0.05, 179.5),
                                         GeoPoint(60.0, 10.0), GeoPoint(-89.0, 0.0)])
@@ -372,7 +407,9 @@ class TestDetectStopsReference:
                 events = [ev("u", 60 * k, anchor) for k in range(5)]
                 events += [ev("u", 300, far), ev("u", 360, anchor), ev("u", 1000, anchor)]
                 params = StopParams(r1=200_000.0)
-                assert detect_stops(events, params) == reference_detect_stops(events, params)
+                expected = reference_detect_stops(events, params)
+                for given in forms(events):
+                    assert detect_stops(given, params) == expected
 
 
 class TestMovingEvents:

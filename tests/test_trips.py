@@ -215,6 +215,31 @@ class TestAssembleTrips:
         assert t.primary_mode == "car"
 
 
+class TestInvariants:
+    def test_tripleg_needs_a_positive_duration_and_a_known_mode(self):
+        with pytest.raises(ValueError, match="tripleg l0: t_end must exceed t_start"):
+            leg("l0", "u", "a", "b", 10, 10, 100.0, 36.0)
+        with pytest.raises(ValueError, match="tripleg l0: unknown mode 'jetpack'"):
+            leg("l0", "u", "a", "b", 0, 10, 100.0, 36.0, mode="jetpack")
+
+    def test_trip_needs_legs_in_time_order_and_unbroken(self):
+        first = leg("l0", "u", "a", "b", 0, 10, 100.0, 36.0)
+        assert Trip("t", "u", (first, leg("l1", "u", "b", "c", 10, 20, 100.0, 36.0)),
+                    "a", "c", 0.0, 20.0).primary_mode == "car"  # abutting legs are fine
+        for legs, message in [
+            ((), "needs at least one tripleg"),
+            ((first, leg("l1", "u", "b", "c", 9, 20, 100.0, 36.0)), "triplegs overlap in time"),
+            ((first, leg("l1", "u", "x", "c", 10, 20, 100.0, 36.0)), "tripleg chain is broken"),
+        ]:
+            with pytest.raises(ValueError, match=f"trip t: {message}"):
+                Trip("t", "u", legs, "a", "c", 0.0, 20.0)
+
+    def test_derive_triplegs_takes_one_user(self):
+        sps = [sp("sp0", "u1", "L0", BASE, 0, 1000), sp("sp1", "u2", "L1", east(3000.0), 1500, 2500)]
+        with pytest.raises(ValueError, match="single user"):
+            derive_triplegs(sps, [])
+
+
 class TestBuildTrips:
     def test_multi_user_numbering(self):
         sps = []
