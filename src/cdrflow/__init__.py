@@ -32,7 +32,7 @@ _EXPORTS = {
     ),
     "stays": (
         "Staypoint", "Stop", "StopParams", "build_staypoints", "cluster_destinations",
-        "detect_stops",
+        "detect_stops", "moving_events",
     ),
     "synth": ("GroundTruth", "RecoveryReport", "generate_scenario", "score_recovery"),
     "trips": (

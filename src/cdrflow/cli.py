@@ -116,9 +116,9 @@ def stage_stays(cfg: PipelineConfig) -> None:
 
     positioned = geo.read_positioned_columns(_stage_artifact(cfg, "positioned", "position"))
     regions = geo.load_regions_geojson(cfg.regions_path or _artifact(cfg, "regions"))
-    staypoints, moving = stays.staypoints_from_columns(positioned, cfg.stop_params, regions=regions)
+    staypoints = stays.build_staypoints(positioned, cfg.stop_params, regions=regions)
     stays.write_staypoints_csv(staypoints, _artifact(cfg, "staypoints"))
-    geo.write_positioned_csv(positioned.take(moving), _artifact(cfg, "moving"))
+    geo.write_positioned_csv(stays.moving_events(positioned, staypoints), _artifact(cfg, "moving"))
 
 
 def stage_trips(cfg: PipelineConfig) -> None:

@@ -641,13 +641,14 @@ class EventColumns(Sequence):
             None if self.lon is None else self.lon[index],
         )
 
-    def user_rank(self) -> np.ndarray:
-        """Position of each user code in the sorted user table."""
-        import numpy as np
 
-        rank = np.empty(len(self.users), dtype=np.int64)
-        rank[sorted(range(len(self.users)), key=self.users.__getitem__)] = np.arange(len(rank))
-        return rank
+def user_rank(users: list[str]) -> np.ndarray:
+    """Position of each id of a user table in the sorted table."""
+    import numpy as np
+
+    rank = np.empty(len(users), dtype=np.int64)
+    rank[sorted(range(len(users)), key=users.__getitem__)] = np.arange(len(rank))
+    return rank
 
 
 def event_columns(records: Iterable) -> EventColumns:
@@ -661,8 +662,8 @@ def event_columns(records: Iterable) -> EventColumns:
         return records
     records = list(records)
     users, cells = {}, {}
-    user = _codes(users, [ev.user_id for ev in records])
-    cell = _codes(cells, [ev.cell_id for ev in records])
+    user = id_codes(users, [ev.user_id for ev in records])
+    cell = id_codes(cells, [ev.cell_id for ev in records])
     columns = [[ev.timestamp for ev in records]]
     if all(isinstance(ev, PositionedEvent) for ev in records):
         columns += [[ev.location.lat for ev in records], [ev.location.lon for ev in records]]
@@ -677,7 +678,7 @@ def sort_by_user_time(events: EventColumns) -> EventColumns:
     """
     import numpy as np
 
-    return events.take(np.lexsort((events.ts, events.user_rank()[events.user])))
+    return events.take(np.lexsort((events.ts, user_rank(events.users)[events.user])))
 
 
 def position_events(
@@ -771,7 +772,7 @@ def _positioned_fields(user_id, ts, cell_id, lat, lon) -> tuple:
     return user_id, timestamp, cell_id, lat, lon
 
 
-def _codes(table: dict[str, int], ids: list[str]) -> np.ndarray:
+def id_codes(table: dict[str, int], ids: list[str]) -> np.ndarray:
     """int32 codes of ids, entering new ids in `table` in order of first appearance."""
     import numpy as np
 
@@ -827,7 +828,7 @@ def _read_canonical_columns(path: str | Path, header: list[str]) -> Optional[Eve
             lat, lon = floats
             if not ((-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0)).all():
                 return None  # NaN fails here too, as in _check_coordinates
-        values = (_codes(out.user_codes, users), _codes(out.cell_codes, cells), ts, *floats)
+        values = (id_codes(out.user_codes, users), id_codes(out.cell_codes, cells), ts, *floats)
         for column, block in zip((out.user, out.cell, *out.floats), values):
             column.frombytes(block.tobytes())
     return out.build()
@@ -854,12 +855,8 @@ def _read_columns(path: str | Path, header: list[str], what: str, fields) -> Eve
     return _read_rows(path, header, what, fields) if columns is None else columns
 
 
-def read_cdr_columns(path: str | Path) -> EventColumns:
+def load_cdr_csv(path: str | Path) -> EventColumns:
     return _read_columns(path, CDR_HEADER, "cdr file", _cdr_fields)
-
-
-# The row-wise parse gives the same values and errors (see _read_columns).
-load_cdr_csv = read_cdr_columns
 
 
 def write_cdr_csv(events: Iterable[CdrEvent], path: str | Path) -> None:

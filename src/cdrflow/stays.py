@@ -16,7 +16,7 @@ import math
 from bisect import insort
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .config import StopParams
 from .errors import UnresolvedRegion, UnsortedInput
@@ -28,8 +28,11 @@ from .geo import (
     PositionedEvent,
     RegionIndex,
     event_columns,
+    group_by_user,
     haversine_m,
     haversine_m_array,
+    id_codes,
+    user_rank,
 )
 from .timefmt import from_iso, to_iso
 
@@ -219,19 +222,41 @@ def _scan_stops(
     return stops
 
 
-def moving_events(
-    trace: Sequence[PositionedEvent], stops: Sequence
-) -> list[PositionedEvent]:
-    """Events of the time-ordered trace not covered by any stop interval.
+def moving_events(trace: Sequence[PositionedEvent], stops: Sequence) -> Sequence[PositionedEvent]:
+    """Events of trace in no [t_start, t_end] interval of a stop of their own user.
 
-    Accepts Stop or Staypoint records; only t_start/t_end are read.
+    trace is PositionedEvent records or positioned EventColumns of any users, in
+    any order; stops are Stop or Staypoint records of any users.  Records come back
+    as a list of the same objects, in input order; columns as EventColumns.
     """
-    events = list(trace)
-    outside = _outside_stops([ev.timestamp for ev in events], stops)
-    return [ev for ev, moving in zip(events, outside.tolist()) if moving]
+    import numpy as np
+
+    if isinstance(trace, EventColumns):
+        users, user, ts = trace.users, trace.user, trace.ts
+    else:
+        trace, table = list(trace), {}
+        user = id_codes(table, [ev.user_id for ev in trace])
+        users, ts = list(table), np.array([ev.timestamp for ev in trace], dtype=np.float64)
+    stops_of = group_by_user(stops)
+    moving = np.ones(len(ts), dtype=bool)
+    for user_id, index in _by_user(users, user):
+        moving[index] = _outside_stops(ts[index], stops_of.get(user_id, ()))
+    if isinstance(trace, EventColumns):
+        return trace.take(moving)
+    return [ev for ev, keep in zip(trace, moving.tolist()) if keep]
 
 
-def _outside_stops(ts: Sequence[float], stops: Sequence) -> np.ndarray:
+def _by_user(users: list[str], user: np.ndarray) -> Iterator[tuple[str, np.ndarray]]:
+    """Each id of the user table, sorted, with the positions of its codes in `user`, in order."""
+    import numpy as np
+
+    rank = user_rank(users)[user]
+    order = np.argsort(rank, kind="stable")
+    ends = np.cumsum(np.bincount(rank, minlength=len(users)))
+    return zip(sorted(users), np.split(order, ends[:-1]))
+
+
+def _outside_stops(ts: np.ndarray, stops: Sequence) -> np.ndarray:
     """Per timestamp, whether no stop interval [t_start, t_end] holds it.
 
     A time is inside an interval exactly when the latest end among the
@@ -391,48 +416,18 @@ def build_staypoints(
     """Detect stops per user, cluster destinations globally, assign regions.
 
     traces are PositionedEvent records or positioned EventColumns, each user's
-    events in time order.  Output is sorted by (user_id, t_start) with sequential
-    staypoint ids, so identical inputs always produce identical ids and labels.
+    events in time order.  detect_stops runs over each user's events, users in
+    sorted order; one cluster_fn call labels the stops of all users.  Output
+    is sorted by (user_id, t_start) with sequential staypoint ids, so identical
+    inputs always produce identical ids and labels.
     """
-    return _staypoints(event_columns(traces), params, regions, cluster_fn)[0]
-
-
-def staypoints_from_columns(
-    events: EventColumns, params: StopParams, regions: Optional[RegionIndex] = None
-) -> tuple[list[Staypoint], np.ndarray]:
-    """build_staypoints over positioned columns, and which events are moving.
-
-    The mask is true for the events that moving_events keeps for their
-    user's staypoints, indexed like `events`.
-    """
-    return _staypoints(events, params, regions, cluster_destinations)
-
-
-def _staypoints(
-    events: EventColumns, params: StopParams, regions: Optional[RegionIndex],
-    cluster_fn: ClusterFn,
-) -> tuple[list[Staypoint], np.ndarray]:
-    """Staypoints of positioned columns in (user_id, t_start) order, and the moving mask.
-
-    detect_stops runs over each user's events in input order, users in
-    sorted order; one cluster_fn call labels the stops of all users.
-    """
-    import numpy as np
-
-    rank = events.user_rank()[events.user]
-    order = np.argsort(rank, kind="stable")  # by user, in input order within each
-    ends = np.cumsum(np.bincount(rank, minlength=len(events.users))).tolist()
-    moving = np.zeros(len(events), dtype=bool)
-    all_stops: list[Stop] = []
-    for start, end in zip([0] + ends, ends):
-        index = order[start:end]
-        trace = events.take(index)
-        stops = detect_stops(trace, params)
-        moving[index] = _outside_stops(trace.ts, stops)
-        all_stops.extend(stops)
-
+    events = event_columns(traces)
+    stops = [
+        stop for _, index in _by_user(events.users, events.user)
+        for stop in detect_stops(events.take(index), params)
+    ]
     staypoints = []
-    for i, (stop, label) in enumerate(zip(all_stops, cluster_fn(all_stops, params.r2))):
+    for i, (stop, label) in enumerate(zip(stops, cluster_fn(stops, params.r2))):
         parish = municipality = None
         if regions is not None:
             parish = regions.assign(stop.median, "parish")
@@ -441,7 +436,7 @@ def _staypoints(
             f"sp{i:06d}", stop.user_id, label, stop.median, stop.t_start, stop.t_end,
             parish, municipality,
         ))
-    return staypoints, moving
+    return staypoints
 
 
 STAYPOINTS_HEADER = [

@@ -94,13 +94,27 @@ def apply_region_aliases(od: OdMatrix, aliases: dict[str, str]) -> OdMatrix:
     )
 
 
-def _pair(key: str, value: str) -> tuple[str, str]:
-    return key, value
+def _read_table(path: str | Path, header: list[str], what: str, key: str, value=str) -> dict:
+    """{key fields: value(last field)} of each row, the key fields a tuple when there are two.
+
+    A key that repeats raises ValueError naming the file, the line and the key.
+    """
+    table: dict = {}
+
+    def entry(*fields):
+        k = fields[0] if len(fields) == 2 else fields[:-1]
+        if k in table:
+            raise ValueError(f"duplicate {key} {k!r}")
+        return k, value(fields[-1])
+
+    for k, v in read_csv(path, header, what, entry):
+        table[k] = v
+    return table
 
 
 def load_region_aliases_csv(path: str | Path) -> dict[str, str]:
     """Alias file, header `from,to`: region renames applied before comparison."""
-    return dict(read_csv(path, ["from", "to"], "alias file", _pair))
+    return _read_table(path, ["from", "to"], "alias file", "alias source")
 
 
 def linear_regression(x: Sequence[float], y: Sequence[float]) -> RegressionResult:
@@ -340,26 +354,20 @@ def load_survey_csv(path: str | Path) -> dict:
     Header `class,share` yields {"shares": {...}}; header
     `origin,destination,trips` yields {"pairs": {...}}.
     """
-    try:
-        rows = read_csv(path, ["class", "share"], "survey file", lambda c, s: (c, strict_float(s)))
-        return {"shares": dict(rows)}
-    except HeaderMismatch:
-        pass
-    try:
-        rows = read_csv(
-            path, ["origin", "destination", "trips"], "survey file",
-            lambda origin, dest, n: ((origin, dest), strict_float(n)),
-        )
-        return {"pairs": dict(rows)}
-    except HeaderMismatch:
-        raise ValueError(
-            f"survey file {path}: expected 'class,share' or 'origin,destination,trips'"
-        ) from None
+    for kind, header, key in (
+        ("shares", ["class", "share"], "class"),
+        ("pairs", ["origin", "destination", "trips"], "(origin, destination)"),
+    ):
+        try:
+            return {kind: _read_table(path, header, "survey file", key, strict_float)}
+        except HeaderMismatch:
+            pass
+    raise ValueError(f"survey file {path}: expected 'class,share' or 'origin,destination,trips'")
 
 
 def load_class_map_csv(path: str | Path) -> dict[str, str]:
     """Destination-region to survey-class mapping, header `destination,class`."""
-    return dict(read_csv(path, ["destination", "class"], "class map", _pair))
+    return _read_table(path, ["destination", "class"], "class map", "destination")
 
 
 def write_od_csv(od: OdMatrix, path: str | Path) -> None:

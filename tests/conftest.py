@@ -97,14 +97,15 @@ def flattened_traces(ocel: Ocel) -> dict[str, list[Trace]]:
 
 
 # --- the object-path staypoint reference ---------------------------------------
-# stays.build_staypoints and stays.staypoints_from_columns run one stop scan over
-# each user's columns; this is the record path they replaced: records grouped by
-# user, detect_stops per user in sorted order, one clustering of all stops, and
-# moving_events per user.
+# stays.build_staypoints runs one stop scan over each user's columns; this is
+# the record path it replaced: records grouped by user, detect_stops per user in
+# sorted order and one clustering of all stops.  The moving events are found by
+# brute force: the events in no [t_start, t_end] interval of their own user's
+# staypoints.
 
 def reference_staypoints(positioned, params, regions=None):
-    """(staypoints, moving events) of PositionedEvent records, as the object path made them."""
-    from cdrflow.stays import Staypoint, cluster_destinations, detect_stops, moving_events
+    """(staypoints, moving events in input order) of PositionedEvent records."""
+    from cdrflow.stays import Staypoint, cluster_destinations, detect_stops
 
     by_user = group_by_user(positioned)
     stops = [stop for user_id in sorted(by_user) for stop in detect_stops(by_user[user_id], params)]
@@ -118,8 +119,8 @@ def reference_staypoints(positioned, params, regions=None):
     ]
     sp_by_user = group_by_user(staypoints)
     moving = [
-        ev for user_id, trace in by_user.items()
-        for ev in moving_events(trace, sp_by_user.get(user_id, []))
+        ev for ev in positioned
+        if not any(sp.t_start <= ev.timestamp <= sp.t_end for sp in sp_by_user.get(ev.user_id, ()))
     ]
     return staypoints, moving
 

@@ -5,6 +5,7 @@ import random
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -84,6 +85,40 @@ class TestRunAll:
             assert a.exists() == b.exists(), name
             if a.exists():
                 assert a.read_bytes() == b.read_bytes(), name
+
+    def test_library_calls_write_the_cli_artifacts(self, tmp_path):
+        from cdrflow import (
+            build_staypoints, build_trips, generate_scenario, moving_events, position_events,
+        )
+        from cdrflow.geo import write_positioned_csv
+        from cdrflow.stays import write_staypoints_csv
+        from cdrflow.trips import write_triplegs_csv, write_trips_csv
+
+        ini = tmp_path / "noisy.ini"
+        ini.write_text(
+            "[synth]\nn_agents = 6\nn_days = 2\nmoving_rate_per_h = 30\ntower_noise_p = 0.1\n"
+            "trips_per_day_kind = poisson\ntrips_per_day_value = 2.5\n"
+        )
+        out = tmp_path / "cli"
+        assert run("all", "--config", str(ini), "--out", str(out), "--seed", "17") == 0
+        cfg = replace(load_config(ini), seed=17)
+        events, towers, regions, _ = generate_scenario(replace(cfg.scenario, seed=cfg.seed))
+        positioned = position_events(events, towers)
+        staypoints = build_staypoints(positioned, cfg.stop_params, regions=regions)
+        moving = moving_events(positioned, staypoints)
+        trips = build_trips(
+            staypoints, moving, thresholds=cfg.thresholds, gap_threshold=cfg.gap_threshold_s
+        )
+        assert 0 < len(moving) < len(positioned) and trips
+        lib = tmp_path / "lib"
+        lib.mkdir()
+        write_positioned_csv(positioned, lib / ART["positioned"])
+        write_staypoints_csv(staypoints, lib / ART["staypoints"])
+        write_positioned_csv(moving, lib / ART["moving"])
+        write_trips_csv(trips, lib / ART["trips"])
+        write_triplegs_csv(trips, lib / ART["triplegs"])
+        for name in ("positioned", "staypoints", "moving", "trips", "triplegs"):
+            assert (lib / ART[name]).read_bytes() == (out / ART[name]).read_bytes(), name
 
     def test_command_line_overrides_reach_the_stages(self, tmp_path, tiny_config):
         cfg = load_config(tiny_config)
@@ -614,6 +649,26 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("cdrflow position: ")
         assert f"duplicate cell_id {first_tower.split(',')[0]!r} in {path}" in err
+
+    @pytest.mark.parametrize("name, key", [
+        ("survey", "class"), ("survey_pairs", "(origin, destination)"),
+        ("class_map", "destination"), ("region_aliases", "alias source"),
+    ])
+    def test_duplicate_key_exits_1_naming_file_line_and_key(self, survey_run, name, key, capsys):
+        ini, out, paths = survey_run
+        path = paths[name]
+        original = path.read_text()
+        lines = original.splitlines(keepends=True)
+        path.write_text(original + lines[1])
+        try:
+            assert run("validate", "--config", str(ini), "--out", str(out), "--seed", "4") == 1
+        finally:
+            path.write_text(original)
+        fields = lines[1].rstrip("\n").split(",")
+        value = tuple(fields[:2]) if name == "survey_pairs" else fields[0]
+        err = capsys.readouterr().err
+        assert err.startswith("cdrflow validate: ")
+        assert f"{path}: line {len(lines) + 1}: duplicate {key} {value!r}" in err
 
     @pytest.mark.parametrize("column", ["radius_m", "azimuth_deg"])
     def test_non_finite_sector_exits_1(self, survey_run, column, capsys):

@@ -183,11 +183,13 @@ def csv_files(draw, header):
 
 
 def readers_agree(text, reference, load, read_columns, block_bytes):
+    """load (None for none) and read_columns, at block_bytes, read text as reference does."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "events.csv"
         path.write_text(text, encoding="utf-8", newline="")
         expected = outcome(reference, path)
-        assert outcome(load, path) == expected
+        if load is not None:
+            assert outcome(load, path) == expected
         with patch.object(files, "_PLAIN_BLOCK_BYTES", block_bytes):
             got = outcome(read_columns, path)
     if expected[0] == "error":
@@ -202,7 +204,7 @@ block_sizes = st.sampled_from([1, 7, 64, 1 << 16])
 @settings(max_examples=400, deadline=None)
 @given(csv_files(CDR_HEADER), block_sizes)
 def test_cdr_readers_accept_and_reject_alike(text, block_bytes):
-    readers_agree(text, reference_cdr, geo.load_cdr_csv, geo.read_cdr_columns, block_bytes)
+    readers_agree(text, reference_cdr, None, geo.load_cdr_csv, block_bytes)
 
 
 @settings(max_examples=400, deadline=None)
@@ -223,7 +225,7 @@ NEAR_MISSES = [("cdr", 1, stamp) for stamp in TIMESTAMPS] + [
 @pytest.mark.parametrize("kind, column, value", NEAR_MISSES)
 def test_one_near_miss_in_a_canonical_file(kind, column, value):
     header, reference, load, read_columns = {
-        "cdr": (CDR_HEADER, reference_cdr, geo.load_cdr_csv, geo.read_cdr_columns),
+        "cdr": (CDR_HEADER, reference_cdr, None, geo.load_cdr_csv),
         "positioned": (POSITIONED_HEADER, reference_positioned, geo.load_positioned_csv,
                        geo.read_positioned_columns),
     }[kind]
@@ -241,7 +243,7 @@ def test_one_near_miss_in_a_canonical_file(kind, column, value):
 ])
 def test_lines_that_only_add_up_to_canonical_are_read_row_by_row(rows):
     text = "user_id,timestamp,cell_id\r\n" + rows
-    readers_agree(text, reference_cdr, geo.load_cdr_csv, geo.read_cdr_columns, 1 << 16)
+    readers_agree(text, reference_cdr, None, geo.load_cdr_csv, 1 << 16)
 
 
 def test_canonical_files_skip_the_row_wise_reader(tmp_path, monkeypatch):
@@ -250,10 +252,10 @@ def test_canonical_files_skip_the_row_wise_reader(tmp_path, monkeypatch):
     geo.write_positioned_csv(rows, tmp_path / "positioned.csv")
     geo.write_cdr_csv(rows, tmp_path / "cdr.csv")
     expected = (geo.read_positioned_columns(tmp_path / "positioned.csv"),
-                geo.read_cdr_columns(tmp_path / "cdr.csv"))
+                geo.load_cdr_csv(tmp_path / "cdr.csv"))
     monkeypatch.setattr(geo, "_read_rows", None)
     got = (geo.read_positioned_columns(tmp_path / "positioned.csv"),
-           geo.read_cdr_columns(tmp_path / "cdr.csv"))
+           geo.load_cdr_csv(tmp_path / "cdr.csv"))
     for a, b in zip(got, expected):
         assert column_rows(a) == column_rows(b)
     assert column_rows(got[0]) == object_rows(rows)
@@ -421,7 +423,7 @@ def test_codec_output_does_not_depend_on_block_size(land_world, tmp_path, monkey
                    for name in ("positioned.csv", "canonical.csv", "cdr.csv")]
         rows = [column_rows(geo.read_positioned_columns(tmp_path / "positioned.csv")),
                 column_rows(geo.read_positioned_columns(tmp_path / "canonical.csv")),
-                column_rows(geo.read_cdr_columns(tmp_path / "cdr.csv"))]
+                column_rows(geo.load_cdr_csv(tmp_path / "cdr.csv"))]
         expected_bytes = expected_bytes or written
         expected_rows = expected_rows or rows
         assert written == expected_bytes and rows == expected_rows
@@ -432,7 +434,7 @@ def test_codec_output_does_not_depend_on_block_size(land_world, tmp_path, monkey
 
 @pytest.mark.parametrize("seed", [3, 8])
 @pytest.mark.parametrize("interleave", [False, True], ids=["by-user", "by-time"])
-def test_staypoints_from_columns_equal_build_staypoints(tmp_path, seed, interleave):
+def test_build_staypoints_and_moving_events_equal_reference(tmp_path, seed, interleave):
     events, towers, regions, _ = synth.generate_scenario(synth.ScenarioConfig(
         n_agents=5, n_days=2, moving_rate_per_h=30.0, tower_noise_p=0.1, seed=seed,
     ))
@@ -441,17 +443,21 @@ def test_staypoints_from_columns_equal_build_staypoints(tmp_path, seed, interlea
     path = tmp_path / "positioned.csv"
     geo.write_positioned_csv(position_events(sorted(events, key=order), towers), path)
     positioned = geo.load_positioned_csv(path)
+    columns = geo.read_positioned_columns(path)
     params = stays.StopParams()
     expected, expected_moving = reference_staypoints(positioned, params, regions)
-    got, moving = stays.staypoints_from_columns(geo.read_positioned_columns(path), params, regions)
+    got = stays.build_staypoints(columns, params, regions)
     assert got == expected and len(expected) > 5
     assert stays.build_staypoints(positioned, params, regions=regions) == expected
-    kept = {id(ev) for ev in expected_moving}
-    assert moving.tolist() == [id(ev) in kept for ev in positioned]
-    assert 0 < moving.sum() < len(positioned)
+    moving = stays.moving_events(columns, got)
+    assert isinstance(moving, geo.EventColumns) and moving == expected_moving
+    kept = stays.moving_events(positioned, got)
+    assert len(kept) == len(expected_moving)
+    assert all(a is b for a, b in zip(kept, expected_moving))
+    assert 0 < len(kept) < len(positioned)
 
 
-def test_staypoints_from_columns_reject_unsorted_users_alike(tmp_path):
+def test_build_staypoints_rejects_unsorted_users_alike(tmp_path):
     rng = random.Random(4)
     rows = [PositionedEvent(u, float(t), "c", GeoPoint(38.7 + rng.random() / 1e3, -9.3))
             for u in ("b", "a") for t in range(0, 3600, 60)]
@@ -462,9 +468,9 @@ def test_staypoints_from_columns_reject_unsorted_users_alike(tmp_path):
     params = stays.StopParams()
     with pytest.raises(UnsortedInput) as expected:
         reference_staypoints(geo.load_positioned_csv(path), params)
-    for staypoints in (stays.staypoints_from_columns, stays.build_staypoints):
+    for given in (geo.read_positioned_columns(path), geo.load_positioned_csv(path)):
         with pytest.raises(UnsortedInput, match=re.escape(str(expected.value))) as got:
-            staypoints(geo.read_positioned_columns(path), params)
+            stays.build_staypoints(given, params)
     assert "'a'" in str(got.value)
 
 

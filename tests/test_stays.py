@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from cdrflow.errors import UnsortedInput
 from cdrflow.geo import (
+    EventColumns,
     GeoPoint,
     PositionedEvent,
     destination_point,
@@ -434,6 +435,50 @@ class TestMovingEvents:
         expected = [e for e in events
                     if not any(s.t_start <= e.timestamp <= s.t_end for s in stops)]
         assert moving_events(events, stops) == expected
+
+    def test_a_stop_covers_only_its_own_users_events(self):
+        stops = [Stop("a", BASE, 100.0, 500.0, 5), Stop("b", BASE, 600.0, 700.0, 2)]
+        events = [ev(user, t, BASE) for t in range(0, 900, 50) for user in ("a", "b")]
+        expected = [e for e in events if not (
+            e.user_id == "a" and 100 <= e.timestamp <= 500
+            or e.user_id == "b" and 600 <= e.timestamp <= 700
+        )]
+        for given in forms(events):
+            assert moving_events(given, stops) == expected
+        only_b = moving_events(events, stops[1:])
+        assert [e for e in only_b if e.user_id == "a"] == events[::2]
+
+    def test_records_come_back_as_themselves_and_columns_as_columns(self):
+        params = StopParams(r1=100, min_duration=600, max_gap=3600)
+        far = offset(BASE, east_m=3000.0)
+        events = [ev(user, t * 200, BASE if t < 8 else offset(far, east_m=900.0 * t))
+                  for t in range(12) for user in ("b", "a")]
+        stops = detect_stops([e for e in events if e.user_id == "a"], params)
+        expected = [e for e in events if e.user_id == "b" or e.location != BASE]
+        records, columns = forms(events)
+        kept = moving_events(records, stops)
+        assert len(kept) == len(expected) and all(a is b for a, b in zip(kept, expected))
+        got = moving_events(columns, stops)
+        assert isinstance(got, EventColumns) and got == kept
+        assert isinstance(moving_events(columns, []), EventColumns)
+        assert moving_events(columns, []) == events and moving_events([], stops) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 40), st.integers(0, 15)),
+                 max_size=8),
+        st.lists(st.tuples(st.sampled_from("abc"), st.integers(-2, 60)), max_size=30),
+    )
+    def test_brute_force_over_users_and_overlapping_intervals(self, spans, times):
+        stops = [Stop(user, BASE, float(start), float(start + length), 2)
+                 for user, start, length in spans]
+        events = [ev(user, t, BASE) for user, t in times]
+        expected = [e for e in events if not any(
+            s.user_id == e.user_id and s.t_start <= e.timestamp <= s.t_end for s in stops
+        )]
+        kept = moving_events(events, stops)
+        assert len(kept) == len(expected) and all(a is b for a, b in zip(kept, expected))
+        assert moving_events(event_columns(events), stops) == expected
 
 
 class TestClusterDestinations:
