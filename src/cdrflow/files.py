@@ -1,10 +1,10 @@
 """Artifact file format: UTF-8 CSV under a fixed header, and indented JSON.
 
 Every CSV and JSON file the pipeline reads or writes goes through these
-functions, so the encoding, the header check and the row-width check live
-in one place.  The event files also have a block-wise form: columns of
-strings in and out, for files in the plain form that csv.writer gives
-rows needing no quotes.
+functions, so the encoding, the header check, the row-width check and the
+repeated-key check live in one place.  The event files also have a
+block-wise form: columns of strings in and out, for files in the plain
+form that csv.writer gives rows needing no quotes.
 """
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ from __future__ import annotations
 import csv
 import json
 import re
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -26,10 +27,13 @@ _PLAIN_BLOCK_BYTES = 1 << 16
 # add little to peak memory.
 _JSON_SLICE = 256
 
+# Distinct runs of text between strings laid out once and remembered per
+# depth by write_json: the runs of the pipeline's artifacts repeat, and the
+# bound keeps a document of all-distinct runs from filling memory.
+_JSON_MEMO = 1024
+
 _COMPACT = json.JSONEncoder(separators=(",", ":"))
 _BRACKET = re.compile(r"([\[\]{}])")
-# A number or literal in compact JSON text outside strings.
-_VALUE = re.compile(r"([^,:\[\]{}]+)")
 
 
 # Digit separator and ASCII whitespace, which float() forgives in a number field.
@@ -84,6 +88,32 @@ def read_csv(
             except ValueError as exc:
                 raise ValueError(f"{what} {path}: line {reader.line_num}: {exc}") from exc
             yield record
+
+
+def read_keyed_csv(
+    path: str | Path, header: Sequence[str], what: str, key: str,
+    make: Callable[..., tuple[Hashable, T]],
+) -> dict[Hashable, T]:
+    """{k: v} for the pair (k, v) that make(*fields) gives for each data row, in file order.
+
+    The file is read as by read_csv.  A k that repeats then raises ValueError
+    naming the file, the line of its second row, `key` and k; the rows are
+    checked once all have parsed, so a malformed row is named first.
+    """
+    pairs = list(read_csv(path, header, what, make))
+    table = dict(pairs)
+    if len(table) == len(pairs):
+        return table
+    seen = set()
+    for index, (k, _) in enumerate(pairs):
+        if k in seen:
+            break
+        seen.add(k)
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        ends = (reader.line_num for row in reader if row)  # the header's, then each row's
+        line = next(islice(ends, index + 1, None))
+    raise ValueError(f"{what} {path}: line {line}: duplicate {key} {k!r}")
 
 
 def _plain_columns(block: bytes, width: int) -> Optional[list[list[str]]]:
@@ -229,7 +259,7 @@ def _indented(chunks: Iterable[str]) -> Iterator[str]:
     inside a string is escaped, so once each escaped backslash and escaped
     quote is masked, splitting at quotes alternates text outside strings
     (even places) and string contents (odd places).  Only the former is
-    laid out.  It takes few distinct values, so the first _JSON_SLICE of
+    laid out.  It takes few distinct values, so the first _JSON_MEMO of
     them at each depth are laid out once and remembered.
     """
     depth = 0
@@ -241,8 +271,11 @@ def _indented(chunks: Iterable[str]) -> Iterator[str]:
         for i, run in enumerate(runs):
             laid = memo.get(run)
             if laid is None:
-                laid = _layout_run(run, depth, memo)
-                if len(memo) < _JSON_SLICE:
+                if _BRACKET.search(run):
+                    laid = _layout(run, depth)
+                else:
+                    laid = _layout_between(run, depth), depth
+                if len(memo) < _JSON_MEMO:
                     memo[run] = laid
             runs[i], after = laid
             if after != depth:
@@ -250,30 +283,6 @@ def _indented(chunks: Iterable[str]) -> Iterator[str]:
                 memo = memos.setdefault(depth, {})
         parts[0::2] = runs
         yield '"'.join(parts).replace("\1", '\\"').replace("\0", "\\\\")
-
-
-def _layout_run(run: str, depth: int, memo: dict) -> tuple[str, int]:
-    """_layout(run, depth), by way of memo for a run with brackets and numbers or literals.
-
-    Such a run, like `:1234.5},{`, is laid out as its skeleton, the run with
-    each value replaced by \\4, which few runs differ in: the skeleton's
-    layout is kept in memo, where it meets no run, and the values are put
-    back.  Other runs are cheaper to lay out than to take apart.
-    """
-    if not _BRACKET.search(run):
-        return _layout_between(run, depth), depth
-    tokens = _VALUE.split(run)  # the skeleton's pieces at even places, values at odd
-    if len(tokens) == 1:
-        return _layout(run, depth)
-    skeleton = "\4".join(tokens[0::2])
-    form = memo.get(skeleton)
-    if form is None:
-        text, after = _layout(skeleton, depth)
-        form = text.split("\4"), after
-        if len(memo) < _JSON_SLICE:
-            memo[skeleton] = form
-    tokens[0::2] = form[0]
-    return "".join(tokens), form[1]
 
 
 def _layout_between(text: str, depth: int) -> str:

@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .errors import ClippingExhausted
 from .files import (
-    is_strict, plain_csv_blocks, read_csv, read_json, strict_float, write_csv, write_csv_blocks,
-    write_json,
+    is_strict, plain_csv_blocks, read_csv, read_json, read_keyed_csv, strict_float, write_csv,
+    write_csv_blocks, write_json,
 )
 from .timefmt import from_iso, from_iso_block, to_iso_block
 
@@ -728,8 +728,8 @@ def group_by_user(records: Iterable) -> dict[str, list]:
 
 TOWERS_HEADER = ["cell_id", "lat", "lon", "azimuth_deg", "beamwidth_deg", "radius_m"]
 
-def _tower_row(cell_id, lat, lon, azimuth, beamwidth, radius) -> TowerSector:
-    return TowerSector(
+def _tower_row(cell_id, lat, lon, azimuth, beamwidth, radius) -> tuple[str, TowerSector]:
+    return cell_id, TowerSector(
         cell_id=cell_id,
         center=GeoPoint(lat=strict_float(lat), lon=strict_float(lon)),
         azimuth_deg=strict_float(azimuth),
@@ -739,12 +739,7 @@ def _tower_row(cell_id, lat, lon, azimuth, beamwidth, radius) -> TowerSector:
 
 
 def load_towers_csv(path: str | Path) -> dict[str, TowerSector]:
-    towers: dict[str, TowerSector] = {}
-    for sector in read_csv(path, TOWERS_HEADER, "towers file", _tower_row):
-        if sector.cell_id in towers:
-            raise ValueError(f"duplicate cell_id {sector.cell_id!r} in {path}")
-        towers[sector.cell_id] = sector
-    return towers
+    return read_keyed_csv(path, TOWERS_HEADER, "towers file", "cell_id", _tower_row)
 
 
 def write_towers_csv(towers: Iterable[TowerSector], path: str | Path) -> None:
@@ -940,7 +935,7 @@ def load_regions_geojson(path: str | Path) -> RegionIndex:
     features = doc.get("features", [])
     if not isinstance(features, list):
         raise ValueError(f"regions file {path}: features is not a list")
-    regions = []
+    regions: dict[str, Region] = {}
     for k, feature in enumerate(features):
         where = f"regions file {path}: feature {k}"
         if not isinstance(feature, dict):
@@ -957,17 +952,17 @@ def load_regions_geojson(path: str | Path) -> RegionIndex:
             raise ValueError(f"{where}: unsupported geometry {gtype}")
         elif not isinstance(coords, list):
             raise ValueError(f"{where}: a MultiPolygon is not a list of polygons")
-        parent_id = props.get("parent_id")
-        regions.append(
-            Region(
-                region_id=str(props["region_id"]),
-                name=str(props.get("name", props["region_id"])),
-                level=str(props["level"]),
-                parent_id=None if parent_id is None else str(parent_id),
-                polygons=tuple(_coords_to_polygon(c, where) for c in coords),
-            )
+        region_id, parent_id = str(props["region_id"]), props.get("parent_id")
+        if region_id in regions:
+            raise ValueError(f"{where}: duplicate region_id {region_id!r}")
+        regions[region_id] = Region(
+            region_id=region_id,
+            name=str(props.get("name", props["region_id"])),
+            level=str(props["level"]),
+            parent_id=None if parent_id is None else str(parent_id),
+            polygons=tuple(_coords_to_polygon(c, where) for c in coords),
         )
-    return RegionIndex(regions)
+    return RegionIndex(regions.values())
 
 
 def write_regions_geojson(regions: Iterable[Region], path: str | Path) -> None:

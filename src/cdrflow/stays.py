@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequen
 
 from .config import StopParams
 from .errors import UnresolvedRegion, UnsortedInput
-from .files import read_csv, strict_float, write_csv
+from .files import read_keyed_csv, strict_float, write_csv
 from .geo import (
     EARTH_RADIUS_M,
     EventColumns,
@@ -457,8 +457,8 @@ def write_staypoints_csv(staypoints: Iterable[Staypoint], path: str | Path) -> N
 
 def _staypoint_row(
     sp_id, user_id, location_id, lat, lon, t_start, t_end, parish, municipality
-) -> Staypoint:
-    return Staypoint(
+) -> tuple[str, Staypoint]:
+    return sp_id, Staypoint(
         staypoint_id=sp_id, user_id=user_id, location_id=location_id,
         median=GeoPoint(lat=strict_float(lat), lon=strict_float(lon)),
         t_start=from_iso(t_start), t_end=from_iso(t_end),
@@ -467,4 +467,6 @@ def _staypoint_row(
 
 
 def load_staypoints_csv(path: str | Path) -> list[Staypoint]:
-    return list(read_csv(path, STAYPOINTS_HEADER, "staypoints file", _staypoint_row))
+    return list(read_keyed_csv(
+        path, STAYPOINTS_HEADER, "staypoints file", "staypoint_id", _staypoint_row
+    ).values())

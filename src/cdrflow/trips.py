@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .config import DEFAULT_TRIP_GAP_S, ModeThresholds
-from .files import read_csv, strict_float, write_csv
+from .files import read_keyed_csv, strict_float, write_csv
 from .geo import GeoPoint, PositionedEvent, group_by_user, haversine_distance
 from .stays import Staypoint
 from .timefmt import from_iso, to_iso
@@ -201,26 +201,28 @@ def write_triplegs_csv(trips: Iterable[Trip], path: str | Path) -> None:
 def load_trips_csv(trips_path: str | Path, triplegs_path: str | Path) -> list[Trip]:
     """Rebuild Trip objects from the trip and tripleg exports."""
     def tripleg(leg_id, trip_id, user_id, origin, dest, t_start, t_end, length, speed, mode):
-        return trip_id, Tripleg(
+        return leg_id, (trip_id, Tripleg(
             tripleg_id=leg_id, user_id=user_id, origin_staypoint=origin, dest_staypoint=dest,
             t_start=from_iso(t_start), t_end=from_iso(t_end),
             path_length_m=strict_float(length), avg_speed_kmh=strict_float(speed), mode=mode,
-        )
+        ))
 
     legs_by_trip: dict[str, list[Tripleg]] = {}
-    for trip_id, leg in read_csv(triplegs_path, TRIPLEGS_HEADER, "triplegs file", tripleg):
+    for trip_id, leg in read_keyed_csv(
+        triplegs_path, TRIPLEGS_HEADER, "triplegs file", "tripleg_id", tripleg
+    ).values():
         legs_by_trip.setdefault(trip_id, []).append(leg)
 
-    def trip(trip_id, user_id, origin, dest, t_start, t_end, *_) -> Trip:
+    def trip(trip_id, user_id, origin, dest, t_start, t_end, *_) -> tuple[str, Trip]:
         legs = legs_by_trip.get(trip_id, [])
         legs.sort(key=lambda leg: leg.t_start)
-        return Trip(
+        return trip_id, Trip(
             trip_id=trip_id, user_id=user_id, triplegs=tuple(legs),
             origin_staypoint=origin, dest_staypoint=dest,
             t_start=from_iso(t_start), t_end=from_iso(t_end),
         )
 
-    return list(read_csv(trips_path, TRIPS_HEADER, "trips file", trip))
+    return list(read_keyed_csv(trips_path, TRIPS_HEADER, "trips file", "trip_id", trip).values())
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,8 +236,8 @@ class TripEnds:
 
 def load_trip_ends_csv(trips_path: str | Path) -> list[TripEnds]:
     """The trips of a trip export without their triplegs, timestamps checked as on load."""
-    def ends(trip_id, user_id, origin, dest, t_start, t_end, *_) -> TripEnds:
+    def ends(trip_id, user_id, origin, dest, t_start, t_end, *_) -> tuple[str, TripEnds]:
         from_iso(t_start), from_iso(t_end)  # a malformed timestamp fails as on load
-        return TripEnds(trip_id, origin, dest)
+        return trip_id, TripEnds(trip_id, origin, dest)
 
-    return list(read_csv(trips_path, TRIPS_HEADER, "trips file", ends))
+    return list(read_keyed_csv(trips_path, TRIPS_HEADER, "trips file", "trip_id", ends).values())

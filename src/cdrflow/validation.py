@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import ClassMismatch, DegenerateInput, UnresolvedRegion
-from .files import HeaderMismatch, read_csv, strict_float, write_csv, write_json
+from .files import HeaderMismatch, read_keyed_csv, strict_float, write_csv, write_json
 from .stays import Staypoint, staypoint_region
 from .trips import Trip, TripEnds
 
@@ -94,27 +94,11 @@ def apply_region_aliases(od: OdMatrix, aliases: dict[str, str]) -> OdMatrix:
     )
 
 
-def _read_table(path: str | Path, header: list[str], what: str, key: str, value=str) -> dict:
-    """{key fields: value(last field)} of each row, the key fields a tuple when there are two.
-
-    A key that repeats raises ValueError naming the file, the line and the key.
-    """
-    table: dict = {}
-
-    def entry(*fields):
-        k = fields[0] if len(fields) == 2 else fields[:-1]
-        if k in table:
-            raise ValueError(f"duplicate {key} {k!r}")
-        return k, value(fields[-1])
-
-    for k, v in read_csv(path, header, what, entry):
-        table[k] = v
-    return table
-
-
 def load_region_aliases_csv(path: str | Path) -> dict[str, str]:
     """Alias file, header `from,to`: region renames applied before comparison."""
-    return _read_table(path, ["from", "to"], "alias file", "alias source")
+    return read_keyed_csv(
+        path, ["from", "to"], "alias file", "alias source", lambda source, to: (source, to)
+    )
 
 
 def linear_regression(x: Sequence[float], y: Sequence[float]) -> RegressionResult:
@@ -354,12 +338,13 @@ def load_survey_csv(path: str | Path) -> dict:
     Header `class,share` yields {"shares": {...}}; header
     `origin,destination,trips` yields {"pairs": {...}}.
     """
-    for kind, header, key in (
-        ("shares", ["class", "share"], "class"),
-        ("pairs", ["origin", "destination", "trips"], "(origin, destination)"),
+    for kind, header, key, make in (
+        ("shares", ["class", "share"], "class", lambda c, share: (c, strict_float(share))),
+        ("pairs", ["origin", "destination", "trips"], "(origin, destination)",
+         lambda origin, dest, trips: ((origin, dest), strict_float(trips))),
     ):
         try:
-            return {kind: _read_table(path, header, "survey file", key, strict_float)}
+            return {kind: read_keyed_csv(path, header, "survey file", key, make)}
         except HeaderMismatch:
             pass
     raise ValueError(f"survey file {path}: expected 'class,share' or 'origin,destination,trips'")
@@ -367,7 +352,9 @@ def load_survey_csv(path: str | Path) -> dict:
 
 def load_class_map_csv(path: str | Path) -> dict[str, str]:
     """Destination-region to survey-class mapping, header `destination,class`."""
-    return _read_table(path, ["destination", "class"], "class map", "destination")
+    return read_keyed_csv(
+        path, ["destination", "class"], "class map", "destination", lambda dest, c: (dest, c)
+    )
 
 
 def write_od_csv(od: OdMatrix, path: str | Path) -> None:

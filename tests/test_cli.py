@@ -562,6 +562,13 @@ def survey_run(tmp_path_factory):
     return ini, out, paths
 
 
+# The stages that read each artifact or input, where it is not `validate` alone.
+READERS = {
+    "towers": ["position"], "staypoints": ["trips", "log", "validate"],
+    "trips": ["log", "validate"], "triplegs": ["log"],
+}
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("name, stage", [
         ("cdr", "position"), ("towers", "position"), ("positioned", "stays"),
@@ -636,39 +643,28 @@ class TestMalformedInput:
         assert err.startswith(f"cdrflow {stage}: ")
         assert f"{path}: line 2: " in err and repr(value) in err
 
-    def test_duplicate_cell_id_exits_1_naming_it(self, survey_run, capsys):
-        ini, out, paths = survey_run
-        path = paths["towers"]
-        original = path.read_text()
-        first_tower = original.splitlines(keepends=True)[1]
-        path.write_text(original + first_tower)
-        try:
-            assert run("position", "--config", str(ini), "--out", str(out), "--seed", "4") == 1
-        finally:
-            path.write_text(original)
-        err = capsys.readouterr().err
-        assert err.startswith("cdrflow position: ")
-        assert f"duplicate cell_id {first_tower.split(',')[0]!r} in {path}" in err
-
     @pytest.mark.parametrize("name, key", [
         ("survey", "class"), ("survey_pairs", "(origin, destination)"),
         ("class_map", "destination"), ("region_aliases", "alias source"),
+        ("towers", "cell_id"), ("staypoints", "staypoint_id"), ("trips", "trip_id"),
+        ("triplegs", "tripleg_id"),
     ])
     def test_duplicate_key_exits_1_naming_file_line_and_key(self, survey_run, name, key, capsys):
         ini, out, paths = survey_run
-        path = paths[name]
+        path = paths[name] if name in paths else out / ART[name]
         original = path.read_text()
         lines = original.splitlines(keepends=True)
-        path.write_text(original + lines[1])
-        try:
-            assert run("validate", "--config", str(ini), "--out", str(out), "--seed", "4") == 1
-        finally:
-            path.write_text(original)
         fields = lines[1].rstrip("\n").split(",")
         value = tuple(fields[:2]) if name == "survey_pairs" else fields[0]
-        err = capsys.readouterr().err
-        assert err.startswith("cdrflow validate: ")
-        assert f"{path}: line {len(lines) + 1}: duplicate {key} {value!r}" in err
+        path.write_text(original + lines[1])
+        try:
+            for stage in READERS.get(name, ["validate"]):
+                assert run(stage, "--config", str(ini), "--out", str(out), "--seed", "4") == 1
+                err = capsys.readouterr().err
+                assert err.startswith(f"cdrflow {stage}: "), err
+                assert f"{path}: line {len(lines) + 1}: duplicate {key} {value!r}\n" in err
+        finally:
+            path.write_text(original)
 
     @pytest.mark.parametrize("column", ["radius_m", "azimuth_deg"])
     def test_non_finite_sector_exits_1(self, survey_run, column, capsys):
@@ -751,8 +747,10 @@ class TestMalformedInput:
         (lambda doc: with_geometry(doc, "MultiPolygon", [[[[1.0, None]]]]),
          ": feature 3: position [1.0, None]: float() argument must be"),
         (lambda doc: with_geometry(doc, "Point", [1.0, 2.0]), ": feature 3: unsupported geometry Point"),
+        (lambda doc: {**doc, "features": doc["features"][:4] + doc["features"][3:]},
+         ": feature 4: duplicate region_id 'M00_03'\n"),
     ], ids=["list", "untyped", "int-feature", "feature-object", "int-polygon", "int-multipolygon",
-            "null-number", "point"])
+            "null-number", "point", "repeated-id"])
     def test_malformed_regions_file_exits_1_naming_file_and_feature(
         self, tmp_path, inputs, stage, edit, message, capsys
     ):
