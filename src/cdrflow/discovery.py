@@ -337,12 +337,15 @@ def write_model_json(model: Union[Dfg, OcDfg], path: str | Path) -> None:
     write_json(model_to_dict(model), path)
 
 
-def _model_entries(doc: dict, key: str, fields: dict, path: str | Path) -> list[tuple]:
-    """The values of `fields` in each entry of doc[key], checked against their types."""
+def _model_entries(doc: dict, key: str, fields: dict, unique: int, path: str | Path) -> list[tuple]:
+    """The values of `fields` in each entry of doc[key], checked against their types.
+
+    No two entries may share the values of their first `unique` fields.
+    """
     entries = doc.get(key)
     if not isinstance(entries, list):
         raise ValueError(f"model file {path}: {key} is not a list")
-    rows = []
+    rows, seen = [], set()
     for k, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ValueError(f"model file {path}: {key}[{k}] is not an object")
@@ -352,15 +355,21 @@ def _model_entries(doc: dict, key: str, fields: dict, path: str | Path) -> list[
             value = entry[name]
             if not isinstance(value, kind) or isinstance(value, bool):
                 raise ValueError(f"model file {path}: {key}[{k}]: {name!r} is {value!r}")
-        rows.append(tuple(entry[name] for name in fields))
+        row = tuple(entry[name] for name in fields)
+        if row[:unique] in seen:
+            names = "/".join(list(fields)[:unique])
+            value = row[0] if unique == 1 else row[:unique]
+            raise ValueError(f"model file {path}: {key}[{k}]: duplicate {names} {value!r}")
+        seen.add(row[:unique])
+        rows.append(row)
     return rows
 
 
 def load_dfg_json(path: str | Path) -> Dfg:
     """The case-centric model in a dfg_model.json file.
 
-    A file that is no such model, or a malformed entry, raises ValueError
-    naming the file and the entry.
+    A file that is no such model, or a malformed or repeated entry, raises
+    ValueError naming the file and the entry.
     """
     doc = read_json(path)
     if not isinstance(doc, dict) or "startCounts" not in doc:
@@ -369,15 +378,15 @@ def load_dfg_json(path: str | Path) -> Dfg:
     count = {"activity": str, "count": int}
     arcs = _model_entries(doc, "arcs", {
         "src": str, "dst": str, "freq": int, "mean_s": seconds, "median_s": seconds,
-    }, path)
+    }, 2, path)
     return Dfg(
-        nodes=tuple(_model_entries(doc, "nodes", {"activity": str, "frequency": int}, path)),
+        nodes=tuple(_model_entries(doc, "nodes", {"activity": str, "frequency": int}, 1, path)),
         arcs=tuple(
             ((src, dst), ArcStats(frequency=freq, mean_s=mean_s, median_s=median_s))
             for src, dst, freq, mean_s, median_s in arcs
         ),
-        start_counts=tuple(_model_entries(doc, "startCounts", count, path)),
-        end_counts=tuple(_model_entries(doc, "endCounts", count, path)),
+        start_counts=tuple(_model_entries(doc, "startCounts", count, 1, path)),
+        end_counts=tuple(_model_entries(doc, "endCounts", count, 1, path)),
     )
 
 

@@ -86,6 +86,8 @@ class Ocel:
         if len(set(ids)) != len(ids):
             raise ValueError("event ids must be unique")
         known_objects = {o.object_id for o in self.objects}
+        if len(known_objects) != len(self.objects):
+            raise ValueError("object ids must be unique")
         for event in self.events:
             for object_id, qualifier in event.relations:
                 if object_id not in known_objects:

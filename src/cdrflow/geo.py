@@ -204,11 +204,46 @@ def _splitmix64(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return state, z ^ (z >> 31)
 
 
+def _id_keys(ids: Sequence[str], domain: bytes) -> np.ndarray:
+    """The 64-bit blake2b key of each id, personalised by its domain, as uint64."""
+    import numpy as np
+
+    digests = b"".join(
+        blake2b(i.encode("utf-8"), digest_size=8, person=domain).digest() for i in ids
+    )
+    return np.frombuffer(digests, dtype="<u8")
+
+
+_CELL_DOMAIN, _USER_DOMAIN = b"cdrflow.cell", b"cdrflow.user"
+
+
+def _event_seeds(cell_key: np.ndarray, user_key: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """uint64 seeds of events from their cell and user keys and float64 timestamps.
+
+    A counter-based generator (Salmon et al. 2011): the cell key, the user
+    key and the bits of ts + 0.0 enter the state in turn, each followed by
+    splitmix64's finalizer.  Adding 0.0 gives -0.0 the bits of 0.0.
+    """
+    import numpy as np
+
+    _, z = _splitmix64(cell_key)
+    _, z = _splitmix64(z ^ user_key)
+    _, z = _splitmix64(z ^ (ts + 0.0).view(np.uint64))
+    return z
+
+
 def event_seed(cell_id: str, user_id: str, timestamp: float) -> int:
-    """Stable 64-bit sampling seed for one event, reproducible across runs."""
-    ts = repr(int(timestamp)) if float(timestamp).is_integer() else repr(float(timestamp))
-    payload = "\x1f".join((cell_id, user_id, ts)).encode("utf-8")
-    return int.from_bytes(blake2b(payload, digest_size=8).digest(), "big")
+    """Stable 64-bit sampling seed for one event, a pure function of its arguments.
+
+    It is position_events' seed of a one-event block; an integral timestamp
+    gives the seed of its float.
+    """
+    import numpy as np
+
+    return int(_event_seeds(
+        _id_keys([cell_id], _CELL_DOMAIN), _id_keys([user_id], _USER_DOMAIN),
+        np.array([timestamp], dtype=np.float64),
+    )[0])
 
 
 def _libm(f, *arrays: np.ndarray) -> np.ndarray:
@@ -256,12 +291,37 @@ class _Sectors:
         self.geometry = np.array(params, dtype=np.float64).reshape(-1, 9)
 
 
-def _wedge_draw(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lat, lon) degree arrays for unit draws u (radial) and v (angular).
+def _haversine_from_centre(g: np.ndarray, lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+    """haversine_m from the centre of each row's sector to (lat, lon), bit for bit."""
+    import numpy as np
+
+    S = _Sectors
+    h = (
+        _sin_squared(np.radians(lat - g[:, S.LAT]) / 2.0)
+        + g[:, S.COS_PHI1] * _libm(math.cos, np.radians(lat))
+        * _sin_squared(np.radians(lon - g[:, S.LON]) / 2.0)
+    )
+    return 2.0 * EARTH_RADIUS_M * _libm(math.asin, np.minimum(1.0, np.sqrt(h)))
+
+
+# The shrink loop measures the radians it computes; haversine_m measures the
+# degrees it returns.  Up to _FAR_M the two measures agree to within about
+# 1e-8 m, so a point more than _SLACK_M inside its radius by the first lies
+# inside by the second.  Farther out asin loses that accuracy near the antipode.
+_SLACK_M = 1e-6
+_FAR_M = 1e6
+
+
+def _wedge_draw(
+    g: np.ndarray, u: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lat, lon, at_centre) arrays for unit draws u (radial) and v (angular).
 
     Row i of g is the _Sectors geometry of draw i.  The destination point is
     re-measured and the radial fraction shrunk, for the rows that overshoot
-    the radius only, until every point lies within its sector's radius.
+    the radius only, until every point lies within its sector's radius.  A
+    point that haversine_m still puts beyond the radius, which happens at
+    sub-micrometre radii, goes to its sector's centre; at_centre marks it.
     """
     import numpy as np
 
@@ -271,8 +331,7 @@ def _wedge_draw(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray
     fraction = np.minimum(np.maximum(np.sqrt(u), _RADIAL_FRACTION_MIN), _RADIAL_FRACTION_MAX)
     theta = np.radians(np.mod(g[:, S.LO_BEARING] + v * g[:, S.SPAN], 360.0))
     sin_theta, cos_theta = _libm(math.sin, theta), _libm(math.cos, theta)
-    phi2 = np.empty(len(g))
-    lam2 = np.empty(len(g))
+    phi2, lam2, measured = np.empty(len(g)), np.empty(len(g)), np.empty(len(g))
     rows = np.arange(len(g))
     while rows.size:
         delta = fraction[rows] * radius[rows] / EARTH_RADIUS_M
@@ -292,20 +351,27 @@ def _wedge_draw(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray
             + cos_p1 * _libm(math.cos, p2) * _sin_squared((l2 - lam1[rows]) / 2.0)
         )
         distance = 2.0 * EARTH_RADIUS_M * _libm(math.asin, np.minimum(1.0, np.sqrt(h)))
+        measured[rows] = distance
         rows = rows[~(distance <= radius[rows])]
         fraction[rows] *= 0.999999
-    lon = np.mod(np.degrees(lam2) + 180.0, 360.0) - 180.0
-    return np.degrees(phi2), lon
+    lat, lon = np.degrees(phi2), np.mod(np.degrees(lam2) + 180.0, 360.0) - 180.0
+    at_centre = np.zeros(len(g), dtype=bool)
+    again = np.flatnonzero((measured > radius - _SLACK_M) | (measured > _FAR_M))
+    if again.size:
+        over = again[~(_haversine_from_centre(g[again], lat[again], lon[again]) <= radius[again])]
+        lat[over], lon[over] = g[over, S.LAT], g[over, S.LON]
+        at_centre[over] = True
+    return lat, lon, at_centre
 
 
 def _place(
-    seeds: Sequence[int],
+    seeds: np.ndarray,
     rows: Sequence[int],
     sectors: _Sectors,
     land: Optional["_Land"],
     max_attempts: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pseudo-location of each seed in the sector of its row; see sample_sector_point.
+    """Pseudo-location of each uint64 seed in the sector of its row; see sample_sector_point.
 
     Returns (lat, lon, at_centre) arrays; at_centre marks the events placed
     at their sector's centre.  Each land attempt re-draws only the events
@@ -320,15 +386,16 @@ def _place(
     lat, lon = g[:, S.LAT].copy(), g[:, S.LON].copy()
     at_centre = g[:, S.RADIUS] == 0.0
     todo = np.flatnonzero(~at_centre)
-    state = np.array(seeds, dtype=np.uint64)[todo]
+    state = seeds[todo]
     for _ in range(max(1, max_attempts) if land else 1):
         if not todo.size:
             break
         state, z1 = _splitmix64(state)
         state, z2 = _splitmix64(state)
-        la, lo = _wedge_draw(g[todo], (z1 >> 11) / _TWO_53, (z2 >> 11) / _TWO_53)
+        la, lo, centre = _wedge_draw(g[todo], (z1 >> 11) / _TWO_53, (z2 >> 11) / _TWO_53)
         ok = land.contains(lo, la) if land else np.ones(len(todo), dtype=bool)
         lat[todo[ok]], lon[todo[ok]] = la[ok], lo[ok]
+        at_centre[todo[ok & centre]] = True
         todo, state = todo[~ok], state[~ok]
 
     if todo.size:
@@ -356,8 +423,10 @@ def sample_sector_point(
     max_attempts the sector center is used if it is itself on land, otherwise
     ClippingExhausted is raised.
     """
+    import numpy as np
+
     sectors = _Sectors({sector.cell_id: sector})
-    seeds = [seed & 0xFFFFFFFFFFFFFFFF]
+    seeds = np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
     lat, lon, at_centre = _place(seeds, [0], sectors, _Land(land) if land else None, max_attempts)
     return sector.center if at_centre[0] else GeoPoint(lat=float(lat[0]), lon=float(lon[0]))
 
@@ -686,8 +755,9 @@ def position_events(
 ) -> EventColumns:
     """The events, CdrEvent records or EventColumns, as columns with lat and lon set.
 
-    Each event goes where sample_sector_point puts it with its event_seed;
-    blocks of _BLOCK_EVENTS events go through one array kernel.  The events
+    Each event goes where sample_sector_point puts it with its event_seed.
+    Each id of the cells and users tables is hashed once; then blocks of
+    _BLOCK_EVENTS events are seeded and placed by array passes.  The events
     before an unknown cell are placed first, as one at a time would, so that
     their ClippingExhausted comes before the unknown cell's ValueError.
     """
@@ -700,13 +770,12 @@ def position_events(
     unknown = np.flatnonzero(np.isin(events.cell, np.flatnonzero(rows < 0)))
     known = int(unknown[0]) if unknown.size else len(events)
     lat, lon = np.empty(len(events)), np.empty(len(events))
+    cell_key = _id_keys(events.cells, _CELL_DOMAIN)
+    user_key = _id_keys(events.users, _USER_DOMAIN)
     for start in range(0, known, _BLOCK_EVENTS):
         block = slice(start, min(start + _BLOCK_EVENTS, known))
         codes = events.cell[block]
-        seeds = list(map(
-            event_seed, map(events.cells.__getitem__, codes.tolist()),
-            map(events.users.__getitem__, events.user[block].tolist()), events.ts[block].tolist(),
-        ))
+        seeds = _event_seeds(cell_key[codes], user_key[events.user[block]], events.ts[block])
         lat[block], lon[block], _ = _place(seeds, rows[codes], sectors, land, DEFAULT_CLIP_ATTEMPTS)
     if unknown.size:
         raise ValueError(f"event references unknown cell_id {events.cells[events.cell[known]]!r}")

@@ -14,8 +14,11 @@ import cdrflow
 from cdrflow.cli import ART, main
 from cdrflow.config import PipelineConfig, config_hash, load_config
 from cdrflow.geo import (
-    GeoPoint, Region, load_positioned_csv, load_towers_csv, region_contains, write_regions_geojson,
+    GeoPoint, Region, load_cdr_csv, load_positioned_csv, load_towers_csv, region_contains,
+    write_regions_geojson,
 )
+
+from test_geo import scalar_positions
 
 
 def run(*argv):
@@ -177,6 +180,23 @@ class TestRunAll:
                 assert a.read_bytes() == b.read_bytes(), name
 
 
+    def test_position_places_each_event_with_its_own_seed(self, tmp_path, inputs):
+        # positions of a shuffled cdr.csv are the scalar oracle's, event for event
+        header, *rows = (inputs / ART["cdr"]).read_text().splitlines(keepends=True)
+        random.Random(5).shuffle(rows)
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text(header + "".join(rows))
+        ini = external_config(tmp_path, "shuffled", inputs, shuffled)
+        assert run("position", "--config", str(ini), "--out", str(tmp_path / "run")) == 0
+        expected = scalar_positions(load_cdr_csv(shuffled), load_towers_csv(inputs / ART["towers"]))
+
+        def fields(ev):
+            return ev.user_id, ev.timestamp, ev.cell_id, ev.location.lat, ev.location.lon
+
+        got = load_positioned_csv(tmp_path / "run" / ART["positioned"])
+        assert sorted(map(fields, got)) == sorted(map(fields, expected))
+
+
 class TestExitCodes:
     def test_missing_towers_file_exits_2(self, tmp_path, capsys):
         ini = tmp_path / "cfg.ini"
@@ -251,8 +271,24 @@ class TestExitCodes:
          lambda doc: doc.update(events={"e0_0": doc["events"][0]}), "events is not a list"),
         ("dfg_model", "conform", ("synth", "position", "stays", "trips", "log", "discover"),
          lambda doc: doc["nodes"][0].pop("activity"), "nodes[0] has no 'activity'"),
+        ("ocel", "discover", ("synth", "position", "stays", "trips", "log"),
+         lambda doc: doc["objects"].append({"id": doc["objects"][0]["id"], "type": "mode"}),
+         "object ids must be unique"),
+        ("dfg_model", "conform", ("synth", "position", "stays", "trips", "log", "discover"),
+         lambda doc: doc["nodes"].insert(1, doc["nodes"][0]),
+         "nodes[1]: duplicate activity"),
+        ("dfg_model", "conform", ("synth", "position", "stays", "trips", "log", "discover"),
+         lambda doc: doc["arcs"].insert(1, doc["arcs"][0]),
+         "arcs[1]: duplicate src/dst"),
+        ("dfg_model", "conform", ("synth", "position", "stays", "trips", "log", "discover"),
+         lambda doc: doc["startCounts"].insert(1, doc["startCounts"][0]),
+         "startCounts[1]: duplicate activity"),
+        ("dfg_model", "conform", ("synth", "position", "stays", "trips", "log", "discover"),
+         lambda doc: doc["endCounts"].insert(1, doc["endCounts"][0]),
+         "endCounts[1]: duplicate activity"),
     ], ids=["event-without-timestamp", "numeric-timestamp", "events-object",
-            "node-without-activity"])
+            "node-without-activity", "repeated-object", "repeated-node", "repeated-arc",
+            "repeated-start", "repeated-end"])
     def test_malformed_json_entry_exits_1_naming_file_and_entry(
         self, tmp_path, tiny_config, capsys, name, stage, before, mutate, message
     ):

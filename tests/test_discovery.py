@@ -308,7 +308,15 @@ class TestModelJson:
         (lambda doc: doc["endCounts"].append(["A", 1]), "endCounts[2] is not an object"),
         (lambda doc: doc.update(arcs={}), "arcs is not a list"),
         (lambda doc: doc.pop("startCounts"), "not a case-centric model dump"),
-    ], ids=["no-activity", "text-freq", "bool-mean", "list-entry", "arcs-object", "ocdfg"])
+        (lambda doc: doc["nodes"].append(doc["nodes"][1]), "nodes[2]: duplicate activity 'B'"),
+        (lambda doc: doc["arcs"].append(dict(doc["arcs"][0], freq=1)),
+         "arcs[2]: duplicate src/dst ('A', 'B')"),
+        (lambda doc: doc["startCounts"].append(doc["startCounts"][0]),
+         "startCounts[2]: duplicate activity 'A'"),
+        (lambda doc: doc["endCounts"].insert(0, doc["endCounts"][1]),
+         "endCounts[2]: duplicate activity"),
+    ], ids=["no-activity", "text-freq", "bool-mean", "list-entry", "arcs-object", "ocdfg",
+            "repeated-node", "repeated-arc", "repeated-start", "repeated-end"])
     def test_malformed_model_raises_naming_file_and_entry(self, tmp_path, mutate, message):
         import json
 

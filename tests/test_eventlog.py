@@ -208,9 +208,11 @@ class TestBuildOcel:
         (lambda doc: doc["objects"][0].pop("type"), "objects[0] is not an object"),
         (lambda doc: doc["objectTypes"].append({}), "an object type has no name"),
         (lambda doc: doc["events"].append(doc["events"][0]), "event ids must be unique"),
+        (lambda doc: doc["objects"].append(dict(doc["objects"][0], type="mode")),
+         "object ids must be unique"),
     ], ids=["no-timestamp", "numeric-timestamp", "bad-timestamp", "no-qualifier",
             "unknown-qualifier", "bad-relation", "events-object", "bad-event", "bad-type",
-            "no-type", "unnamed-type", "duplicate-event"])
+            "no-type", "unnamed-type", "duplicate-event", "duplicate-object"])
     def test_malformed_entry_raises_naming_file_and_entry(self, tmp_path, mutate, message):
         import json
 

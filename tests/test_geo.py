@@ -85,8 +85,10 @@ class ScalarSampler:
             if 2.0 * EARTH_RADIUS_M * asin(min(1.0, sqrt(h))) <= self.radius:
                 break
             fraction *= 0.999999
-        lon = (math.degrees(lam2) + 180.0) % 360.0 - 180.0
-        return math.degrees(phi2), lon
+        lat, lon = math.degrees(phi2), (math.degrees(lam2) + 180.0) % 360.0 - 180.0
+        if haversine_distance(self.sector.center, GeoPoint(lat, lon)) > self.radius:
+            return self.sector.center.lat, self.sector.center.lon
+        return lat, lon
 
     def point(self, seed: int, land=(), max_attempts: int = DEFAULT_CLIP_ATTEMPTS) -> GeoPoint:
         sector = self.sector
@@ -302,10 +304,44 @@ class TestAssignRegion:
         assert region_contains(region, GeoPoint(1.0, 1.5))  # hole boundary is inside
 
 
+# integral, fractional, signed-zero and year-9999 timestamps, as float and int
+STAMPS = (1706745600.0, 1706745600, 1706745600.25, -0.0, 0.0, 0, -86400.5,
+          253402300799.0, 253402300798.75)
+
+
 class TestEventSeedAndPositioning:
     def test_event_seed_stable(self):
         assert event_seed("c1", "u1", 100.0) == event_seed("c1", "u1", 100)
+        assert event_seed("c1", "u1", -0.0) == event_seed("c1", "u1", 0.0)
+        assert event_seed("c1", "u1", 0.0) == event_seed("c1", "u1", 0)
         assert event_seed("c1", "u1", 100.0) != event_seed("c1", "u2", 100.0)
+        assert event_seed("c1", "u1", 100.0) != event_seed("c2", "u1", 100.0)
+        assert 0 <= event_seed("c1", "u1", 100.0) < 1 << 64
+
+    @pytest.mark.parametrize("t", STAMPS)
+    def test_event_seed_separates_time_and_the_two_ids(self, t):
+        assert event_seed("c1", "u1", t) != event_seed("c1", "u1", t + 0.25)
+        assert event_seed("a", "b", t) != event_seed("b", "a", t)
+        assert event_seed("x", "x", t) != event_seed("x", "y", t) != event_seed("y", "x", t)
+
+    @pytest.mark.parametrize("block_events", [1, 7, 1024])
+    def test_position_events_places_each_event_with_its_event_seed(self, monkeypatch, block_events):
+        ids = ("c1", "u1", "")
+        events = [CdrEvent(u, t, c) for u in ids for c in ids for t in STAMPS]
+        towers = {c: TowerSector(c, GeoPoint(38.7, -9.3), 0.0, 120.0, 300.0) for c in ids}
+        seeds, place = [], geo._place
+
+        def spy(given, *args):
+            assert given.dtype == np.uint64
+            seeds.extend(given.tolist())
+            return place(given, *args)
+
+        monkeypatch.setattr(geo, "_place", spy)
+        monkeypatch.setattr(geo, "_BLOCK_EVENTS", block_events)
+        for given in (events, geo.event_columns(events)):
+            seeds.clear()
+            assert position_events(given, towers) == scalar_positions(events, towers)
+            assert seeds == [event_seed(ev.cell_id, ev.user_id, ev.timestamp) for ev in events]
 
     def test_position_events_deterministic(self):
         towers = {
@@ -436,12 +472,57 @@ class TestLandPositioning:
             monkeypatch.setattr(geo, "_BLOCK_EVENTS", size)
             assert position_events(events, towers, land=RIVER_LAND) == expected
 
+    @pytest.mark.parametrize("block_events", [1, 7, 5000])
+    def test_output_does_not_depend_on_row_order(self, monkeypatch, block_events):
+        # the seed is a pure function of (cell, user, timestamp), not of an
+        # event's place in its block or of the order of the id tables
+        towers = self.sectors()
+        events = self.events(towers, n=600)
+        expected = scalar_positions(events, towers, RIVER_LAND)
+        order = list(range(len(events)))
+        random.Random(block_events).shuffle(order)
+        shuffled = [events[k] for k in order]
+        monkeypatch.setattr(geo, "_BLOCK_EVENTS", block_events)
+        for given in (shuffled, geo.event_columns(shuffled),
+                      geo.event_columns(events).take(np.array(order))):
+            assert position_events(given, towers, land=RIVER_LAND) == [expected[k] for k in order]
+
     def test_overshoot_shrinks_like_reference(self):
-        # at sub-micrometre radii the re-measured distance overshoots the
-        # radius for a few draws, which the shrink loop then pulls inside
-        towers = {"c": TowerSector("c", GeoPoint(38.7, -9.3), 45.0, 120.0, 1e-7)}
-        events = [CdrEvent("u", float(t), "c") for t in range(1000)]
-        assert position_events(events, towers) == scalar_positions(events, towers)
+        # at sub-micrometre radii the shrink loop pulls overshooting draws
+        # inside by its radian measure; a few still overshoot by
+        # haversine_distance, and those go to the centre
+        for radius in (1e-7, 3e-8):
+            sector = TowerSector("c", GeoPoint(38.7, -9.3), 45.0, 120.0, radius)
+            towers = {"c": sector}
+            events = [CdrEvent("u", float(t), "c") for t in range(3000)]
+            got = position_events(events, towers)
+            assert got == scalar_positions(events, towers)
+            assert max(haversine_distance(sector.center, ev.location) for ev in got) <= radius
+            assert 0 < sum(ev.location == sector.center for ev in got) < 100
+
+    def test_ordinary_radii_never_fall_back_to_the_centre(self, monkeypatch):
+        # criterion 9's sectors, and some wider than _FAR_M
+        rng = random.Random(1009)
+        towers = {
+            f"c{i}": TowerSector(
+                f"c{i}", GeoPoint(rng.uniform(-60, 60), rng.uniform(-179, 179)),
+                rng.uniform(0, 360), rng.uniform(1, 360),
+                rng.uniform(1, 10000) if i % 50 else rng.uniform(1e6, 2e7),
+            )
+            for i in range(2000)
+        }
+        sectors = geo._Sectors(towers)
+        rows = np.arange(10000) % len(towers)
+        seeds = np.array([rng.getrandbits(64) for _ in rows], dtype=np.uint64)
+        lat, lon, at_centre = geo._place(seeds, rows, sectors, None, DEFAULT_CLIP_ATTEMPTS)
+        assert not at_centre.any()
+        for k, row in enumerate(rows.tolist()):
+            sector = sectors.sectors[row]
+            assert haversine_distance(sector.center, GeoPoint(lat[k], lon[k])) <= sector.radius_m
+        # re-measuring every draw, not only those near their radius, changes nothing
+        monkeypatch.setattr(geo, "_SLACK_M", math.inf)
+        again = geo._place(seeds, rows, sectors, None, DEFAULT_CLIP_ATTEMPTS)
+        assert all(np.array_equal(a, b) for a, b in zip(again, (lat, lon, at_centre)))
 
     def test_land_free_matches_scalar_reference(self):
         towers = self.sectors()
