@@ -251,14 +251,14 @@ def _libm(f, *arrays: np.ndarray) -> np.ndarray:
     # some inputs; the math module keeps draws identical across versions.
     import numpy as np
 
-    return np.array(list(map(f, *(a.tolist() for a in arrays))), dtype=np.float64)
+    return np.fromiter(map(f, *(a.tolist() for a in arrays)), np.float64, len(arrays[0]))
 
 
 def _sin_squared(a: np.ndarray) -> np.ndarray:
     import numpy as np
 
     sin = math.sin
-    return np.array([sin(x) ** 2 for x in a.tolist()], dtype=np.float64)
+    return np.fromiter([sin(x) ** 2 for x in a.tolist()], np.float64, len(a))
 
 
 class _Sectors:
@@ -311,6 +311,13 @@ def _haversine_from_centre(g: np.ndarray, lat: np.ndarray, lon: np.ndarray) -> n
 _SLACK_M = 1e-6
 _FAR_M = 1e6
 
+# Most measure-and-shrink rounds of a draw.  A round takes 1e-6 off the
+# radial fraction, which pulls a draw inside only when its rounding error is
+# small beside the radius: radii of 1e-6 m and up need a few hundred rounds
+# at most, 1e-7 m some thousands and 1e-10 m millions.  A draw still over
+# its radius after the last round goes through the haversine_m check.
+_SHRINK_ROUNDS = 1000
+
 
 def _wedge_draw(
     g: np.ndarray, u: np.ndarray, v: np.ndarray
@@ -333,7 +340,9 @@ def _wedge_draw(
     sin_theta, cos_theta = _libm(math.sin, theta), _libm(math.cos, theta)
     phi2, lam2, measured = np.empty(len(g)), np.empty(len(g)), np.empty(len(g))
     rows = np.arange(len(g))
-    while rows.size:
+    for _ in range(_SHRINK_ROUNDS):
+        if not rows.size:
+            break
         delta = fraction[rows] * radius[rows] / EARTH_RADIUS_M
         sin_delta, cos_delta = _libm(math.sin, delta), _libm(math.cos, delta)
         sin_p1, cos_p1 = sin_phi1[rows], cos_phi1[rows]
@@ -365,47 +374,70 @@ def _wedge_draw(
 
 
 def _place(
-    seeds: np.ndarray,
-    rows: Sequence[int],
+    blocks: Iterable[tuple[np.ndarray, np.ndarray]],
+    n: int,
     sectors: _Sectors,
     land: Optional["_Land"],
     max_attempts: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pseudo-location of each uint64 seed in the sector of its row; see sample_sector_point.
+    """Pseudo-locations of n events, given as blocks of (uint64 seeds, sector rows) in order.
 
-    Returns (lat, lon, at_centre) arrays; at_centre marks the events placed
-    at their sector's centre.  Each land attempt re-draws only the events
-    whose previous draw fell off land.  An event's draws depend on its own
-    seed alone.
+    Each event goes where sample_sector_point puts its seed in the sector
+    of its row.  Returns (lat, lon, at_centre) arrays; at_centre marks the
+    events placed at their sector's centre.  First draws go a block at a
+    time.  Only the events whose draw fell off land carry their index, row
+    and generator state on, and each later land attempt re-draws that
+    pooled set _BLOCK_EVENTS at a time: the re-draws of all the blocks take
+    a few calls, and beside the result only the pooled set is held.  An
+    event's draws depend on its own seed alone, so neither the blocks nor
+    the pooling change a position.
     """
     import numpy as np
 
     S = _Sectors
-    rows = np.asarray(rows, dtype=np.intp)
-    g = sectors.geometry[rows]
-    lat, lon = g[:, S.LAT].copy(), g[:, S.LON].copy()
-    at_centre = g[:, S.RADIUS] == 0.0
-    todo = np.flatnonzero(~at_centre)
-    state = seeds[todo]
-    for _ in range(max(1, max_attempts) if land else 1):
-        if not todo.size:
-            break
+    geometry = sectors.geometry
+    lat, lon, at_centre = np.empty(n), np.empty(n), np.zeros(n, dtype=bool)
+
+    def attempt(index: np.ndarray, rows: np.ndarray, state: np.ndarray) -> tuple:
+        # one draw for each event of index; returns the events still off land, their rows and state
         state, z1 = _splitmix64(state)
         state, z2 = _splitmix64(state)
-        la, lo, centre = _wedge_draw(g[todo], (z1 >> 11) / _TWO_53, (z2 >> 11) / _TWO_53)
-        ok = land.contains(lo, la) if land else np.ones(len(todo), dtype=bool)
-        lat[todo[ok]], lon[todo[ok]] = la[ok], lo[ok]
-        at_centre[todo[ok & centre]] = True
-        todo, state = todo[~ok], state[~ok]
+        la, lo, centre = _wedge_draw(geometry[rows], (z1 >> 11) / _TWO_53, (z2 >> 11) / _TWO_53)
+        ok = land.contains(lo, la) if land else np.ones(len(index), dtype=bool)
+        lat[index[ok]], lon[index[ok]] = la[ok], lo[ok]
+        at_centre[index[ok & centre]] = True
+        return index[~ok], rows[~ok], state[~ok]
 
-    if todo.size:
-        off_land = todo[~land.contains(lon[todo], lat[todo])]
-        if off_land.size:
+    pending = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0, np.uint64))]
+    start = 0
+    for seeds, rows in blocks:
+        g = geometry[rows]
+        stop = start + len(rows)
+        lat[start:stop], lon[start:stop] = g[:, S.LAT], g[:, S.LON]
+        at_centre[start:stop] = g[:, S.RADIUS] == 0.0
+        draw = np.flatnonzero(~at_centre[start:stop])
+        off = attempt(start + draw, rows[draw], seeds[draw])
+        if off[0].size:
+            pending.append(off)
+        start = stop
+    index, rows, state = (np.concatenate(column) for column in zip(*pending))
+    for _ in range(max(1, max_attempts) - 1 if land else 0):
+        if not index.size:
+            break
+        pending = [
+            attempt(*(column[k:k + _BLOCK_EVENTS] for column in (index, rows, state)))
+            for k in range(0, len(index), _BLOCK_EVENTS)
+        ]
+        index, rows, state = (np.concatenate(column) for column in zip(*pending))
+
+    if index.size:  # in input order, so the first off land is the first event that failed
+        off_land = ~land.contains(lon[index], lat[index])
+        if off_land.any():
             raise ClippingExhausted(
-                f"no land point found for sector {sectors.sectors[rows[off_land[0]]].cell_id} "
+                f"no land point found for sector {sectors.sectors[rows[off_land][0]].cell_id} "
                 f"after {max_attempts} attempts"
             )
-        at_centre[todo] = True
+        at_centre[index] = True
     return lat, lon, at_centre
 
 
@@ -426,8 +458,8 @@ def sample_sector_point(
     import numpy as np
 
     sectors = _Sectors({sector.cell_id: sector})
-    seeds = np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-    lat, lon, at_centre = _place(seeds, [0], sectors, _Land(land) if land else None, max_attempts)
+    block = (np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64), np.zeros(1, dtype=np.intp))
+    lat, lon, at_centre = _place([block], 1, sectors, _Land(land) if land else None, max_attempts)
     return sector.center if at_centre[0] else GeoPoint(lat=float(lat[0]), lon=float(lon[0]))
 
 
@@ -494,39 +526,63 @@ def region_contains(region: Region, p: GeoPoint) -> bool:
 _SEGMENTS_PER_PASS = 16
 
 
-def _ring_segments(ring: Sequence[GeoPoint]) -> tuple[np.ndarray, ...]:
+def _ring_segments(ring: Sequence[GeoPoint]) -> tuple[tuple[float, ...], tuple[np.ndarray, ...]]:
+    """(box, segments) of a ring; box is (lo_x, hi_x, lo_y, hi_y) over its segments' boxes."""
     import numpy as np
 
     lon = np.array([p.lon for p in ring], dtype=np.float64)
     lat = np.array([p.lat for p in ring], dtype=np.float64)
     ax, ay, bx, by = lon[:-1], lat[:-1], lon[1:], lat[1:]
     dx, dy = bx - ax, by - ay
-    return (
+    lo_x, hi_x = np.minimum(ax, bx) - _BOUNDARY_EPS_DEG, np.maximum(ax, bx) + _BOUNDARY_EPS_DEG
+    lo_y, hi_y = np.minimum(ay, by) - _BOUNDARY_EPS_DEG, np.maximum(ay, by) + _BOUNDARY_EPS_DEG
+    box = (float(lo_x.min()), float(hi_x.max()), float(lo_y.min()), float(hi_y.max()))
+    return box, (
         ax, ay, by, dx,
         np.where(dy == 0.0, 1.0, dy),  # the ray cast skips segments with dy == 0
-        np.minimum(ax, bx) - _BOUNDARY_EPS_DEG, np.maximum(ax, bx) + _BOUNDARY_EPS_DEG,
-        np.minimum(ay, by) - _BOUNDARY_EPS_DEG, np.maximum(ay, by) + _BOUNDARY_EPS_DEG,
+        lo_x, hi_x, lo_y, hi_y,
         _BOUNDARY_EPS_DEG * np.maximum(np.maximum(np.abs(dx), np.abs(dy)), 1.0),
     )
 
 
-def _ring_test(segments: tuple, px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(on boundary, ray-cast inside) per point: _ring_boundary and _ray_cast over arrays."""
+def _ring_test(
+    ring: tuple, px: np.ndarray, py: np.ndarray, among: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(on boundary, ray-cast inside) of the points among, an index array into px and py.
+
+    These are _ring_boundary and _ray_cast over arrays, run only on the
+    points inside the ring's box, which holds every segment's edge box.  A
+    point outside it is on no edge, and the ray cast puts it outside.  Above
+    or below the box, no segment has (ay > py) != (by > py).  Right of it,
+    every x_cross is left of the point: x_cross lies between ax and bx up to
+    its rounding, a few 1e-13 degrees at most for |dx| <= 360, well inside
+    the box's _BOUNDARY_EPS_DEG margin.  Left of it, every segment with
+    (ay > py) != (by > py) is crossed, and a closed ring has an even number
+    of those.
+    """
     import numpy as np
 
-    on_edge = np.zeros(len(px), dtype=bool)
-    inside = np.zeros(len(px), dtype=bool)
-    x, y = px[None, :], py[None, :]
+    (lo_x, hi_x, lo_y, hi_y), segments = ring
+    x, y = px[among], py[among]
+    near = (lo_x <= x) & (x <= hi_x) & (lo_y <= y) & (y <= hi_y)
+    on_edge = np.zeros(len(among), dtype=bool)
+    inside = np.zeros(len(among), dtype=bool)
+    if not near.any():
+        return on_edge, inside
+    x, y = x[near][None, :], y[near][None, :]
+    edge = np.zeros(x.shape[1], dtype=bool)
+    crossed = np.zeros(x.shape[1], dtype=bool)
     for k in range(0, len(segments[0]), _SEGMENTS_PER_PASS):
-        ax, ay, by, dx, dy, lo_x, hi_x, lo_y, hi_y, tol = (
+        ax, ay, by, dx, dy, s_lo_x, s_hi_x, s_lo_y, s_hi_y, tol = (
             s[k:k + _SEGMENTS_PER_PASS, None] for s in segments
         )
         cross = dx * (y - ay) - (by - ay) * (x - ax)
-        on_edge |= (
-            (lo_x <= x) & (x <= hi_x) & (lo_y <= y) & (y <= hi_y) & (np.abs(cross) <= tol)
+        edge |= (
+            (s_lo_x <= x) & (x <= s_hi_x) & (s_lo_y <= y) & (y <= s_hi_y) & (np.abs(cross) <= tol)
         ).any(axis=0)
         crosses = ((ay > y) != (by > y)) & (x < ax + (y - ay) * dx / dy)
-        inside ^= np.logical_xor.reduce(crosses, axis=0)
+        crossed ^= np.logical_xor.reduce(crosses, axis=0)
+    on_edge[near], inside[near] = edge, crossed
     return on_edge, inside
 
 
@@ -549,15 +605,16 @@ class _Land:
             todo = np.flatnonzero(~found)
             if not todo.size:
                 break
-            x, y = lon[todo], lat[todo]
-            on_edge, inside = _ring_test(exterior, x, y)
-            result = on_edge | inside
-            undecided = inside & ~on_edge
+            on_edge, inside = _ring_test(exterior, lon, lat, todo)
+            found[todo[on_edge]] = True
+            undecided = todo[inside & ~on_edge]
             for hole in holes:  # the first hole whose edge or inside holds the point decides
-                hole_edge, hole_inside = _ring_test(hole, x, y)
-                result &= ~(undecided & ~hole_edge & hole_inside)
-                undecided &= ~(hole_edge | hole_inside)
-            found[todo] = result
+                if not undecided.size:
+                    break
+                hole_edge, hole_inside = _ring_test(hole, lon, lat, undecided)
+                found[undecided[hole_edge]] = True
+                undecided = undecided[~(hole_edge | hole_inside)]
+            found[undecided] = True
         return found
 
 
@@ -756,10 +813,11 @@ def position_events(
     """The events, CdrEvent records or EventColumns, as columns with lat and lon set.
 
     Each event goes where sample_sector_point puts it with its event_seed.
-    Each id of the cells and users tables is hashed once; then blocks of
-    _BLOCK_EVENTS events are seeded and placed by array passes.  The events
-    before an unknown cell are placed first, as one at a time would, so that
-    their ClippingExhausted comes before the unknown cell's ValueError.
+    Each id of the cells and users tables is hashed once; then one _place
+    call places the events, seeded a block of _BLOCK_EVENTS at a time.  The
+    events before an unknown cell are placed first, as one at a time would,
+    so that their ClippingExhausted comes before the unknown cell's
+    ValueError.
     """
     import numpy as np
 
@@ -769,14 +827,17 @@ def position_events(
     rows = np.array([sectors.row.get(c, -1) for c in events.cells], dtype=np.intp)  # per cell
     unknown = np.flatnonzero(np.isin(events.cell, np.flatnonzero(rows < 0)))
     known = int(unknown[0]) if unknown.size else len(events)
-    lat, lon = np.empty(len(events)), np.empty(len(events))
     cell_key = _id_keys(events.cells, _CELL_DOMAIN)
     user_key = _id_keys(events.users, _USER_DOMAIN)
-    for start in range(0, known, _BLOCK_EVENTS):
-        block = slice(start, min(start + _BLOCK_EVENTS, known))
-        codes = events.cell[block]
-        seeds = _event_seeds(cell_key[codes], user_key[events.user[block]], events.ts[block])
-        lat[block], lon[block], _ = _place(seeds, rows[codes], sectors, land, DEFAULT_CLIP_ATTEMPTS)
+
+    def blocks() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for start in range(0, known, _BLOCK_EVENTS):
+            block = slice(start, min(start + _BLOCK_EVENTS, known))
+            codes = events.cell[block]
+            seeds = _event_seeds(cell_key[codes], user_key[events.user[block]], events.ts[block])
+            yield seeds, rows[codes]
+
+    lat, lon, _ = _place(blocks(), known, sectors, land, DEFAULT_CLIP_ATTEMPTS)
     if unknown.size:
         raise ValueError(f"event references unknown cell_id {events.cells[events.cell[known]]!r}")
     return replace(events, lat=lat, lon=lon)

@@ -19,7 +19,7 @@ import bisect
 import copy
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from hashlib import blake2b
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
@@ -715,8 +715,9 @@ def write_ground_truth_json(truth: GroundTruth, path: str | Path) -> None:
             }
             for a in truth.agents
         ],
-        "trips": [asdict(t) for t in truth.trips],
-        "dwells": [asdict(d) for d in truth.dwells],
+        # flat dataclasses without slots: vars() holds their fields in order
+        "trips": [dict(vars(t)) for t in truth.trips],
+        "dwells": [dict(vars(d)) for d in truth.dwells],
     }
     write_json(doc, path)
 

@@ -811,8 +811,8 @@ def with_geometry(doc, kind, coordinates):
     return doc
 
 
-def test_position_with_land_mask_puts_every_point_on_land(tmp_path, inputs):
-    towers = load_towers_csv(inputs / ART["towers"])
+def river_land(towers):
+    """Land around the towers with a river between every two tower rows, and the rivers."""
     lats = sorted({t.center.lat for t in towers.values()})
     lons = [t.center.lon for t in towers.values()]
     # a river between every two tower rows, 5% of the spacing from each row
@@ -825,6 +825,11 @@ def test_position_with_land_mask_puts_every_point_on_land(tmp_path, inputs):
     land = Region("land", "land", "municipality", None, ((
         ring(*box), *(ring(box[0] + 0.001, lo, box[2] - 0.001, hi) for lo, hi in rivers),
     ),))
+    return land, rivers
+
+
+def test_position_with_land_mask_puts_every_point_on_land(tmp_path, inputs):
+    land, rivers = river_land(load_towers_csv(inputs / ART["towers"]))
     write_regions_geojson([land], tmp_path / "land.geojson")
     ini = external_config(tmp_path, "land", inputs, inputs / ART["cdr"])
     ini.write_text(ini.read_text() + f"land_mask = {tmp_path / 'land.geojson'}\n")
@@ -839,3 +844,47 @@ def test_position_with_land_mask_puts_every_point_on_land(tmp_path, inputs):
     assert any(in_river(ev) for ev in load_positioned_csv(free / ART["positioned"]))
     positioned = load_positioned_csv(clipped / ART["positioned"])
     assert positioned and all(region_contains(land, ev.location) for ev in positioned)
+
+
+# Enabled AVX-512 features of this CPU, as numpy names them; numpy 2.4 and
+# later dispatch AVX-512 kernels under the X86_V4 group.
+ENABLED_AVX512 = """
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1
+    from numpy.core._multiarray_umath import __cpu_features__
+print(" ".join(k for k, on in __cpu_features__.items() if on and (k.startswith("AVX512") or k == "X86_V4")))
+"""
+
+
+@pytest.mark.skipif(not python_output(ENABLED_AVX512, env={"NPY_DISABLE_CPU_FEATURES": ""}),
+                    reason="the CPU has no AVX-512")
+def test_artifacts_do_not_depend_on_avx512_dispatch(tmp_path):
+    """numpy's SIMD kernels (np.arcsin among them) differ in the last bit with and
+    without AVX-512 dispatch; no artifact may."""
+    ini = tmp_path / "land.ini"
+    ini.write_text(TINY + "moving_rate_per_h = 30\n")
+    assert run("synth", "--config", str(ini), "--out", str(tmp_path / "inputs"), "--seed", "4") == 0
+    land, _ = river_land(load_towers_csv(tmp_path / "inputs" / ART["towers"]))
+    write_regions_geojson([land], tmp_path / "land.geojson")
+    ini.write_text(ini.read_text() + f"[paths]\nland_mask = {tmp_path / 'land.geojson'}\n")
+    code = (
+        "import sys, cdrflow.cli\n"
+        "sys.exit(cdrflow.cli.main(['all', '--config', sys.argv[1], '--out', sys.argv[2],"
+        " '--seed', '4']))\n"
+    )
+    avx512 = python_output(ENABLED_AVX512, env={"NPY_DISABLE_CPU_FEATURES": ""})
+    outs = {tmp_path / "with_avx512": "", tmp_path / "without_avx512": avx512}
+    for out, disabled in outs.items():
+        python_output(code, ini, out, env={"NPY_DISABLE_CPU_FEATURES": disabled})
+    # the variable took effect: numpy dispatches to fewer AVX-512 targets
+    assert set(python_output(ENABLED_AVX512, env={"NPY_DISABLE_CPU_FEATURES": avx512}).split()) \
+        < set(avx512.split())
+    a, b = outs
+    names = sorted(path.name for path in a.iterdir())
+    assert names == sorted(path.name for path in b.iterdir())
+    assert {ART["positioned"], ART["moving"], ART["trips"]} <= set(names)
+    positioned = load_positioned_csv(a / ART["positioned"])
+    assert positioned and all(region_contains(land, ev.location) for ev in positioned)
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -69,7 +70,7 @@ class ScalarSampler:
         fraction = min(max(sqrt(u), _RADIAL_FRACTION_MIN), _RADIAL_FRACTION_MAX)
         theta = math.radians((self.lo_bearing + v * self.span) % 360.0)
         sin_theta, cos_theta = sin(theta), cos(theta)
-        while True:
+        for _ in range(geo._SHRINK_ROUNDS):
             delta = fraction * self.radius / EARTH_RADIUS_M
             sin_delta, cos_delta = sin(delta), cos(delta)
             sin_phi2 = self.sin_phi1 * cos_delta + self.cos_phi1 * sin_delta * cos_theta
@@ -136,6 +137,15 @@ RIVER_LAND = (
     Region("east", "east", "municipality", None, (
         (ring((-9.10, 38.60), (-9.00, 38.60), (-9.00, 38.70), (-9.10, 38.70)),),
         (ring((-9.30, 38.699), (-9.29, 38.699), (-9.29, 38.701), (-9.30, 38.701)),),
+    )),
+)
+
+
+# A strip of land about 67 m wide along lat 38.7: sectors centred on it
+# re-draw most events many times, and some exhaust their attempts.
+THIN_STRIP = (
+    Region("strip", "strip", "municipality", None, (
+        (ring((-9.40, 38.6997), (-9.20, 38.6997), (-9.20, 38.7003), (-9.40, 38.7003)),),
     )),
 )
 
@@ -331,10 +341,14 @@ class TestEventSeedAndPositioning:
         towers = {c: TowerSector(c, GeoPoint(38.7, -9.3), 0.0, 120.0, 300.0) for c in ids}
         seeds, place = [], geo._place
 
-        def spy(given, *args):
-            assert given.dtype == np.uint64
-            seeds.extend(given.tolist())
-            return place(given, *args)
+        def spy(blocks, *args):
+            def seen():
+                for given, rows in blocks:
+                    assert given.dtype == np.uint64
+                    seeds.extend(given.tolist())
+                    yield given, rows
+
+            return place(seen(), *args)
 
         monkeypatch.setattr(geo, "_place", spy)
         monkeypatch.setattr(geo, "_BLOCK_EVENTS", block_events)
@@ -514,15 +528,50 @@ class TestLandPositioning:
         sectors = geo._Sectors(towers)
         rows = np.arange(10000) % len(towers)
         seeds = np.array([rng.getrandbits(64) for _ in rows], dtype=np.uint64)
-        lat, lon, at_centre = geo._place(seeds, rows, sectors, None, DEFAULT_CLIP_ATTEMPTS)
+        blocks = [(seeds, rows)]
+        lat, lon, at_centre = geo._place(blocks, len(rows), sectors, None, DEFAULT_CLIP_ATTEMPTS)
         assert not at_centre.any()
         for k, row in enumerate(rows.tolist()):
             sector = sectors.sectors[row]
             assert haversine_distance(sector.center, GeoPoint(lat[k], lon[k])) <= sector.radius_m
         # re-measuring every draw, not only those near their radius, changes nothing
         monkeypatch.setattr(geo, "_SLACK_M", math.inf)
-        again = geo._place(seeds, rows, sectors, None, DEFAULT_CLIP_ATTEMPTS)
+        again = geo._place(blocks, len(rows), sectors, None, DEFAULT_CLIP_ATTEMPTS)
         assert all(np.array_equal(a, b) for a, b in zip(again, (lat, lon, at_centre)))
+
+    def strip_sectors(self):
+        rng = random.Random(29)
+        return {
+            f"s{i:02d}": TowerSector(
+                f"s{i:02d}", GeoPoint(38.7 + rng.uniform(-2e-4, 2e-4), -9.39 + 0.18 * rng.random()),
+                rng.uniform(0, 360), rng.choice((30.0, 120.0, 360.0)), rng.uniform(200, 2500),
+            )
+            for i in range(12)
+        }
+
+    @pytest.mark.parametrize("strip", [False, True], ids=["river", "thin_strip"])
+    def test_pooled_redraws_do_not_depend_on_block_size(self, monkeypatch, strip):
+        # first draws go by block, later attempts by blocks of the pooled
+        # events still off land; neither may move a point
+        land = THIN_STRIP if strip else RIVER_LAND
+        towers = self.strip_sectors() if strip else self.sectors()
+        events = self.events(towers, n=400)
+        expected = scalar_positions(events, towers, land)
+        if strip:  # some events exhaust their attempts and fall back to the centre
+            assert any(ev.location == towers[ev.cell_id].center for ev in expected)
+        for size in (1, 7, 1024, len(events) + 1):
+            monkeypatch.setattr(geo, "_BLOCK_EVENTS", size)
+            assert position_events(events, towers, land=land) == expected
+
+    def test_nanometre_radii_finish_within_the_radius(self):
+        # the shrink rounds are bounded: unbounded, 100 draws at 1e-10 m took minutes
+        for radius in (1e-9, 1e-10):
+            sector = TowerSector("c", GeoPoint(38.7, -9.3), 45.0, 120.0, radius)
+            events = [CdrEvent("u", float(t), "c") for t in range(100)]
+            start = time.perf_counter()
+            got = position_events(events, {"c": sector})
+            assert time.perf_counter() - start < 1.0
+            assert all(haversine_distance(sector.center, ev.location) <= radius for ev in got)
 
     def test_land_free_matches_scalar_reference(self):
         towers = self.sectors()
@@ -555,6 +604,22 @@ class TestLandPositioning:
         for events in ([ghost, sea], land + [ghost, sea]):
             with pytest.raises(ValueError, match="unknown cell_id 'ghost'"):
                 position_events(events, towers, land=RIVER_LAND)
+
+    def test_clipping_exhausted_names_the_first_failing_event_across_blocks(self, monkeypatch):
+        towers = self.sectors()
+        for name, lat in (("sea_a", 10.0), ("sea_b", 11.0)):
+            towers[name] = TowerSector(name, GeoPoint(lat, 10.0), 0.0, 120.0, 500.0)
+        ghost = CdrEvent("u", 99.0, "ghost")
+        ok = [CdrEvent("u", float(t), "t01") for t in range(8)]
+        monkeypatch.setattr(geo, "_BLOCK_EVENTS", 4)
+        for first, second in (("sea_a", "sea_b"), ("sea_b", "sea_a")):
+            # blocks of 4: the first failing event in block 0, the other in block 2
+            events = ok[:2] + [CdrEvent("u", 20.0, first)] + ok[2:7] + [CdrEvent("u", 21.0, second)]
+            for case in (events, events + [ghost], events[:5] + [ghost] + events[5:]):
+                with pytest.raises(ClippingExhausted, match=f"sector {first} after 64 attempts"):
+                    position_events(case, towers, land=RIVER_LAND)
+            with pytest.raises(ValueError, match="unknown cell_id 'ghost'"):
+                position_events(events[:2] + [ghost] + events[2:], towers, land=RIVER_LAND)
 
     def test_output_does_not_depend_on_tower_order(self):
         towers = self.sectors()
@@ -674,6 +739,50 @@ class TestArrayLandTest:
             any(region_contains(r, GeoPoint(y, x)) for r in regions) for x, y in points
         ]
         assert got == expected
+
+    def test_box_cut_equals_region_contains_on_adversarial_points(self):
+        # a square with an L-shaped hole, a region of two polygons, one of
+        # them not convex, and a ring nearly as wide as the globe
+        regions = [
+            Region("L", "L", "municipality", None, ((
+                ring((0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)),
+                ring((1.0, 1.0), (3.0, 1.0), (3.0, 2.0), (2.0, 2.0), (2.0, 3.0), (1.0, 3.0)),
+            ),)),
+            Region("M", "M", "municipality", None, (
+                (ring((5.0, 0.0), (6.0, 0.0), (6.0, 1.0), (5.0, 1.0)),),
+                (ring((5.0, 2.0), (7.0, 2.5), (6.0, 3.0), (6.5, 2.5)),),
+            )),
+            Region("W", "W", "municipality", None, (
+                (ring((-179.5, -60.0), (179.5, -59.0), (179.25, -50.0), (-179.0, -50.5)),),
+            )),
+        ]
+        points = []
+        for region in regions:
+            for polygon in region.polygons:
+                for r in polygon:
+                    lats = sorted({v.lat for v in r})
+                    lats += [(a + b) / 2 for a, b in zip(lats, lats[1:])]
+                    for a, b in zip(r, r[1:]):  # vertices and points along edges
+                        points += [(a.lon + t * (b.lon - a.lon), a.lat + t * (b.lat - a.lat))
+                                   for t in (0.0, 0.25, 0.5)]
+                    (lo_x, hi_x, lo_y, hi_y), _ = geo._ring_segments(r)
+                    for x in (lo_x, hi_x):  # within 1 ulp of each box edge
+                        for x in (np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)):
+                            points += [(x, y) for y in lats]
+                    for y in (lo_y, hi_y):
+                        for y in (np.nextafter(y, -np.inf), y, np.nextafter(y, np.inf)):
+                            points += [(v.lon, y) for v in r]
+                    # left of the ring at its latitudes: every edge the ray meets is crossed
+                    points += [(x, y) for x in (lo_x - 0.5, lo_x - 1e-9) for y in lats]
+        points = [(float(x), float(y)) for x, y in points if -180.0 <= x <= 180.0]
+        lon = np.array([x for x, _ in points], dtype=np.float64)
+        lat = np.array([y for _, y in points], dtype=np.float64)
+        got = _Land(regions).contains(lon, lat).tolist()
+        expected = [
+            any(region_contains(r, GeoPoint(y, x)) for r in regions) for x, y in points
+        ]
+        assert got == expected
+        assert 0 < sum(expected) < len(expected)
 
     def test_hole_rules(self):
         # land, river, river bank, island, island corner, east region, gap, hole edge
