@@ -26,10 +26,8 @@ _EXPORTS = {
     "eventlog": (
         "CaseLog", "LogStats", "Ocel", "Trace", "build_case_log", "build_ocel", "compute_stats",
     ),
-    "geo": (
-        "CdrEvent", "GeoPoint", "PositionedEvent", "Region", "RegionIndex", "TowerSector",
-        "haversine_distance", "position_events", "sample_sector_point",
-    ),
+    "geo": ("Region", "RegionIndex", "TowerSector", "position_events", "sample_sector_point"),
+    "records": ("CdrEvent", "GeoPoint", "PositionedEvent", "haversine_distance"),
     "stays": (
         "Staypoint", "Stop", "StopParams", "build_staypoints", "cluster_destinations",
         "detect_stops", "moving_events",
@@ -45,8 +43,8 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = {
-    "cli", "config", "conformance", "discovery", "errors", "eventlog", "files", "geo", "stays",
-    "synth", "timefmt", "trips", "validation",
+    "cli", "config", "conformance", "discovery", "errors", "eventlog", "files", "geo", "records",
+    "stays", "synth", "timefmt", "trips", "validation",
 }
 
 __all__ = sorted(_MODULE_OF)

@@ -100,12 +100,12 @@ def stage_synth(cfg: PipelineConfig) -> None:
 
 
 def stage_position(cfg: PipelineConfig) -> None:
-    from . import geo
+    from . import geo, records
 
     # Inputs come from [paths] when configured, else from the synth stage.
     cdr_path = cfg.cdr_path or _artifact(cfg, "cdr")
     towers_path = cfg.towers_path or _artifact(cfg, "towers")
-    events = geo.sort_by_user_time(geo.load_cdr_csv(cdr_path))
+    events = records.sort_by_user_time(geo.load_cdr_csv(cdr_path))
     towers = geo.load_towers_csv(towers_path)
     positioned = geo.position_events(events, towers, land=_load_land(cfg))
     geo.write_positioned_csv(positioned, _artifact(cfg, "positioned"))

@@ -67,27 +67,32 @@ def read_csv(
 
     Blank lines are skipped.  `what` names the kind of file in errors: a
     wrong header raises HeaderMismatch, and a row with another number of
-    fields than the header, or one whose fields make rejects with
-    ValueError, raises ValueError; each names the file and line.
+    fields than the header, one whose fields make rejects with ValueError,
+    or one csv cannot read, such as one opening a quote that never closes,
+    raises ValueError; each names the file and the line the row starts on.
     """
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
-        if next(reader, None) != list(header):
-            raise HeaderMismatch(f"{what} {path}: line 1: expected header {','.join(header)}")
-        width = len(header)
-        for row in reader:
-            if len(row) != width:
-                if not row:
-                    continue
-                raise ValueError(
-                    f"{what} {path}: line {reader.line_num}: "
-                    f"{len(row)} fields, expected {width}"
-                )
-            try:
-                record = make(*row)
-            except ValueError as exc:
-                raise ValueError(f"{what} {path}: line {reader.line_num}: {exc}") from exc
-            yield record
+        end = 0  # the last line of the last row read
+        try:
+            if next(reader, None) != list(header):
+                raise HeaderMismatch(f"{what} {path}: line 1: expected header {','.join(header)}")
+            end, width = reader.line_num, len(header)
+            for row in reader:
+                start, end = end + 1, reader.line_num
+                if len(row) != width:
+                    if not row:
+                        continue
+                    raise ValueError(
+                        f"{what} {path}: line {start}: {len(row)} fields, expected {width}"
+                    )
+                try:
+                    record = make(*row)
+                except ValueError as exc:
+                    raise ValueError(f"{what} {path}: line {start}: {exc}") from exc
+                yield record
+        except csv.Error as exc:
+            raise ValueError(f"{what} {path}: line {end + 1}: {exc}") from exc
 
 
 def read_keyed_csv(

@@ -1,14 +1,13 @@
-"""Geographic primitives: tower sectors, pseudo-location sampling, region assignment.
+"""Tower sectors, pseudo-location sampling, land clipping, region assignment, file codecs.
 
 Cell identifiers carry no exact coordinates, so events are placed at
 deterministic pseudo-locations inside the serving antenna's sector wedge.
-All distances are great-circle meters on a sphere of radius 6,371,000 m.
+The event records and the great-circle math are in records.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from array import array
 from dataclasses import dataclass, replace
 from hashlib import blake2b
@@ -20,12 +19,14 @@ from .files import (
     is_strict, plain_csv_blocks, read_csv, read_json, read_keyed_csv, strict_float, write_csv,
     write_csv_blocks, write_json,
 )
+from .records import (
+    _BLOCK_EVENTS, EARTH_RADIUS_M, CdrEvent, EventColumns, GeoPoint, PositionedEvent,
+    _check_coordinates, event_columns, id_codes,
+)
 from .timefmt import from_iso, from_iso_block, to_iso_block
 
 if TYPE_CHECKING:
     import numpy as np
-
-EARTH_RADIUS_M = 6_371_000.0
 
 # Rejection-sampling budget for land clipping.
 DEFAULT_CLIP_ATTEMPTS = 64
@@ -35,24 +36,6 @@ DEFAULT_CLIP_ATTEMPTS = 64
 _RADIAL_FRACTION_MIN = 1e-3
 _RADIAL_FRACTION_MAX = 1.0 - 1e-9
 _BEARING_MARGIN_DEG = 1e-6
-
-
-@dataclass(frozen=True, slots=True)
-class GeoPoint:
-    """WGS84 coordinate pair in decimal degrees."""
-
-    lat: float
-    lon: float
-
-    def __post_init__(self) -> None:
-        _check_coordinates(self.lat, self.lon)
-
-
-def _check_coordinates(lat: float, lon: float) -> None:
-    if not (-90.0 <= lat <= 90.0):
-        raise ValueError(f"latitude out of range: {lat}")
-    if not (-180.0 <= lon <= 180.0):
-        raise ValueError(f"longitude out of range: {lon}")
 
 
 @dataclass(frozen=True)
@@ -101,95 +84,11 @@ class Region:
                     )
 
 
-@dataclass(frozen=True, slots=True)
-class CdrEvent:
-    """Raw telecom observation: who, when, which serving cell."""
-
-    user_id: str
-    timestamp: float
-    cell_id: str
-
-
-@dataclass(frozen=True, slots=True)
-class PositionedEvent:
-    """CDR event with a pseudo-location inside its sector."""
-
-    user_id: str
-    timestamp: float
-    cell_id: str
-    location: GeoPoint
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.timestamp):
-            raise ValueError("timestamp must be finite")
-
-
-def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
-    """Great-circle distance in meters between two (lat, lon) pairs in degrees."""
-    rad, sin, cos = math.radians, math.sin, math.cos
-    h = (
-        sin(rad(lat2 - lat1) / 2.0) ** 2
-        + cos(rad(lat1)) * cos(rad(lat2)) * sin(rad(lon2 - lon1) / 2.0) ** 2
-    )
-    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
-
-
-def haversine_m_array(phi1, lam1, cos_phi1, phi2, lam2, cos_phi2) -> np.ndarray:
-    """Great-circle distances in meters from radians (phi1, lam1) to arrays (phi2, lam2).
-
-    cos_phi1 and cos_phi2 are the cosines of phi1 and phi2, which callers
-    already hold.
-    """
-    import numpy as np
-
-    h = (
-        np.sin((phi2 - phi1) / 2.0) ** 2
-        + cos_phi1 * cos_phi2 * np.sin((lam2 - lam1) / 2.0) ** 2
-    )
-    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(h)))
-
-
-def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
-    """Great-circle distance in meters between two points."""
-    return haversine_m(a.lat, a.lon, b.lat, b.lon)
-
-
-def initial_bearing(a: GeoPoint, b: GeoPoint) -> float:
-    """Forward azimuth from a to b, degrees clockwise from north in [0, 360)."""
-    phi1 = math.radians(a.lat)
-    phi2 = math.radians(b.lat)
-    dlam = math.radians(b.lon - a.lon)
-    y = math.sin(dlam) * math.cos(phi2)
-    x = math.cos(phi1) * math.sin(phi2) - math.sin(phi1) * math.cos(phi2) * math.cos(dlam)
-    return math.degrees(math.atan2(y, x)) % 360.0
-
-
-def destination_point(start: GeoPoint, bearing_deg: float, distance_m: float) -> GeoPoint:
-    """Point reached from start after distance_m along the given bearing."""
-    delta = distance_m / EARTH_RADIUS_M
-    theta = math.radians(bearing_deg)
-    phi1 = math.radians(start.lat)
-    lam1 = math.radians(start.lon)
-    sin_phi2 = math.sin(phi1) * math.cos(delta) + math.cos(phi1) * math.sin(delta) * math.cos(theta)
-    phi2 = math.asin(max(-1.0, min(1.0, sin_phi2)))
-    lam2 = lam1 + math.atan2(
-        math.sin(theta) * math.sin(delta) * math.cos(phi1),
-        math.cos(delta) - math.sin(phi1) * sin_phi2,
-    )
-    lon = (math.degrees(lam2) + 180.0) % 360.0 - 180.0
-    return GeoPoint(lat=math.degrees(phi2), lon=lon)
-
-
 def bearing_within_wedge(bearing_deg: float, azimuth_deg: float, beamwidth_deg: float) -> bool:
     """Wrap-aware test that a bearing lies inside [azimuth - bw/2, azimuth + bw/2]."""
     diff = (bearing_deg - azimuth_deg + 180.0) % 360.0 - 180.0
     return abs(diff) <= beamwidth_deg / 2.0
 
-
-# Positioning runs over blocks of this many events: enough rows that the
-# array passes outweigh their call overhead, few enough that a block's
-# temporaries stay small beside the result.  Output does not depend on it.
-_BLOCK_EVENTS = 1024
 
 _TWO_53 = float(1 << 53)
 
@@ -291,16 +190,11 @@ class _Sectors:
         self.geometry = np.array(params, dtype=np.float64).reshape(-1, 9)
 
 
-def _haversine_from_centre(g: np.ndarray, lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
-    """haversine_m from the centre of each row's sector to (lat, lon), bit for bit."""
+def _libm_haversine(dphi, dlam, cos_phi1, phi2) -> np.ndarray:
+    """haversine_m's arithmetic over arrays of radians, with libm's sin, cos and asin."""
     import numpy as np
 
-    S = _Sectors
-    h = (
-        _sin_squared(np.radians(lat - g[:, S.LAT]) / 2.0)
-        + g[:, S.COS_PHI1] * _libm(math.cos, np.radians(lat))
-        * _sin_squared(np.radians(lon - g[:, S.LON]) / 2.0)
-    )
+    h = _sin_squared(dphi / 2.0) + cos_phi1 * _libm(math.cos, phi2) * _sin_squared(dlam / 2.0)
     return 2.0 * EARTH_RADIUS_M * _libm(math.asin, np.minimum(1.0, np.sqrt(h)))
 
 
@@ -355,19 +249,18 @@ def _wedge_draw(
         phi2[rows] = p2
         lam2[rows] = l2
         # re-measure; shrink the rows that overshoot (seen only at sub-micrometre radii)
-        h = (
-            _sin_squared((p2 - phi1[rows]) / 2.0)
-            + cos_p1 * _libm(math.cos, p2) * _sin_squared((l2 - lam1[rows]) / 2.0)
-        )
-        distance = 2.0 * EARTH_RADIUS_M * _libm(math.asin, np.minimum(1.0, np.sqrt(h)))
+        distance = _libm_haversine(p2 - phi1[rows], l2 - lam1[rows], cos_p1, p2)
         measured[rows] = distance
         rows = rows[~(distance <= radius[rows])]
         fraction[rows] *= 0.999999
     lat, lon = np.degrees(phi2), np.mod(np.degrees(lam2) + 180.0, 360.0) - 180.0
     at_centre = np.zeros(len(g), dtype=bool)
     again = np.flatnonzero((measured > radius - _SLACK_M) | (measured > _FAR_M))
-    if again.size:
-        over = again[~(_haversine_from_centre(g[again], lat[again], lon[again]) <= radius[again])]
+    if again.size:  # haversine_m from the sector's centre to the degrees returned, bit for bit
+        la, ga = lat[again], g[again]
+        dphi, dlam = np.radians(la - ga[:, S.LAT]), np.radians(lon[again] - ga[:, S.LON])
+        distance = _libm_haversine(dphi, dlam, ga[:, S.COS_PHI1], np.radians(la))
+        over = again[~(distance <= radius[again])]
         lat[over], lon[over] = g[over, S.LAT], g[over, S.LON]
         at_centre[over] = True
     return lat, lon, at_centre
@@ -657,6 +550,12 @@ class _BoxGrid:
         return self._buckets.get(self._cell(x, y), [])
 
 
+def _first_orphan(regions: dict[str, Region]) -> Optional[str]:
+    """The id of the first parish whose parent_id is no key of regions, or None."""
+    parishes = (r for r in regions.values() if r.level == "parish")
+    return next((r.region_id for r in parishes if r.parent_id not in regions), None)
+
+
 class RegionIndex:
     """Immutable region lookup: grid buckets of bounding boxes per level."""
 
@@ -672,13 +571,9 @@ class RegionIndex:
         for entries in self._by_level.values():
             entries.sort(key=lambda e: e[1].region_id)
         self._grids = {level: _BoxGrid(entries) for level, entries in self._by_level.items()}
-        for region in self._by_id.values():
-            if region.level == "parish" and (
-                region.parent_id is None or region.parent_id not in self._by_id
-            ):
-                raise ValueError(
-                    f"parish {region.region_id} must reference an existing municipality parent"
-                )
+        orphan = _first_orphan(self._by_id)
+        if orphan is not None:
+            raise ValueError(f"parish {orphan} must reference an existing municipality parent")
 
     @staticmethod
     def _bbox(region: Region) -> tuple[float, float, float, float]:
@@ -711,100 +606,6 @@ class RegionIndex:
             if region_contains(region, p):
                 return region.region_id
         return None
-
-
-@dataclass(frozen=True, eq=False)
-class EventColumns(Sequence):
-    """Events as parallel columns, the library's and the staged CLI's one event type.
-
-    `user` and `cell` are int32 codes into the `users` and `cells` tables,
-    which list each id once; `ts`, `lat` and `lon` are float64.  `lat` and
-    `lon` are None until the events are positioned.
-
-    As a read-only sequence the columns give one record per event, a
-    CdrEvent or, once positioned, a PositionedEvent, made when it is read;
-    they equal a list or tuple of the same records.  take() gives columns.
-    """
-
-    users: list[str]
-    cells: list[str]
-    user: np.ndarray
-    cell: np.ndarray
-    ts: np.ndarray
-    lat: Optional[np.ndarray] = None
-    lon: Optional[np.ndarray] = None
-
-    def __len__(self) -> int:
-        return len(self.ts)
-
-    def __getitem__(self, index):
-        if not isinstance(index, slice):
-            k = range(len(self))[index]
-            return self[k:k + 1][0]
-        fields = (
-            map(self.users.__getitem__, self.user[index].tolist()), self.ts[index].tolist(),
-            map(self.cells.__getitem__, self.cell[index].tolist()),
-        )
-        if self.lat is None:
-            return list(map(CdrEvent, *fields))
-        locations = map(GeoPoint, self.lat[index].tolist(), self.lon[index].tolist())
-        return list(map(PositionedEvent, *fields, locations))
-
-    def __iter__(self) -> Iterator:
-        for start in range(0, len(self), _BLOCK_EVENTS):
-            yield from self[start:start + _BLOCK_EVENTS]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (list, tuple, EventColumns)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    def take(self, index: np.ndarray) -> EventColumns:
-        """The events at `index`, an index array or a boolean mask, in its order."""
-        return EventColumns(
-            self.users, self.cells, self.user[index], self.cell[index], self.ts[index],
-            None if self.lat is None else self.lat[index],
-            None if self.lon is None else self.lon[index],
-        )
-
-
-def user_rank(users: list[str]) -> np.ndarray:
-    """Position of each id of a user table in the sorted table."""
-    import numpy as np
-
-    rank = np.empty(len(users), dtype=np.int64)
-    rank[sorted(range(len(users)), key=users.__getitem__)] = np.arange(len(rank))
-    return rank
-
-
-def event_columns(records: Iterable) -> EventColumns:
-    """EventColumns of CdrEvent or PositionedEvent records; EventColumns come back unchanged.
-
-    The columns hold lat and lon when every record is a PositionedEvent.
-    """
-    import numpy as np
-
-    if isinstance(records, EventColumns):
-        return records
-    records = list(records)
-    users, cells = {}, {}
-    user = id_codes(users, [ev.user_id for ev in records])
-    cell = id_codes(cells, [ev.cell_id for ev in records])
-    columns = [[ev.timestamp for ev in records]]
-    if all(isinstance(ev, PositionedEvent) for ev in records):
-        columns += [[ev.location.lat for ev in records], [ev.location.lon for ev in records]]
-    return EventColumns(list(users), list(cells), user, cell, *np.array(columns, dtype=np.float64))
-
-
-def sort_by_user_time(events: EventColumns) -> EventColumns:
-    """The events in (user_id, timestamp) order; ties keep their input order.
-
-    Stop detection needs each user's events in time order; exports need
-    not be, and the sort is stable, so sorted input comes out unchanged.
-    """
-    import numpy as np
-
-    return events.take(np.lexsort((events.ts, user_rank(events.users)[events.user])))
 
 
 def position_events(
@@ -841,17 +642,6 @@ def position_events(
     if unknown.size:
         raise ValueError(f"event references unknown cell_id {events.cells[events.cell[known]]!r}")
     return replace(events, lat=lat, lon=lon)
-
-
-def group_by_user(records: Iterable) -> dict[str, list]:
-    """Records grouped by their user_id, in input order within each group.
-
-    Groups appear in the order their users first occur.
-    """
-    groups: dict[str, list] = {}
-    for record in records:
-        groups.setdefault(record.user_id, []).append(record)
-    return groups
 
 
 # --- file formats -----------------------------------------------------------
@@ -895,15 +685,6 @@ def _positioned_fields(user_id, ts, cell_id, lat, lon) -> tuple:
     if not math.isfinite(timestamp):
         raise ValueError("timestamp must be finite")
     return user_id, timestamp, cell_id, lat, lon
-
-
-def id_codes(table: dict[str, int], ids: list[str]) -> np.ndarray:
-    """int32 codes of ids, entering new ids in `table` in order of first appearance."""
-    import numpy as np
-
-    for key in dict.fromkeys(ids):
-        table.setdefault(key, len(table))
-    return np.fromiter(map(table.__getitem__, ids), dtype=np.int32, count=len(ids))
 
 
 class _ColumnBuilder:
@@ -1085,13 +866,18 @@ def load_regions_geojson(path: str | Path) -> RegionIndex:
         region_id, parent_id = str(props["region_id"]), props.get("parent_id")
         if region_id in regions:
             raise ValueError(f"{where}: duplicate region_id {region_id!r}")
-        regions[region_id] = Region(
-            region_id=region_id,
-            name=str(props.get("name", props["region_id"])),
-            level=str(props["level"]),
-            parent_id=None if parent_id is None else str(parent_id),
-            polygons=tuple(_coords_to_polygon(c, where) for c in coords),
-        )
+        name, level = str(props.get("name", props["region_id"])), str(props["level"])
+        polygons = tuple(_coords_to_polygon(c, where) for c in coords)
+        try:  # Region checks the level and the rings
+            regions[region_id] = Region(
+                region_id, name, level, None if parent_id is None else str(parent_id), polygons
+            )
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    orphan = _first_orphan(regions)
+    if orphan is not None:  # as RegionIndex would raise, naming the file and feature
+        where = f"regions file {path}: feature {list(regions).index(orphan)}"
+        raise ValueError(f"{where}: parish {orphan} must reference an existing municipality parent")
     return RegionIndex(regions.values())
 
 

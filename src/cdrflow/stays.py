@@ -21,12 +21,11 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequen
 from .config import StopParams
 from .errors import UnresolvedRegion, UnsortedInput
 from .files import read_keyed_csv, strict_float, write_csv
-from .geo import (
+from .records import (
     EARTH_RADIUS_M,
     EventColumns,
     GeoPoint,
     PositionedEvent,
-    RegionIndex,
     event_columns,
     group_by_user,
     haversine_m,
@@ -38,6 +37,8 @@ from .timefmt import from_iso, to_iso
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .geo import RegionIndex
 
 
 @dataclass(frozen=True, slots=True)

@@ -27,12 +27,10 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 from .config import _MAX_TRIPS_PER_DAY, ScenarioConfig, TowerGridSpec  # noqa: F401 (re-exported)
 from .errors import InvalidConfig, ScenarioMismatch
 from .files import read_json, write_json
-from .geo import (
+from .geo import Region, RegionIndex, TowerSector
+from .records import (
     EventColumns,
     GeoPoint,
-    Region,
-    RegionIndex,
-    TowerSector,
     destination_point,
     group_by_user,
     haversine_distance,

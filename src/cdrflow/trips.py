@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 
 from .config import DEFAULT_TRIP_GAP_S, ModeThresholds
 from .files import read_keyed_csv, strict_float, write_csv
-from .geo import GeoPoint, PositionedEvent, group_by_user, haversine_distance
+from .records import GeoPoint, PositionedEvent, group_by_user, haversine_distance
 from .stays import Staypoint
 from .timefmt import from_iso, to_iso
 

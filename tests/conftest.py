@@ -4,9 +4,9 @@ import random
 import pytest
 
 from cdrflow.eventlog import CaseLog, Ocel, OcelEvent, Trace
-from cdrflow.geo import (
-    CdrEvent, GeoPoint, Region, RegionIndex, destination_point, group_by_user,
-    haversine_distance, initial_bearing,
+from cdrflow.geo import Region, RegionIndex
+from cdrflow.records import (
+    CdrEvent, GeoPoint, destination_point, group_by_user, haversine_distance, initial_bearing,
 )
 
 
@@ -134,7 +134,7 @@ def reference_staypoints(positioned, params, regions=None):
 def reference_nearest_towers(world, p, k=2):
     import numpy as np
 
-    from cdrflow.geo import haversine_m_array
+    from cdrflow.records import haversine_m_array
 
     phi = math.radians(p.lat)
     d = haversine_m_array(

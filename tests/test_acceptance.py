@@ -17,16 +17,14 @@ from cdrflow.conformance import dfg_to_workflow_net, token_replay
 from cdrflow.discovery import annotate_durations, discover_dfg, discover_ocdfg, extract_variants
 from cdrflow.eventlog import CaseLog, Trace, build_case_log, build_ocel
 from cdrflow.geo import (
-    GeoPoint,
     RegionIndex,
     TowerSector,
     bearing_within_wedge,
-    haversine_distance,
-    initial_bearing,
     position_events,
     region_contains,
     sample_sector_point,
 )
+from cdrflow.records import GeoPoint, haversine_distance, initial_bearing
 from cdrflow.stays import Staypoint, StopParams, build_staypoints
 from cdrflow.synth import ScenarioConfig, generate_scenario, score_recovery
 from cdrflow.trips import Trip, Tripleg, build_trips

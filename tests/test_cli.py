@@ -1,3 +1,4 @@
+import csv
 import gc
 import json
 import os
@@ -14,9 +15,10 @@ import cdrflow
 from cdrflow.cli import ART, main
 from cdrflow.config import PipelineConfig, config_hash, load_config
 from cdrflow.geo import (
-    GeoPoint, Region, load_cdr_csv, load_positioned_csv, load_towers_csv, region_contains,
+    Region, load_cdr_csv, load_positioned_csv, load_towers_csv, region_contains,
     write_regions_geojson,
 )
+from cdrflow.records import GeoPoint
 
 from test_geo import scalar_positions
 
@@ -526,10 +528,10 @@ def test_each_stage_leaves_later_stages_modules_out(tmp_path, tiny_config):
         "import json, sys, cdrflow.cli\n"
         "argv = [sys.argv[1], '--config', sys.argv[2], '--out', sys.argv[3], '--seed', '4']\n"
         "assert cdrflow.cli.main(argv) == 0\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('cdrflow.'))))\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith(('cdrflow.', 'numpy')))))\n"
     )
     mining = {"cdrflow.eventlog", "cdrflow.discovery", "cdrflow.conformance"}
-    trip_making = {"cdrflow.geo", "cdrflow.stays", "cdrflow.trips"}
+    trip_making = {"cdrflow.geo", "cdrflow.records", "cdrflow.stays", "cdrflow.trips"}
     for stage in ("position", "stays", "trips", "log", "discover", "conform", "validate"):
         loaded = set(json.loads(python_output(code, stage, tiny_config, out)))
         assert "cdrflow.synth" not in loaded, stage
@@ -537,8 +539,15 @@ def test_each_stage_leaves_later_stages_modules_out(tmp_path, tiny_config):
             assert not loaded & mining, stage
         if stage == "position":
             assert not loaded & {"cdrflow.stays", "cdrflow.trips"}
+        if stage in ("log", "validate"):  # staypoints and trips need no positioning code
+            assert not loaded & {"cdrflow.geo", "numpy"}, stage
         if stage in ("discover", "conform"):
             assert not loaded & trip_making, stage
+    code = (
+        "import sys, cdrflow.records\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('cdrflow', 'numpy'))))\n"
+    )
+    assert python_output(code) == "['cdrflow', 'cdrflow.records']"
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -626,6 +635,27 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith(f"cdrflow {stage}: ")
         assert f"line {len(lines)}:" in err
+
+    @pytest.mark.parametrize("long", [True, False])
+    @pytest.mark.parametrize("name, stage", [("positioned", "stays"), ("staypoints", "validate")])
+    def test_unbalanced_quote_exits_1_naming_the_line(self, survey_run, name, stage, long, capsys):
+        # the quote opens a field that runs on to the end of the file, or,
+        # in a long file, past csv's field size limit
+        ini, out, _ = survey_run
+        path = out / ART[name]
+        original = path.read_bytes()
+        lines = original.splitlines(keepends=True)
+        rest = b"".join(lines[2:12])
+        if long:
+            rest *= csv.field_size_limit() // len(rest) + 1
+        path.write_bytes(b"".join(lines[:2]) + b'"' + rest)
+        try:
+            assert run(stage, "--config", str(ini), "--out", str(out), "--seed", "4") == 1
+        finally:
+            path.write_bytes(original)
+        err = capsys.readouterr().err
+        assert err.startswith(f"cdrflow {stage}: ") and "Traceback" not in err
+        assert f"{path}: line 3: " in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("name, stage, column", [
         ("towers", "position", "lat"), ("positioned", "stays", "lon"),
@@ -785,8 +815,16 @@ class TestMalformedInput:
         (lambda doc: with_geometry(doc, "Point", [1.0, 2.0]), ": feature 3: unsupported geometry Point"),
         (lambda doc: {**doc, "features": doc["features"][:4] + doc["features"][3:]},
          ": feature 4: duplicate region_id 'M00_03'\n"),
+        (lambda doc: with_property(doc, 3, "level", "x"), ": feature 3: unknown region level: x\n"),
+        (lambda doc: with_geometry(doc, "Polygon", [[[0, 0], [1, 0], [1, 1], [0, 1]]]),
+         ": feature 3: region M00_03: ring must be closed (first == last)\n"),
+        (lambda doc: with_geometry(doc, "Polygon", [[[0, 0], [1, 0], [0, 0]]]),
+         ": feature 3: region M00_03: ring must be closed (first == last)\n"),
+        (lambda doc: with_property(doc, 179, "parent_id", "M99_99"),
+         ": feature 179: parish P11_11 must reference an existing municipality parent\n"),
     ], ids=["list", "untyped", "int-feature", "feature-object", "int-polygon", "int-multipolygon",
-            "null-number", "point", "repeated-id"])
+            "null-number", "point", "repeated-id", "unknown-level", "open-ring", "short-ring",
+            "missing-parent"])
     def test_malformed_regions_file_exits_1_naming_file_and_feature(
         self, tmp_path, inputs, stage, edit, message, capsys
     ):
@@ -808,6 +846,11 @@ class TestMalformedInput:
 
 def with_geometry(doc, kind, coordinates):
     doc["features"][3]["geometry"] = {"type": kind, "coordinates": coordinates}
+    return doc
+
+
+def with_property(doc, k, key, value):
+    doc["features"][k]["properties"][key] = value
     return doc
 
 

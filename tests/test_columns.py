@@ -23,17 +23,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdrflow import files, geo, stays, synth
+from cdrflow import files, geo, records, stays, synth
 from cdrflow.errors import UnsortedInput
 from cdrflow.files import read_csv
-from cdrflow.geo import (
-    CDR_HEADER,
-    POSITIONED_HEADER,
-    CdrEvent,
-    GeoPoint,
-    PositionedEvent,
-    position_events,
-)
+from cdrflow.geo import CDR_HEADER, POSITIONED_HEADER, position_events
+from cdrflow.records import CdrEvent, GeoPoint, PositionedEvent, event_columns
 from cdrflow.timefmt import from_iso, to_iso
 
 from conftest import reference_staypoints
@@ -93,7 +87,7 @@ def object_rows(events):
 def cdr_columns(events):
     users = list(dict.fromkeys(ev.user_id for ev in events))
     cells = list(dict.fromkeys(ev.cell_id for ev in events))
-    return geo.EventColumns(
+    return records.EventColumns(
         users, cells,
         np.array([users.index(ev.user_id) for ev in events], dtype=np.int32),
         np.array([cells.index(ev.cell_id) for ev in events], dtype=np.int32),
@@ -266,7 +260,7 @@ def test_empty_files_give_empty_columns(tmp_path):
     path.write_text(",".join(POSITIONED_HEADER) + "\n")
     events = geo.read_positioned_columns(path)
     assert len(events) == 0 and events.users == [] and events.lat.dtype == np.float64
-    assert len(geo.sort_by_user_time(events)) == 0
+    assert len(records.sort_by_user_time(events)) == 0
 
 
 # --- sort, position, write ------------------------------------------------------
@@ -279,7 +273,7 @@ def test_empty_files_give_empty_columns(tmp_path):
 def test_sort_by_user_time_is_the_stable_sort(pairs):
     # a unique cell per event shows where every tie went
     events = [CdrEvent(user_id, ts, f"c{k}") for k, (user_id, ts) in enumerate(pairs)]
-    got = geo.sort_by_user_time(cdr_columns(events))
+    got = records.sort_by_user_time(cdr_columns(events))
     assert got.user.dtype == np.int32 and got.ts.dtype == np.float64
     expected = sorted(events, key=lambda ev: (ev.user_id, ev.timestamp))
     assert column_rows(got) == object_rows(expected)
@@ -450,7 +444,7 @@ def test_build_staypoints_and_moving_events_equal_reference(tmp_path, seed, inte
     assert got == expected and len(expected) > 5
     assert stays.build_staypoints(positioned, params, regions=regions) == expected
     moving = stays.moving_events(columns, got)
-    assert isinstance(moving, geo.EventColumns) and moving == expected_moving
+    assert isinstance(moving, records.EventColumns) and moving == expected_moving
     kept = stays.moving_events(positioned, got)
     assert len(kept) == len(expected_moving)
     assert all(a is b for a, b in zip(kept, expected_moving))
@@ -486,12 +480,12 @@ def sequence_world(land_world):
 @pytest.mark.parametrize("kind", ["cdr", "positioned"])
 def test_event_columns_are_a_sequence_of_records(sequence_world, kind, block_events, monkeypatch):
     records = dict(zip(("cdr", "positioned"), sequence_world))[kind]
-    columns = geo.event_columns(records)
-    assert geo.event_columns(columns) is columns and (columns.lat is None) == (kind == "cdr")
-    monkeypatch.setattr(geo, "_BLOCK_EVENTS", block_events)
+    columns = event_columns(records)
+    assert event_columns(columns) is columns and (columns.lat is None) == (kind == "cdr")
+    monkeypatch.setattr("cdrflow.records._BLOCK_EVENTS", block_events)
 
     assert list(columns) == records and len(columns) == len(records) == 50
-    for other in (records, tuple(records), geo.event_columns(list(records))):
+    for other in (records, tuple(records), event_columns(list(records))):
         assert columns == other and other == columns
         assert not (columns != other) and not (other != columns)
     changed = records[:-1] + [CdrEvent("u", 0.0, "c")]
@@ -516,7 +510,7 @@ def test_event_columns_are_a_sequence_of_records(sequence_world, kind, block_eve
 
 def test_cdr_writer_leaves_positioned_columns_coordinates_out(sequence_world, tmp_path):
     events, positioned = sequence_world
-    columns = geo.event_columns(positioned)
+    columns = event_columns(positioned)
     assert columns.lat is not None
     geo.write_cdr_csv(columns, tmp_path / "cdr.csv")
     write_reference(tmp_path / "reference.csv", CDR_HEADER,

@@ -16,7 +16,7 @@ from cdrflow.eventlog import (
     write_case_log_csv,
     write_ocel_json,
 )
-from cdrflow.geo import GeoPoint
+from cdrflow.records import GeoPoint
 from cdrflow.stays import Staypoint
 from cdrflow.trips import Trip, Tripleg
 

@@ -15,19 +15,12 @@ from cdrflow.geo import (
     _RADIAL_FRACTION_MAX,
     _RADIAL_FRACTION_MIN,
     DEFAULT_CLIP_ATTEMPTS,
-    EARTH_RADIUS_M,
-    CdrEvent,
-    GeoPoint,
-    PositionedEvent,
     Region,
     RegionIndex,
     TowerSector,
     _Land,
     bearing_within_wedge,
-    destination_point,
     event_seed,
-    haversine_distance,
-    initial_bearing,
     load_cdr_csv,
     load_regions_geojson,
     load_towers_csv,
@@ -37,6 +30,16 @@ from cdrflow.geo import (
     write_cdr_csv,
     write_regions_geojson,
     write_towers_csv,
+)
+from cdrflow.records import (
+    EARTH_RADIUS_M,
+    CdrEvent,
+    GeoPoint,
+    PositionedEvent,
+    destination_point,
+    event_columns,
+    haversine_distance,
+    initial_bearing,
 )
 
 from conftest import square_region
@@ -352,7 +355,7 @@ class TestEventSeedAndPositioning:
 
         monkeypatch.setattr(geo, "_place", spy)
         monkeypatch.setattr(geo, "_BLOCK_EVENTS", block_events)
-        for given in (events, geo.event_columns(events)):
+        for given in (events, event_columns(events)):
             seeds.clear()
             assert position_events(given, towers) == scalar_positions(events, towers)
             assert seeds == [event_seed(ev.cell_id, ev.user_id, ev.timestamp) for ev in events]
@@ -370,7 +373,7 @@ class TestEventSeedAndPositioning:
 
     def test_unknown_cell_raises(self):
         events = [CdrEvent("u1", 0.0, "nope")]
-        for given in (events, geo.event_columns(events)):
+        for given in (events, event_columns(events)):
             with pytest.raises(ValueError, match="unknown cell_id"):
                 position_events(given, {})
 
@@ -471,7 +474,7 @@ class TestLandPositioning:
         events = self.events(towers)  # more than two blocks
         got = position_events(events, towers, land=RIVER_LAND)
         assert got == scalar_positions(events, towers, RIVER_LAND)
-        assert position_events(geo.event_columns(events), towers, land=RIVER_LAND) == got
+        assert position_events(event_columns(events), towers, land=RIVER_LAND) == got
         for ev in got:
             assert any(region_contains(r, ev.location) for r in RIVER_LAND)
         centre = towers["wet"].center
@@ -497,8 +500,8 @@ class TestLandPositioning:
         random.Random(block_events).shuffle(order)
         shuffled = [events[k] for k in order]
         monkeypatch.setattr(geo, "_BLOCK_EVENTS", block_events)
-        for given in (shuffled, geo.event_columns(shuffled),
-                      geo.event_columns(events).take(np.array(order))):
+        for given in (shuffled, event_columns(shuffled),
+                      event_columns(events).take(np.array(order))):
             assert position_events(given, towers, land=RIVER_LAND) == [expected[k] for k in order]
 
     def test_overshoot_shrinks_like_reference(self):
@@ -578,7 +581,7 @@ class TestLandPositioning:
         events = self.events(towers, n=1500)
         expected = scalar_positions(events, towers)
         assert position_events(events, towers) == expected
-        assert position_events(geo.event_columns(events), towers) == expected
+        assert position_events(event_columns(events), towers) == expected
 
     def test_clipping_exhausted_names_the_first_failing_sector(self):
         towers = self.sectors()

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdrflow.errors import UnsortedInput
-from cdrflow.geo import (
+from cdrflow.records import (
     EventColumns,
     GeoPoint,
     PositionedEvent,

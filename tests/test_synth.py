@@ -10,13 +10,8 @@ from hypothesis import strategies as st
 from cdrflow import cli, geo, synth
 from cdrflow.config import load_config
 from cdrflow.errors import InvalidConfig, ScenarioMismatch
-from cdrflow.geo import (
-    GeoPoint,
-    haversine_distance,
-    haversine_m_array,
-    position_events,
-    write_cdr_csv,
-)
+from cdrflow.geo import position_events, write_cdr_csv
+from cdrflow.records import GeoPoint, haversine_distance, haversine_m_array
 from cdrflow.stays import Staypoint, StopParams, build_staypoints
 from cdrflow.synth import (
     ScenarioConfig,

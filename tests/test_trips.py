@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cdrflow.geo import GeoPoint, PositionedEvent, destination_point, haversine_distance
+from cdrflow.records import GeoPoint, PositionedEvent, destination_point, haversine_distance
 from cdrflow.stays import Staypoint
 from cdrflow.trips import (
     ModeThresholds,

@@ -7,7 +7,7 @@ import scipy.special
 import scipy.stats
 
 from cdrflow.errors import ClassMismatch, DegenerateInput
-from cdrflow.geo import GeoPoint
+from cdrflow.records import GeoPoint
 from cdrflow.stays import Staypoint
 from cdrflow.trips import Trip, Tripleg
 from cdrflow.validation import (
