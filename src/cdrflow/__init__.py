@@ -42,18 +42,12 @@ _EXPORTS = {
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = {
-    "cli", "config", "conformance", "discovery", "errors", "eventlog", "files", "geo", "records",
-    "stays", "synth", "timefmt", "trips", "validation",
-}
 
 __all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    if name in _SUBMODULES:
-        return import_module(f"{__name__}.{name}")
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)

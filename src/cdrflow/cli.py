@@ -25,8 +25,8 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
-from .config import PipelineConfig, config_hash, load_config
-from .errors import CdrflowError, DependencyError
+from .config import PipelineConfig, _run_dir, config_hash, load_config
+from .errors import CdrflowError, DependencyError, InvalidConfig
 
 ART = {
     "cdr": "cdr.csv",
@@ -278,7 +278,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     cfg = load_config(args.config)
     if args.out is not None:
-        cfg = replace(cfg, out_dir=Path(args.out))
+        try:
+            cfg = replace(cfg, out_dir=_run_dir(args.out))
+        except ValueError as exc:
+            raise InvalidConfig(f"--out: {exc}") from None
     if args.level is not None:
         cfg = replace(cfg, level=args.level)
     if args.top_k is not None:

@@ -240,6 +240,12 @@ def _path_or_none(value: str) -> Optional[Path]:
     return Path(value) if value.strip() else None
 
 
+def _run_dir(value: str) -> Path:
+    if not value.strip():  # an empty path would be the working directory
+        raise ValueError("the run directory must not be empty")
+    return Path(value)
+
+
 def _boolean(value: str) -> bool:
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[value.lower()]
@@ -255,7 +261,7 @@ def _top_k(value: str) -> Optional[int]:
 # field of the dataclass that takes the value: "" for PipelineConfig itself,
 # "towers" for the scenario's tower grid.  Any other section or key is rejected.
 _KEYS = {
-    ("paths", "out"): ("", "out_dir", Path),
+    ("paths", "out"): ("", "out_dir", _run_dir),
     ("paths", "cdr"): ("", "cdr_path", _path_or_none),
     ("paths", "towers"): ("", "towers_path", _path_or_none),
     ("paths", "regions"): ("", "regions_path", _path_or_none),

@@ -53,7 +53,7 @@ class TowerSector:
     radius_m: float
 
     def __post_init__(self) -> None:
-        # a NaN or infinite radius or azimuth would keep the draw's shrink loop going forever
+        # a NaN or infinite radius or azimuth has no wedge to draw in
         if not 0.0 <= self.radius_m < math.inf:
             raise ValueError(f"sector radius must be finite and >= 0, got {self.radius_m}")
         if not math.isfinite(self.azimuth_deg):
@@ -164,7 +164,7 @@ class _Sectors:
     """Wedge geometry of every tower, one row per sector in the towers' order."""
 
     # columns of `geometry`; LAT and LON are the centre in degrees
-    RADIUS, LO_BEARING, SPAN, PHI1, LAM1, SIN_PHI1, COS_PHI1, LAT, LON = range(9)
+    RADIUS, LO_BEARING, SPAN, LAM1, SIN_PHI1, COS_PHI1, LAT, LON = range(8)
 
     def __init__(self, towers: dict[str, TowerSector]):
         import numpy as np
@@ -180,14 +180,13 @@ class _Sectors:
                 sector.radius_m,
                 sector.azimuth_deg - half + margin,
                 max(sector.beamwidth_deg - 2.0 * margin, 0.0),
-                phi1,
                 math.radians(sector.center.lon),
                 math.sin(phi1),
                 math.cos(phi1),
                 sector.center.lat,
                 sector.center.lon,
             ))
-        self.geometry = np.array(params, dtype=np.float64).reshape(-1, 9)
+        self.geometry = np.array(params, dtype=np.float64).reshape(-1, 8)
 
 
 def _libm_haversine(dphi, dlam, cos_phi1, phi2) -> np.ndarray:
@@ -198,71 +197,34 @@ def _libm_haversine(dphi, dlam, cos_phi1, phi2) -> np.ndarray:
     return 2.0 * EARTH_RADIUS_M * _libm(math.asin, np.minimum(1.0, np.sqrt(h)))
 
 
-# The shrink loop measures the radians it computes; haversine_m measures the
-# degrees it returns.  Up to _FAR_M the two measures agree to within about
-# 1e-8 m, so a point more than _SLACK_M inside its radius by the first lies
-# inside by the second.  Farther out asin loses that accuracy near the antipode.
-_SLACK_M = 1e-6
-_FAR_M = 1e6
-
-# Most measure-and-shrink rounds of a draw.  A round takes 1e-6 off the
-# radial fraction, which pulls a draw inside only when its rounding error is
-# small beside the radius: radii of 1e-6 m and up need a few hundred rounds
-# at most, 1e-7 m some thousands and 1e-10 m millions.  A draw still over
-# its radius after the last round goes through the haversine_m check.
-_SHRINK_ROUNDS = 1000
-
-
 def _wedge_draw(
     g: np.ndarray, u: np.ndarray, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lat, lon, at_centre) arrays for unit draws u (radial) and v (angular).
 
-    Row i of g is the _Sectors geometry of draw i.  The destination point is
-    re-measured and the radial fraction shrunk, for the rows that overshoot
-    the radius only, until every point lies within its sector's radius.  A
-    point that haversine_m still puts beyond the radius, which happens at
-    sub-micrometre radii, goes to its sector's centre; at_centre marks it.
+    Row i of g is the _Sectors geometry of draw i.  Each destination point
+    is measured once, by haversine_m's arithmetic on the degrees returned.
+    A point beyond its sector's radius, which happens only at sub-micrometre
+    radii, goes to the sector's centre; at_centre marks it.
     """
     import numpy as np
 
     S = _Sectors
-    radius, phi1, lam1 = g[:, S.RADIUS], g[:, S.PHI1], g[:, S.LAM1]
-    sin_phi1, cos_phi1 = g[:, S.SIN_PHI1], g[:, S.COS_PHI1]
+    radius, sin_phi1, cos_phi1 = g[:, S.RADIUS], g[:, S.SIN_PHI1], g[:, S.COS_PHI1]
     fraction = np.minimum(np.maximum(np.sqrt(u), _RADIAL_FRACTION_MIN), _RADIAL_FRACTION_MAX)
     theta = np.radians(np.mod(g[:, S.LO_BEARING] + v * g[:, S.SPAN], 360.0))
-    sin_theta, cos_theta = _libm(math.sin, theta), _libm(math.cos, theta)
-    phi2, lam2, measured = np.empty(len(g)), np.empty(len(g)), np.empty(len(g))
-    rows = np.arange(len(g))
-    for _ in range(_SHRINK_ROUNDS):
-        if not rows.size:
-            break
-        delta = fraction[rows] * radius[rows] / EARTH_RADIUS_M
-        sin_delta, cos_delta = _libm(math.sin, delta), _libm(math.cos, delta)
-        sin_p1, cos_p1 = sin_phi1[rows], cos_phi1[rows]
-        sin_phi2 = sin_p1 * cos_delta + cos_p1 * sin_delta * cos_theta[rows]
-        sin_phi2 = np.maximum(-1.0, np.minimum(1.0, sin_phi2))
-        p2 = _libm(math.asin, sin_phi2)
-        l2 = lam1[rows] + _libm(
-            math.atan2, sin_theta[rows] * sin_delta * cos_p1, cos_delta - sin_p1 * sin_phi2
-        )
-        phi2[rows] = p2
-        lam2[rows] = l2
-        # re-measure; shrink the rows that overshoot (seen only at sub-micrometre radii)
-        distance = _libm_haversine(p2 - phi1[rows], l2 - lam1[rows], cos_p1, p2)
-        measured[rows] = distance
-        rows = rows[~(distance <= radius[rows])]
-        fraction[rows] *= 0.999999
-    lat, lon = np.degrees(phi2), np.mod(np.degrees(lam2) + 180.0, 360.0) - 180.0
-    at_centre = np.zeros(len(g), dtype=bool)
-    again = np.flatnonzero((measured > radius - _SLACK_M) | (measured > _FAR_M))
-    if again.size:  # haversine_m from the sector's centre to the degrees returned, bit for bit
-        la, ga = lat[again], g[again]
-        dphi, dlam = np.radians(la - ga[:, S.LAT]), np.radians(lon[again] - ga[:, S.LON])
-        distance = _libm_haversine(dphi, dlam, ga[:, S.COS_PHI1], np.radians(la))
-        over = again[~(distance <= radius[again])]
-        lat[over], lon[over] = g[over, S.LAT], g[over, S.LON]
-        at_centre[over] = True
+    delta = fraction * radius / EARTH_RADIUS_M
+    sin_delta, cos_delta = _libm(math.sin, delta), _libm(math.cos, delta)
+    sin_phi2 = sin_phi1 * cos_delta + cos_phi1 * sin_delta * _libm(math.cos, theta)
+    sin_phi2 = np.maximum(-1.0, np.minimum(1.0, sin_phi2))
+    lam2 = g[:, S.LAM1] + _libm(
+        math.atan2, _libm(math.sin, theta) * sin_delta * cos_phi1, cos_delta - sin_phi1 * sin_phi2
+    )
+    lat = np.degrees(_libm(math.asin, sin_phi2))
+    lon = np.mod(np.degrees(lam2) + 180.0, 360.0) - 180.0
+    dphi, dlam = np.radians(lat - g[:, S.LAT]), np.radians(lon - g[:, S.LON])
+    at_centre = ~(_libm_haversine(dphi, dlam, cos_phi1, np.radians(lat)) <= radius)
+    lat[at_centre], lon[at_centre] = g[at_centre, S.LAT], g[at_centre, S.LON]
     return lat, lon, at_centre
 
 

@@ -364,6 +364,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert str(ini) in err and where in err
 
+    @pytest.mark.parametrize("out, where", [
+        (None, "'out' in [paths]"), ("", "--out"), (" ", "--out"),
+    ], ids=["config", "flag", "flag-blank"])
+    def test_empty_run_directory_exits_1(self, tmp_path, monkeypatch, out, where, capsys):
+        # an empty path is the working directory, which must not fill with artifacts
+        ini = tmp_path / "empty_out.ini"
+        ini.write_text(TINY + ("[paths]\nout =\n" if out is None else ""))
+        monkeypatch.chdir(tmp_path)
+        argv = ["synth", "--config", str(ini)] + ([] if out is None else ["--out", out])
+        assert run(*argv) == 1
+        assert where in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == [ini.name]
+
     def test_missing_config_file_exits_2(self, tmp_path):
         assert run("synth", "--config", str(tmp_path / "ghost.ini"),
                    "--out", str(tmp_path / "run")) == 2
@@ -549,6 +562,27 @@ def test_each_stage_leaves_later_stages_modules_out(tmp_path, tiny_config):
     )
     assert python_output(code) == "['cdrflow', 'cdrflow.records']"
 
+
+
+def test_importtime_lists_each_stage_module(tmp_path, tiny_config):
+    """A stage's own imports take the normal import path, which -X importtime logs."""
+    out = tmp_path / "run"
+    for stage in ("synth", "position", "stays", "trips"):
+        assert run(stage, "--config", str(tiny_config), "--out", str(out), "--seed", "4") == 0
+    src = str(Path(cdrflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    stage_modules = {
+        "log": {"cdrflow.eventlog", "cdrflow.stays", "cdrflow.trips"},
+        "validate": {"cdrflow.stays", "cdrflow.trips", "cdrflow.validation"},
+    }
+    for stage, modules in stage_modules.items():
+        done = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "cdrflow.cli", stage,
+             "--config", str(tiny_config), "--out", str(out), "--seed", "4"],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        logged = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+        assert modules <= logged, stage
 
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize("stage, code", [("synth", 0), ("conform", 1)])  # conform: no model

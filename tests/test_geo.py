@@ -55,10 +55,10 @@ class ScalarSampler:
         margin = max(_BEARING_MARGIN_DEG * sector.beamwidth_deg, _BEARING_MARGIN_DEG)
         self.lo_bearing = sector.azimuth_deg - half + margin
         self.span = max(sector.beamwidth_deg - 2.0 * margin, 0.0)
-        self.phi1 = math.radians(sector.center.lat)
+        phi1 = math.radians(sector.center.lat)
         self.lam1 = math.radians(sector.center.lon)
-        self.sin_phi1 = math.sin(self.phi1)
-        self.cos_phi1 = math.cos(self.phi1)
+        self.sin_phi1 = math.sin(phi1)
+        self.cos_phi1 = math.cos(phi1)
 
     @staticmethod
     def splitmix64(state: int) -> tuple[int, int]:
@@ -69,27 +69,17 @@ class ScalarSampler:
         return state, z ^ (z >> 31)
 
     def raw_draw(self, u: float, v: float) -> tuple[float, float]:
-        sin, cos, asin, atan2, sqrt = math.sin, math.cos, math.asin, math.atan2, math.sqrt
-        fraction = min(max(sqrt(u), _RADIAL_FRACTION_MIN), _RADIAL_FRACTION_MAX)
+        sin, cos, asin, atan2 = math.sin, math.cos, math.asin, math.atan2
+        fraction = min(max(math.sqrt(u), _RADIAL_FRACTION_MIN), _RADIAL_FRACTION_MAX)
         theta = math.radians((self.lo_bearing + v * self.span) % 360.0)
-        sin_theta, cos_theta = sin(theta), cos(theta)
-        for _ in range(geo._SHRINK_ROUNDS):
-            delta = fraction * self.radius / EARTH_RADIUS_M
-            sin_delta, cos_delta = sin(delta), cos(delta)
-            sin_phi2 = self.sin_phi1 * cos_delta + self.cos_phi1 * sin_delta * cos_theta
-            sin_phi2 = max(-1.0, min(1.0, sin_phi2))
-            phi2 = asin(sin_phi2)
-            lam2 = self.lam1 + atan2(
-                sin_theta * sin_delta * self.cos_phi1, cos_delta - self.sin_phi1 * sin_phi2
-            )
-            h = (
-                sin((phi2 - self.phi1) / 2.0) ** 2
-                + self.cos_phi1 * cos(phi2) * sin((lam2 - self.lam1) / 2.0) ** 2
-            )
-            if 2.0 * EARTH_RADIUS_M * asin(min(1.0, sqrt(h))) <= self.radius:
-                break
-            fraction *= 0.999999
-        lat, lon = math.degrees(phi2), (math.degrees(lam2) + 180.0) % 360.0 - 180.0
+        delta = fraction * self.radius / EARTH_RADIUS_M
+        sin_delta, cos_delta = sin(delta), cos(delta)
+        sin_phi2 = self.sin_phi1 * cos_delta + self.cos_phi1 * sin_delta * cos(theta)
+        sin_phi2 = max(-1.0, min(1.0, sin_phi2))
+        lam2 = self.lam1 + atan2(
+            sin(theta) * sin_delta * self.cos_phi1, cos_delta - self.sin_phi1 * sin_phi2
+        )
+        lat, lon = math.degrees(asin(sin_phi2)), (math.degrees(lam2) + 180.0) % 360.0 - 180.0
         if haversine_distance(self.sector.center, GeoPoint(lat, lon)) > self.radius:
             return self.sector.center.lat, self.sector.center.lon
         return lat, lon
@@ -504,9 +494,8 @@ class TestLandPositioning:
                       event_columns(events).take(np.array(order))):
             assert position_events(given, towers, land=RIVER_LAND) == [expected[k] for k in order]
 
-    def test_overshoot_shrinks_like_reference(self):
-        # at sub-micrometre radii the shrink loop pulls overshooting draws
-        # inside by its radian measure; a few still overshoot by
+    def test_overshoot_goes_to_the_centre_like_reference(self):
+        # at sub-micrometre radii a few draws overshoot their radius by
         # haversine_distance, and those go to the centre
         for radius in (1e-7, 3e-8):
             sector = TowerSector("c", GeoPoint(38.7, -9.3), 45.0, 120.0, radius)
@@ -517,8 +506,8 @@ class TestLandPositioning:
             assert max(haversine_distance(sector.center, ev.location) for ev in got) <= radius
             assert 0 < sum(ev.location == sector.center for ev in got) < 100
 
-    def test_ordinary_radii_never_fall_back_to_the_centre(self, monkeypatch):
-        # criterion 9's sectors, and some wider than _FAR_M
+    def test_ordinary_radii_never_fall_back_to_the_centre(self):
+        # criterion 9's sectors, and some of 1,000 km and more
         rng = random.Random(1009)
         towers = {
             f"c{i}": TowerSector(
@@ -537,10 +526,6 @@ class TestLandPositioning:
         for k, row in enumerate(rows.tolist()):
             sector = sectors.sectors[row]
             assert haversine_distance(sector.center, GeoPoint(lat[k], lon[k])) <= sector.radius_m
-        # re-measuring every draw, not only those near their radius, changes nothing
-        monkeypatch.setattr(geo, "_SLACK_M", math.inf)
-        again = geo._place(blocks, len(rows), sectors, None, DEFAULT_CLIP_ATTEMPTS)
-        assert all(np.array_equal(a, b) for a, b in zip(again, (lat, lon, at_centre)))
 
     def strip_sectors(self):
         rng = random.Random(29)
@@ -566,8 +551,9 @@ class TestLandPositioning:
             monkeypatch.setattr(geo, "_BLOCK_EVENTS", size)
             assert position_events(events, towers, land=land) == expected
 
-    def test_nanometre_radii_finish_within_the_radius(self):
-        # the shrink rounds are bounded: unbounded, 100 draws at 1e-10 m took minutes
+    def test_nanometre_radii_finish_within_the_radius(self, monkeypatch):
+        # each draw is measured once, so a nanometre sector costs the libm
+        # calls of a 100 m one
         for radius in (1e-9, 1e-10):
             sector = TowerSector("c", GeoPoint(38.7, -9.3), 45.0, 120.0, radius)
             events = [CdrEvent("u", float(t), "c") for t in range(100)]
@@ -575,6 +561,21 @@ class TestLandPositioning:
             got = position_events(events, {"c": sector})
             assert time.perf_counter() - start < 1.0
             assert all(haversine_distance(sector.center, ev.location) <= radius for ev in got)
+        libm, calls = geo._libm, []
+
+        def counted(f, *arrays):
+            calls.append(len(arrays[0]))
+            return libm(f, *arrays)
+
+        monkeypatch.setattr(geo, "_libm", counted)
+        work = {}
+        for radius in (1e-10, 100.0):
+            sector = TowerSector("c", GeoPoint(38.7, -9.3), 45.0, 120.0, radius)
+            calls.clear()
+            position_events([CdrEvent("u", float(t), "c") for t in range(4096)], {"c": sector})
+            work[radius] = (len(calls), sum(calls))
+        assert work[1e-10] == work[100.0]
+        assert work[100.0][0] > 0
 
     def test_land_free_matches_scalar_reference(self):
         towers = self.sectors()
