@@ -92,7 +92,7 @@ def _load_land(cfg: PipelineConfig):
 def stage_synth(cfg: PipelineConfig) -> None:
     from . import geo, synth
 
-    scenario = synth.Scenario(replace(cfg.scenario, seed=cfg.seed))
+    scenario = synth.Scenario(replace(cfg.scenario, seed=cfg.seed), cfg.thresholds)
     geo.write_cdr_columns(scenario.agent_events(), _artifact(cfg, "cdr"))
     geo.write_towers_csv(scenario.towers.values(), _artifact(cfg, "towers"))
     geo.write_regions_geojson(scenario.regions.regions(), _artifact(cfg, "regions"))
@@ -158,6 +158,7 @@ def stage_discover(cfg: PipelineConfig) -> None:
     case_log = eventlog.load_case_log_csv(
         _stage_artifact(cfg, "case_log", "log"), level=cfg.level
     )
+    ocel_path = _stage_artifact(cfg, "ocel", "log") if cfg.ocel else None
     dfg = discovery.annotate_durations(discovery.discover_dfg(case_log), case_log)
     discovery.write_model_json(dfg, _artifact(cfg, "dfg_model"))
     dot = discovery.export_dot(
@@ -167,8 +168,7 @@ def stage_discover(cfg: PipelineConfig) -> None:
     _artifact(cfg, "dfg_dot").write_text(dot, encoding="utf-8")
     variants = discovery.extract_variants(case_log, top_k=cfg.top_k)
     discovery.write_variants_json(variants, _artifact(cfg, "variants"))
-    ocel_path = _artifact(cfg, "ocel")
-    if cfg.ocel and ocel_path.exists():
+    if ocel_path is not None:
         ocel = eventlog.load_ocel_json(ocel_path, level=cfg.level)
         ocdfg = discovery.discover_ocdfg(ocel)
         discovery.write_model_json(ocdfg, _artifact(cfg, "ocdfg_model"))

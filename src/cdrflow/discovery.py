@@ -80,7 +80,7 @@ class Variant:
     mean_duration_s: float
 
 
-@dataclass(eq=False, slots=True)  # compared and hashed by identity
+@dataclass(slots=True)
 class _Fold:
     """Node, start and end counts and per-arc duration samples of folded traces.
 
@@ -196,27 +196,23 @@ def discover_ocdfg(ocel: Ocel) -> OcDfg:
     """Per-type models over flattened object traces, durations included.
 
     The flattened trace of an object is its events in (timestamp, event id)
-    order; it is folded straight into the fold of each of the object's types.
+    order; it is folded straight into its type's fold.
     """
     if not ocel.events:
         raise EmptyLog("cannot discover a model from an empty log")
     folds = {object_type: _Fold() for object_type in ocel.object_types}
-    folds_of: dict[str, set[_Fold]] = {}
-    for o in ocel.objects:
-        if o.object_type in folds:
-            folds_of.setdefault(o.object_id, set()).add(folds[o.object_type])
+    # object ids are unique, so each typed object has one fold
+    fold_of = {o.object_id: folds[o.object_type] for o in ocel.objects if o.object_type in folds}
     events_of: dict[str, list] = {}
     for event in ocel.events:
         for object_id in {object_id for object_id, _ in event.relations}:
-            events_of.setdefault(object_id, []).append(event)
+            if object_id in fold_of:
+                events_of.setdefault(object_id, []).append(event)
 
     by_time_and_id = attrgetter("timestamp", "event_id")
     for object_id, events in events_of.items():
-        if object_id in folds_of:
-            events.sort(key=by_time_and_id)
-            trace = [(e.activity, e.timestamp) for e in events]
-            for fold in folds_of[object_id]:
-                fold.add((trace,))
+        events.sort(key=by_time_and_id)
+        fold_of[object_id].add(([(e.activity, e.timestamp) for e in events],))
     return OcDfg(per_type=tuple(
         (object_type, fold.dfg(durations=True)) for object_type, fold in folds.items() if fold.nodes
     ))

@@ -19,8 +19,10 @@ import bisect
 import copy
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from hashlib import blake2b
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
@@ -37,12 +39,13 @@ from .records import (
     haversine_m_array,
     initial_bearing,
 )
-from .stays import Staypoint
-from .trips import Trip
-from .validation import build_od_matrix
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .config import ModeThresholds
+    from .stays import Staypoint
+    from .trips import Trip
 
 _DAY_S = 86400
 _FIRST_DEPARTURE_S = 6 * 3600
@@ -362,11 +365,12 @@ class Scenario:
 
     The towers, regions and ground truth are made up front; the events,
     which are most of the scenario, come from agent_events() as columns,
-    so that a writer never holds them all.
+    so that a writer never holds them all.  Each planted speed band must
+    classify as its mode under thresholds, the default table if None.
     """
 
-    def __init__(self, config: ScenarioConfig):
-        config.validate()
+    def __init__(self, config: ScenarioConfig, thresholds: Optional[ModeThresholds] = None):
+        config.validate(thresholds)
         self.config = config
         self._world = _World(config)
         self.regions = self._world.build_regions()
@@ -578,6 +582,27 @@ class RecoveryReport:
     mode_confusion: tuple  # tuple of ((true_mode, detected_mode), count)
 
 
+def _greedy_match(truths, detections, span, id_of, admits=None) -> Iterator[tuple]:
+    """The (truth, detection) pairs of a greedy matching, in truth order.
+
+    Each truth takes its user's unused detection with the largest positive
+    time overlap (the first of equals) that admits(truth, detection, overlap)
+    allows; span(truth) is its (user_id, start, end), id_of names a detection.
+    """
+    by_user, used = group_by_user(detections), set()
+    for truth in truths:
+        user_id, start, end = span(truth)
+        best, best_overlap = None, 0.0
+        for det in by_user.get(user_id, ()):
+            overlap = min(det.t_end, end) - max(det.t_start, start)
+            if (overlap > best_overlap and id_of(det) not in used
+                    and (admits is None or admits(truth, det, overlap))):
+                best, best_overlap = det, overlap
+        if best is not None:
+            used.add(id_of(best))
+            yield truth, best
+
+
 def score_recovery(
     truth: GroundTruth,
     staypoints: Sequence[Staypoint],
@@ -588,44 +613,28 @@ def score_recovery(
 
     A detected staypoint matches a true dwell when their temporal overlap
     covers at least half the dwell and its median lies within the match
-    radius of the dwell's anchor.  Precision with zero detections is
-    reported as 1.0 with the empty flag set.
+    radius of the dwell's anchor; a detected trip matches the true trip it
+    overlaps most.  Precision with zero detections is reported as 1.0 with
+    the empty flag set.
     """
-    known_users = {a.user_id for a in truth.agents}
-    for sp in staypoints:
-        if sp.user_id not in known_users:
-            raise ScenarioMismatch(f"staypoint user {sp.user_id!r} not in ground truth")
-    for trip in trips:
-        if trip.user_id not in known_users:
-            raise ScenarioMismatch(f"trip user {trip.user_id!r} not in ground truth")
+    from .validation import build_od_matrix
 
     agents = {a.user_id: a for a in truth.agents}
-    sp_by_user = group_by_user(staypoints)
+    for kind, records in (("staypoint", staypoints), ("trip", trips)):
+        for record in records:
+            if record.user_id not in agents:
+                raise ScenarioMismatch(f"{kind} user {record.user_id!r} not in ground truth")
 
-    matched = 0
-    used: set[str] = set()
-    for dwell in truth.dwells:
-        anchor = agents[dwell.user_id].anchor(dwell.anchor)
-        duration = dwell.t_end - dwell.t_start
-        if duration <= 0:
-            continue
-        best_id = None
-        best_overlap = 0.0
-        for sp in sp_by_user.get(dwell.user_id, []):
-            if sp.staypoint_id in used:
-                continue
-            overlap = min(sp.t_end, dwell.t_end) - max(sp.t_start, dwell.t_start)
-            if overlap < 0.5 * duration:
-                continue
-            if haversine_distance(sp.median, anchor.point) > match_radius_m:
-                continue
-            if overlap > best_overlap:
-                best_overlap = overlap
-                best_id = sp.staypoint_id
-        if best_id is not None:
-            used.add(best_id)
-            matched += 1
+    def near_and_half_covered(dwell: TrueDwell, sp: Staypoint, overlap: float) -> bool:
+        anchor = agents[dwell.user_id].anchor(dwell.anchor).point
+        return (overlap >= 0.5 * (dwell.t_end - dwell.t_start)
+                and haversine_distance(sp.median, anchor) <= match_radius_m)
 
+    # a dwell of no length overlaps nothing by a positive time, so matches nothing
+    matched = sum(1 for _ in _greedy_match(
+        truth.dwells, staypoints, attrgetter("user_id", "t_start", "t_end"),
+        attrgetter("staypoint_id"), near_and_half_covered,
+    ))
     n_true_dwells = sum(1 for d in truth.dwells if d.t_end > d.t_start)
     no_detections = len(staypoints) == 0
     precision = 1.0 if no_detections else matched / len(staypoints)
@@ -636,44 +645,23 @@ def score_recovery(
     deviation = (n_detected - n_true_trips) / n_true_trips if n_true_trips else 0.0
 
     detected_od = build_od_matrix(trips, staypoints, "municipality").count_dict()
-    true_od: dict[tuple[str, str], int] = {}
-    for t in truth.trips:
-        agent = agents[t.user_id]
-        pair = (
-            agent.anchor(t.origin_anchor).municipality,
-            agent.anchor(t.dest_anchor).municipality,
-        )
-        true_od[pair] = true_od.get(pair, 0) + 1
+    true_od = Counter(
+        (agents[t.user_id].anchor(t.origin_anchor).municipality,
+         agents[t.user_id].anchor(t.dest_anchor).municipality)
+        for t in truth.trips
+    )
     cells = set(detected_od) | set(true_od)
     agreement = (
-        sum(1 for cell in cells if detected_od.get(cell, 0) == true_od.get(cell, 0)) / len(cells)
+        sum(1 for cell in cells if detected_od.get(cell, 0) == true_od[cell]) / len(cells)
         if cells
         else 1.0
     )
 
-    confusion: dict[tuple[str, str], int] = {}
-    n_mode_matched = 0
-    n_mode_correct = 0
-    trips_by_user = group_by_user(trips)
-    used_trips: set[str] = set()
-    for t in truth.trips:
-        best = None
-        best_overlap = 0.0
-        for det in trips_by_user.get(t.user_id, []):
-            if det.trip_id in used_trips:
-                continue
-            overlap = min(det.t_end, t.arrival) - max(det.t_start, t.departure)
-            if overlap > best_overlap:
-                best_overlap = overlap
-                best = det
-        if best is None:
-            continue
-        used_trips.add(best.trip_id)
-        n_mode_matched += 1
-        pair = (t.mode, best.primary_mode)
-        confusion[pair] = confusion.get(pair, 0) + 1
-        if t.mode == best.primary_mode:
-            n_mode_correct += 1
+    confusion = Counter((t.mode, det.primary_mode) for t, det in _greedy_match(
+        truth.trips, trips, attrgetter("user_id", "departure", "arrival"), attrgetter("trip_id")
+    ))
+    n_mode_matched = sum(confusion.values())
+    n_mode_correct = sum(n for (true, detected), n in confusion.items() if true == detected)
 
     return RecoveryReport(
         staypoint_precision=precision,

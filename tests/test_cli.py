@@ -156,6 +156,21 @@ class TestRunAll:
             blobs = {(out / filename).read_bytes() for out in outs}
             assert len(blobs) == 1, filename
 
+    def test_synth_plants_modes_by_the_modes_table(self, tmp_path):
+        # a 28 km/h bus is a bus under bus_max_kmh = 30, a car under the default 27
+        ini = tmp_path / "bus30.ini"
+        ini.write_text(
+            "[modes]\nbus_max_kmh = 30\n[synth]\nn_agents = 12\nn_days = 2\n"
+            "mode_speed_bands_kmh = "
+            "walk:3.5:3.5,bicycle:11:11,bus:28:28,car:43.5:43.5,train:90:90\n"
+        )
+        out = tmp_path / "run"
+        assert run("all", "--config", str(ini), "--out", str(out), "--seed", "17") == 0
+        planted = [t["mode"] for t in json.loads((out / ART["ground_truth"]).read_text())["trips"]]
+        with open(out / ART["trips"], newline="") as f:
+            assert [row["primary_mode"] for row in csv.DictReader(f)] == planted
+        assert planted.count("bus") == 8
+
     def test_all_with_external_inputs_skips_synth(self, tmp_path, inputs):
         ini = external_config(tmp_path, "external", inputs, inputs / ART["cdr"])
         out = tmp_path / "run"
@@ -230,6 +245,30 @@ class TestExitCodes:
         assert run("trips", "--config", str(tiny_config), "--out", str(out), "--seed", "4") == 1
         err = capsys.readouterr().err
         assert "moving.csv" in err and "run the 'stays' stage first" in err
+
+    def test_synth_rejects_modes_the_modes_table_mislabels(self, tmp_path, capsys):
+        # under bus_max_kmh = 20 the default 21 km/h bus band is labelled car
+        ini = tmp_path / "bus20.ini"
+        ini.write_text("[modes]\nbus_max_kmh = 20\n[synth]\nn_agents = 12\nn_days = 2\n")
+        out = tmp_path / "run"
+        assert run("all", "--config", str(ini), "--out", str(out), "--seed", "17") == 1
+        err = capsys.readouterr().err
+        assert "cdrflow synth: mode 'bus' band 21.0 km/h at 5250 m classifies as 'car'" in err
+        assert not (out / ART["cdr"]).exists()
+
+    def test_discover_without_ocel_exits_1(self, tmp_path, capsys):
+        ini = tmp_path / "pipeline.ini"
+        ini.write_text("[run]\nocel = true\n[synth]\nn_agents = 3\nn_days = 2\n")
+        out = tmp_path / "run"
+        for stage in ("synth", "position", "stays", "trips", "log"):
+            assert run(stage, "--config", str(ini), "--out", str(out), "--seed", "17") == 0
+        (out / ART["ocel"]).unlink()
+        assert run("discover", "--config", str(ini), "--out", str(out), "--seed", "17") == 1
+        err = capsys.readouterr().err
+        missing = out / ART["ocel"]
+        assert f"cdrflow discover: missing artifact {missing}; run the 'log' stage first" in err
+        for name in ("dfg_model", "dfg_dot", "variants", "ocdfg_model", "ocdfg_dot"):
+            assert not (out / ART[name]).exists(), name
 
     @pytest.mark.parametrize("name, stage, before", [
         ("regions", "stays", ("synth", "position")),
@@ -545,8 +584,11 @@ def test_each_stage_leaves_later_stages_modules_out(tmp_path, tiny_config):
     )
     mining = {"cdrflow.eventlog", "cdrflow.discovery", "cdrflow.conformance"}
     trip_making = {"cdrflow.geo", "cdrflow.records", "cdrflow.stays", "cdrflow.trips"}
-    for stage in ("position", "stays", "trips", "log", "discover", "conform", "validate"):
+    for stage in ("synth", "position", "stays", "trips", "log", "discover", "conform", "validate"):
         loaded = set(json.loads(python_output(code, stage, tiny_config, out)))
+        if stage == "synth":  # recovery scoring's modules stay out of the generator's process
+            assert not loaded & (mining | {"cdrflow.stays", "cdrflow.trips", "cdrflow.validation"})
+            continue
         assert "cdrflow.synth" not in loaded, stage
         if stage in ("position", "stays", "trips", "validate"):
             assert not loaded & mining, stage

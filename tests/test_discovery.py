@@ -217,7 +217,7 @@ class TestDiscoverOcdfg:
     def test_one_pass_fold_equals_flattened_log_discovery(self, seed):
         rng = random.Random(seed)
         types = ["Bus", "Car", "Walk"][: rng.randint(1, 3)]
-        # an id may carry two types, a type may have no events, an object no type
+        # each id has one type; a type may have no events, an object no listed type
         objects = {(f"o{k}", rng.choice(types)) for k in range(rng.randint(1, 10))}
         ids = sorted({object_id for object_id, _ in objects}) + ["untyped"]
         n_events = rng.randint(1, 80)

@@ -333,7 +333,7 @@ class TestFlattening:
     def test_one_pass_equals_per_type_flattening(self, seed):
         rng = random.Random(seed)
         types = ["Bus", "Car", "Walk", "Idle"][: rng.randint(1, 4)]
-        # an id may carry two types; a type may have no objects or no events
+        # each id has one type; a type may have no objects or no events
         objects = {(f"o{k}", rng.choice(types)) for k in range(rng.randint(1, 12))}
         ids = sorted({object_id for object_id, _ in objects})
         events = tuple(

@@ -1,5 +1,7 @@
-"""The README's Library example runs as written, and the code names it gives exist."""
+"""The README's Library example runs as written, its code names exist and its
+configuration block gives the defaults."""
 
+import configparser
 import importlib
 import pkgutil
 import re
@@ -7,6 +9,7 @@ from functools import reduce
 from pathlib import Path
 
 import cdrflow
+from cdrflow.config import _KEYS, PipelineConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -38,3 +41,22 @@ def test_module_names_resolve():
         except AttributeError:
             missing.append(named.group(0))
     assert not missing
+
+
+def test_configuration_block_gives_the_defaults():
+    # the block lists every key load_config reads but [run] threads, each at
+    # its default value except the [paths] examples and [run] seed
+    section = README.read_text(encoding="utf-8").split("### Configuration file", 1)[1]
+    block = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    block.read_string(re.search(r"```ini\n(.*?)```", section, re.S).group(1))
+    listed = {(name, key) for name in block.sections() for key in block[name]}
+    assert listed == set(_KEYS) - {("run", "threads")}
+    defaults = PipelineConfig()
+    targets = {
+        "": defaults, "stop_params": defaults.stop_params, "thresholds": defaults.thresholds,
+        "scenario": defaults.scenario, "towers": defaults.scenario.towers,
+    }
+    for name, key in listed - {("run", "seed")}:
+        if name != "paths":
+            target, field, parse = _KEYS[name, key]
+            assert parse(block[name][key]) == getattr(targets[target], field), (name, key)

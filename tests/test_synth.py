@@ -11,7 +11,7 @@ from cdrflow import cli, geo, synth
 from cdrflow.config import load_config
 from cdrflow.errors import InvalidConfig, ScenarioMismatch
 from cdrflow.geo import position_events, write_cdr_csv
-from cdrflow.records import GeoPoint, haversine_distance, haversine_m_array
+from cdrflow.records import GeoPoint, destination_point, haversine_distance, haversine_m_array
 from cdrflow.stays import Staypoint, StopParams, build_staypoints
 from cdrflow.synth import (
     ScenarioConfig,
@@ -21,7 +21,7 @@ from cdrflow.synth import (
     score_recovery,
     write_ground_truth_json,
 )
-from cdrflow.trips import build_trips
+from cdrflow.trips import Trip, Tripleg, build_trips
 from conftest import reference_generate_scenario, reference_nearest_towers
 
 
@@ -199,8 +199,87 @@ class TestScoreRecovery:
             staypoint_id="sp0", user_id="ghost", location_id="L0",
             median=GeoPoint(0.0, 0.0), t_start=0.0, t_end=10.0,
         )
-        with pytest.raises(ScenarioMismatch):
+        with pytest.raises(ScenarioMismatch, match="staypoint user 'ghost' not in ground truth"):
             score_recovery(truth, [alien], [])
+        with pytest.raises(ScenarioMismatch, match="trip user 'ghost' not in ground truth"):
+            score_recovery(truth, [], [_trip("tr0", 0.0, 10.0, "car", user_id="ghost")])
+
+
+HOME = GeoPoint(38.6, -9.4)
+WORK = destination_point(HOME, 90.0, 2000.0)
+
+
+def _trip(trip_id, t_start, t_end, mode, user_id="u0", origin="sp_x", dest="sp_far"):
+    leg = Tripleg(f"{trip_id}.0", user_id, origin, dest, t_start, t_end, 2000.0, 20.0, mode)
+    return Trip(trip_id, user_id, (leg,), origin, dest, t_start, t_end)
+
+
+class TestRecoveryMatching:
+    """score_recovery's greedy matching rules on a hand-built truth for one user."""
+
+    @staticmethod
+    def truth(dwells, trips=()):
+        anchors = [
+            synth.AnchorTruth(name, f"c{k}", point, f"P{k}", f"M{k}")
+            for k, (name, point) in enumerate([("home", HOME), ("work", WORK)])
+        ]
+        agent = synth.AgentTruth("u0", "bus", *anchors)
+        return synth.GroundTruth(
+            seed=0, start_epoch=0, horizon_s=86400, agents=(agent,), trips=tuple(trips),
+            dwells=tuple(synth.TrueDwell("u0", anchor, lo, hi) for anchor, lo, hi in dwells),
+        )
+
+    @staticmethod
+    def staypoint(sp_id, median, t_start, t_end):
+        return Staypoint(sp_id, "u0", sp_id, median, float(t_start), float(t_end), "P", "M")
+
+    def test_dwells(self):
+        truth = self.truth([
+            ("home", 0, 600),
+            ("home", 600, 1600),
+            ("work", 3000, 4000),
+            ("home", 5000, 6000),
+            ("home", 8000, 8000),  # zero length: neither matched nor counted
+        ])
+        staypoints = [
+            # overlaps the first two dwells by 500 s each and goes to the first,
+            # although the first could have taken sp_y and left it to the second
+            self.staypoint("sp_x", HOME, 100, 1100),
+            self.staypoint("sp_y", HOME, 0, 400),
+            self.staypoint("sp_far", destination_point(WORK, 0.0, 400.0), 3000, 4000),
+            self.staypoint("sp_short", WORK, 3000, 3499),  # 499 s of a 1000 s dwell
+            self.staypoint("sp_half", HOME, 5500, 7000),  # exactly half: a match
+            self.staypoint("sp_zero", HOME, 7900, 8100),
+        ]
+        report = score_recovery(truth, staypoints, [])
+        assert report.n_true_dwells == 4
+        assert report.n_detected_staypoints == 6
+        assert report.n_matched_staypoints == 2
+        assert report.staypoint_precision == 2 / 6
+        assert report.staypoint_recall == 0.5
+        assert score_recovery(truth, staypoints, [], match_radius_m=401.0).n_matched_staypoints == 3
+
+    def test_trips(self):
+        truth = self.truth([], trips=[
+            synth.TrueTrip("u0", "home", "work", "bus", 1000, 2000, 2000.0),
+            synth.TrueTrip("u0", "work", "home", "train", 2000, 3000, 2000.0),
+            synth.TrueTrip("u0", "home", "work", "car", 4000, 5000, 2000.0),
+        ])
+        detected = [
+            _trip("tr1", 1500.0, 2500.0, "walk"),  # 500 s of the bus trip, and of the train trip
+            _trip("tr0", 500.0, 1500.0, "car"),  # 500 s of the bus trip: comes second, loses
+            _trip("tr2", 5000.0, 6000.0, "car"),  # touches the car trip: no positive overlap
+        ]
+        report = score_recovery(truth, [], detected)
+        assert report.n_true_trips == 3
+        assert report.n_detected_trips == 3
+        assert report.n_mode_matched == 1  # tr1 is not reused for the train trip
+        assert report.mode_confusion == ((("bus", "walk"), 1),)
+        assert report.mode_accuracy == 0.0
+        report = score_recovery(truth, [], detected[1:2] + detected[:1] + detected[2:])
+        assert report.n_mode_matched == 2
+        assert report.mode_confusion == ((("bus", "car"), 1), (("train", "walk"), 1))
+        assert report.mode_accuracy == 0.0
 
 
 class TestGroundTruthJson:
