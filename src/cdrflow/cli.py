@@ -90,42 +90,43 @@ def _load_land(cfg: PipelineConfig):
 
 
 def stage_synth(cfg: PipelineConfig) -> None:
-    from . import geo, synth
+    from . import eventfiles, geo, synth
 
     scenario = synth.Scenario(replace(cfg.scenario, seed=cfg.seed), cfg.thresholds)
-    geo.write_cdr_columns(scenario.agent_events(), _artifact(cfg, "cdr"))
+    eventfiles.write_cdr_csv(scenario.agent_events(), _artifact(cfg, "cdr"))
     geo.write_towers_csv(scenario.towers.values(), _artifact(cfg, "towers"))
     geo.write_regions_geojson(scenario.regions.regions(), _artifact(cfg, "regions"))
     synth.write_ground_truth_json(scenario.truth, _artifact(cfg, "ground_truth"))
 
 
 def stage_position(cfg: PipelineConfig) -> None:
-    from . import geo, records
+    from . import eventfiles, geo, records
 
     # Inputs come from [paths] when configured, else from the synth stage.
     cdr_path = cfg.cdr_path or _artifact(cfg, "cdr")
     towers_path = cfg.towers_path or _artifact(cfg, "towers")
-    events = records.sort_by_user_time(geo.load_cdr_csv(cdr_path))
+    events = records.sort_by_user_time(eventfiles.load_cdr_csv(cdr_path))
     towers = geo.load_towers_csv(towers_path)
     positioned = geo.position_events(events, towers, land=_load_land(cfg))
-    geo.write_positioned_csv(positioned, _artifact(cfg, "positioned"))
+    eventfiles.write_positioned_csv([positioned], _artifact(cfg, "positioned"))
 
 
 def stage_stays(cfg: PipelineConfig) -> None:
-    from . import geo, stays
+    from . import eventfiles, geo, stays
 
-    positioned = geo.read_positioned_columns(_stage_artifact(cfg, "positioned", "position"))
+    positioned = eventfiles.read_positioned_columns(_stage_artifact(cfg, "positioned", "position"))
     regions = geo.load_regions_geojson(cfg.regions_path or _artifact(cfg, "regions"))
     staypoints = stays.build_staypoints(positioned, cfg.stop_params, regions=regions)
     stays.write_staypoints_csv(staypoints, _artifact(cfg, "staypoints"))
-    geo.write_positioned_csv(stays.moving_events(positioned, staypoints), _artifact(cfg, "moving"))
+    moving = stays.moving_events(positioned, staypoints)
+    eventfiles.write_positioned_csv([moving], _artifact(cfg, "moving"))
 
 
 def stage_trips(cfg: PipelineConfig) -> None:
-    from . import geo, stays, trips
+    from . import eventfiles, stays, trips
 
     staypoints = stays.load_staypoints_csv(_stage_artifact(cfg, "staypoints", "stays"))
-    moving = geo.load_positioned_csv(_stage_artifact(cfg, "moving", "stays"))
+    moving = eventfiles.load_positioned_csv(_stage_artifact(cfg, "moving", "stays"))
     all_trips = trips.build_trips(
         staypoints, moving, thresholds=cfg.thresholds, gap_threshold=cfg.gap_threshold_s
     )

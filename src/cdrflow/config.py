@@ -72,6 +72,9 @@ class ModeThresholds:
     min_duration_s: float = 60.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):  # an infinite bound is no bound; NaN compares as none
+            if math.isnan(getattr(self, f.name)):
+                raise ValueError(f"ModeThresholds.{f.name} must be a number, got nan")
         speeds = (self.walk_max_kmh, self.bicycle_max_kmh, self.bus_max_kmh,
                   self.bus_extended_max_kmh, self.car_max_kmh)
         if any(b <= a for a, b in zip(speeds, speeds[1:])):
@@ -153,30 +156,37 @@ class ScenarioConfig:
         thresholds = thresholds or ModeThresholds()
         if self.n_agents < 1 or self.n_days < 1:
             raise InvalidConfig("n_agents and n_days must be >= 1")
-        if self.towers.rows < 2 or self.towers.cols < 2 or self.towers.spacing_m <= 0:
-            raise InvalidConfig("tower grid must have >= 2 rows/cols and positive spacing")
-        if self.parish_size_m <= 0:
-            raise InvalidConfig("parish_size_m must be positive")
-        if self.dwell_rate_per_h <= 0:
-            raise InvalidConfig("dwell_rate_per_h must be positive")
-        if self.moving_rate_per_h < 0 or not (0.0 <= self.tower_noise_p <= 1.0):
-            raise InvalidConfig("rates must be nonnegative and noise probability in [0, 1]")
+        # each test is written so that NaN fails it
+        if self.towers.rows < 2 or self.towers.cols < 2:
+            raise InvalidConfig("tower grid must have >= 2 rows/cols")
+        for name, value in (("tower_spacing_m", self.towers.spacing_m),
+                            ("parish_size_m", self.parish_size_m),
+                            ("dwell_rate_per_h", self.dwell_rate_per_h)):
+            if not value > 0:
+                raise InvalidConfig(f"{name} must be positive, got {value}")
+        if not self.moving_rate_per_h >= 0:
+            raise InvalidConfig(f"moving_rate_per_h must be >= 0, got {self.moving_rate_per_h}")
+        if not 0.0 <= self.tower_noise_p <= 1.0:
+            raise InvalidConfig(f"tower_noise_p must be in [0, 1], got {self.tower_noise_p}")
         if self.trips_per_day_kind not in ("fixed", "poisson"):
             raise InvalidConfig(f"unknown trips_per_day_kind {self.trips_per_day_kind!r}")
         if not (0 <= self.trips_per_day_value <= _MAX_TRIPS_PER_DAY):
             raise InvalidConfig(f"trips_per_day_value must be in [0, {_MAX_TRIPS_PER_DAY}]")
         mix_sum = sum(self.mode_mix.values())
-        if abs(mix_sum - 1.0) > 1e-9:
-            raise InvalidConfig(f"mode mix sums to {mix_sum}, expected 1")
+        if not abs(mix_sum - 1.0) <= 1e-9:
+            raise InvalidConfig(f"mode_mix sums to {mix_sum}, expected 1")
         for mode, share in self.mode_mix.items():
-            if share < 0:
-                raise InvalidConfig(f"negative share for mode {mode!r}")
+            if not share >= 0:
+                raise InvalidConfig(f"mode_mix share for mode {mode!r} must be >= 0, got {share}")
             if mode not in self.mode_speed_bands_kmh or mode not in self.mode_trip_distance_m:
                 raise InvalidConfig(f"mode {mode!r} lacks a speed band or distance range")
             lo, hi = self.mode_speed_bands_kmh[mode]
             d_lo, d_hi = self.mode_trip_distance_m[mode]
-            if lo > hi or d_lo > d_hi or d_lo <= 0:
-                raise InvalidConfig(f"invalid band for mode {mode!r}")
+            if not (lo <= hi and d_lo <= d_hi and d_lo > 0):
+                raise InvalidConfig(
+                    f"invalid band for mode {mode!r}: mode_speed_bands_kmh {lo}:{hi}, "
+                    f"mode_trip_distance_m {d_lo}:{d_hi}"
+                )
             rep_len = (d_lo + d_hi) / 2.0
             for speed in (lo, hi):
                 duration = rep_len / (speed / 3.6)
@@ -216,6 +226,8 @@ class PipelineConfig:
             raise InvalidConfig("top_k must be >= 1")
         if self.min_arc_frequency < 0:
             raise InvalidConfig("min_arc_frequency must be >= 0")
+        if not self.gap_threshold_s >= 0:  # inf never splits a trip; NaN would merge them all
+            raise InvalidConfig(f"gap_threshold_s must be >= 0, got {self.gap_threshold_s}")
 
 
 def _parse_named_floats(text: str) -> dict[str, float]:

@@ -1,29 +1,23 @@
-"""Tower sectors, pseudo-location sampling, land clipping, region assignment, file codecs.
+"""Tower sectors, pseudo-location sampling, land clipping, region assignment.
 
 Cell identifiers carry no exact coordinates, so events are placed at
 deterministic pseudo-locations inside the serving antenna's sector wedge.
-The event records and the great-circle math are in records.
+The event records and great-circle math are in records, the event files in eventfiles.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, replace
 from hashlib import blake2b
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .errors import ClippingExhausted
-from .files import (
-    is_strict, plain_csv_blocks, read_csv, read_json, read_keyed_csv, strict_float, write_csv,
-    write_csv_blocks, write_json,
-)
-from .records import (
-    _BLOCK_EVENTS, EARTH_RADIUS_M, CdrEvent, EventColumns, GeoPoint, PositionedEvent,
-    _check_coordinates, event_columns, id_codes,
-)
-from .timefmt import from_iso, from_iso_block, to_iso_block
+# perfbench/tracing.py:128-131 wraps these three names as geo's, not eventfiles'.
+from .eventfiles import load_cdr_csv, load_positioned_csv, write_positioned_csv  # noqa: F401
+from .files import read_json, read_keyed_csv, strict_float, write_csv, write_json
+from .records import _BLOCK_EVENTS, EARTH_RADIUS_M, CdrEvent, EventColumns, GeoPoint, event_columns
 
 if TYPE_CHECKING:
     import numpy as np
@@ -630,153 +624,6 @@ def write_towers_csv(towers: Iterable[TowerSector], path: str | Path) -> None:
          repr(t.beamwidth_deg), repr(t.radius_m)]
         for t in sorted(towers, key=lambda t: t.cell_id)
     ))
-
-
-CDR_HEADER = ["user_id", "timestamp", "cell_id"]
-POSITIONED_HEADER = ["user_id", "timestamp", "cell_id", "lat", "lon"]
-
-
-def _cdr_fields(user_id, ts, cell_id) -> tuple:
-    return user_id, from_iso(ts), cell_id
-
-
-def _positioned_fields(user_id, ts, cell_id, lat, lon) -> tuple:
-    # the checks and their order are those of PositionedEvent(..., GeoPoint(lat, lon))
-    timestamp, lat, lon = from_iso(ts), strict_float(lat), strict_float(lon)
-    _check_coordinates(lat, lon)
-    if not math.isfinite(timestamp):
-        raise ValueError("timestamp must be finite")
-    return user_id, timestamp, cell_id, lat, lon
-
-
-class _ColumnBuilder:
-    """EventColumns grown a value or a block of values at a time."""
-
-    def __init__(self, n_floats: int):
-        self.user_codes: dict[str, int] = {}
-        self.cell_codes: dict[str, int] = {}
-        self.user, self.cell = array("i"), array("i")
-        self.floats = [array("d") for _ in range(n_floats)]  # ts, then lat and lon if any
-
-    def build(self) -> EventColumns:
-        import numpy as np
-
-        return EventColumns(
-            list(self.user_codes), list(self.cell_codes),
-            np.frombuffer(self.user, dtype=np.int32), np.frombuffer(self.cell, dtype=np.int32),
-            *(np.frombuffer(column, dtype=np.float64) for column in self.floats),
-        )
-
-
-def _read_canonical_columns(path: str | Path, header: list[str]) -> Optional[EventColumns]:
-    """EventColumns of a plain event file in canonical form, or None for any other file.
-
-    Canonical is what the writers below give: plain CSV (files.plain_csv_blocks),
-    timestamps in from_iso_block's form, and coordinates that strict_float reads
-    within range.  For such a file this gives what _read_rows gives, with
-    whole-array passes over each block instead of a check per row.
-    """
-    import numpy as np
-
-    out = _ColumnBuilder(len(header) - 2)
-    for columns in plain_csv_blocks(path, header):
-        if columns is None:
-            return None
-        users, stamps, cells, *coordinates = columns
-        ts = from_iso_block(stamps)
-        if ts is None:
-            return None
-        if not all(map(is_strict, map("".join, coordinates))):
-            return None
-        try:
-            floats = [np.fromiter(map(float, c), np.float64, len(c)) for c in coordinates]
-        except ValueError:
-            return None
-        if floats:
-            lat, lon = floats
-            if not ((-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0)).all():
-                return None  # NaN fails here too, as in _check_coordinates
-        values = (id_codes(out.user_codes, users), id_codes(out.cell_codes, cells), ts, *floats)
-        for column, block in zip((out.user, out.cell, *out.floats), values):
-            column.frombytes(block.tobytes())
-    return out.build()
-
-
-def _read_rows(path: str | Path, header: list[str], what: str, fields) -> EventColumns:
-    """EventColumns of a CSV whose rows fields(*row) turns into (user, ts, cell, *coordinates)."""
-    out = _ColumnBuilder(len(header) - 2)
-    for user_id, ts, cell_id, *coordinates in read_csv(path, header, what, fields):
-        out.user.append(out.user_codes.setdefault(user_id, len(out.user_codes)))
-        out.cell.append(out.cell_codes.setdefault(cell_id, len(out.cell_codes)))
-        for column, value in zip(out.floats, (ts, *coordinates)):
-            column.append(value)
-    return out.build()
-
-
-def _read_columns(path: str | Path, header: list[str], what: str, fields) -> EventColumns:
-    """The canonical reader's columns, or the row-wise reader's for any other file.
-
-    Both accept the same files with the same values; only the row-wise
-    reader raises, naming the file and line.
-    """
-    columns = _read_canonical_columns(path, header)
-    return _read_rows(path, header, what, fields) if columns is None else columns
-
-
-def load_cdr_csv(path: str | Path) -> EventColumns:
-    return _read_columns(path, CDR_HEADER, "cdr file", _cdr_fields)
-
-
-def write_cdr_csv(events: Iterable[CdrEvent], path: str | Path) -> None:
-    """cdr.csv of CdrEvent or PositionedEvent records, or of EventColumns, positioned or not."""
-    write_cdr_columns([event_columns(events)], path)
-
-
-def read_positioned_columns(path: str | Path) -> EventColumns:
-    return _read_columns(path, POSITIONED_HEADER, "positioned file", _positioned_fields)
-
-
-def load_positioned_csv(path: str | Path) -> list[PositionedEvent]:
-    """PositionedEvents of the file, parsed row by row without numpy, for the trips stage."""
-    return [
-        PositionedEvent(user_id, ts, cell_id, GeoPoint(lat, lon))
-        for user_id, ts, cell_id, lat, lon
-        in read_csv(path, POSITIONED_HEADER, "positioned file", _positioned_fields)
-    ]
-
-
-def write_positioned_csv(events: Iterable[PositionedEvent], path: str | Path) -> None:
-    """positioned.csv of PositionedEvent records or positioned EventColumns, a block at a time."""
-    write_csv_blocks(path, POSITIONED_HEADER, _text_blocks(event_columns(events), coordinates=True))
-
-
-def write_cdr_columns(parts: Iterable[EventColumns], path: str | Path) -> None:
-    """cdr.csv of the events of each part in turn, a block of rows at a time.
-
-    Only one part is converted at a time, so the parts can be made as
-    they are written.  Coordinates, if any, are left out.
-    """
-    write_csv_blocks(path, CDR_HEADER, (text for events in parts for text in _text_blocks(events)))
-
-
-def _text_blocks(events: EventColumns, coordinates: bool = False) -> Iterator[list[list[str]]]:
-    """The rows of events as string columns, _BLOCK_EVENTS rows at a time.
-
-    The columns are those of the event files: user_id, timestamp and
-    cell_id, then lat and lon if `coordinates` is set.
-    """
-    users, cells = events.users, events.cells
-    for start in range(0, len(events), _BLOCK_EVENTS):
-        block = slice(start, start + _BLOCK_EVENTS)
-        columns = [
-            list(map(users.__getitem__, events.user[block].tolist())),
-            to_iso_block(events.ts[block]),
-            list(map(cells.__getitem__, events.cell[block].tolist())),
-        ]
-        if coordinates:
-            columns.append(list(map(repr, events.lat[block].tolist())))
-            columns.append(list(map(repr, events.lon[block].tolist())))
-        yield columns
 
 
 def _rings_to_coords(polygons: tuple) -> list:

@@ -6,6 +6,7 @@ indicative only; every export carries an explicit heuristic flag.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,6 +38,11 @@ class Tripleg:
             raise ValueError(f"tripleg {self.tripleg_id}: t_end must exceed t_start")
         if self.mode not in MODES:
             raise ValueError(f"tripleg {self.tripleg_id}: unknown mode {self.mode!r}")
+        if not (0.0 <= self.path_length_m < math.inf and 0.0 <= self.avg_speed_kmh < math.inf):
+            raise ValueError(
+                f"tripleg {self.tripleg_id}: path_length_m and avg_speed_kmh must be finite "
+                f"and >= 0, got {self.path_length_m} and {self.avg_speed_kmh}"
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,6 +58,12 @@ class Trip:
     def __post_init__(self) -> None:
         if not self.triplegs:
             raise ValueError(f"trip {self.trip_id}: needs at least one tripleg")
+        for leg in self.triplegs:
+            if leg.user_id != self.user_id:
+                raise ValueError(
+                    f"trip {self.trip_id}: tripleg {leg.tripleg_id} is of user {leg.user_id!r}, "
+                    f"not {self.user_id!r}"
+                )
         for a, b in zip(self.triplegs, self.triplegs[1:]):
             if b.t_start < a.t_end:
                 raise ValueError(f"trip {self.trip_id}: triplegs overlap in time")
@@ -222,7 +234,14 @@ def load_trips_csv(trips_path: str | Path, triplegs_path: str | Path) -> list[Tr
             t_start=from_iso(t_start), t_end=from_iso(t_end),
         )
 
-    return list(read_keyed_csv(trips_path, TRIPS_HEADER, "trips file", "trip_id", trip).values())
+    trips = read_keyed_csv(trips_path, TRIPS_HEADER, "trips file", "trip_id", trip)
+    for trip_id, legs in legs_by_trip.items():
+        if trip_id not in trips:
+            raise ValueError(
+                f"triplegs file {triplegs_path}: tripleg {legs[0].tripleg_id} names "
+                f"trip {trip_id!r}, which trips file {trips_path} lacks"
+            )
+    return list(trips.values())
 
 
 @dataclass(frozen=True, slots=True)

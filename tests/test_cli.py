@@ -14,10 +14,8 @@ import pytest
 import cdrflow
 from cdrflow.cli import ART, main
 from cdrflow.config import PipelineConfig, config_hash, load_config
-from cdrflow.geo import (
-    Region, load_cdr_csv, load_positioned_csv, load_towers_csv, region_contains,
-    write_regions_geojson,
-)
+from cdrflow.eventfiles import load_cdr_csv, load_positioned_csv
+from cdrflow.geo import Region, load_towers_csv, region_contains, write_regions_geojson
 from cdrflow.records import GeoPoint
 
 from test_geo import scalar_positions
@@ -95,7 +93,7 @@ class TestRunAll:
         from cdrflow import (
             build_staypoints, build_trips, generate_scenario, moving_events, position_events,
         )
-        from cdrflow.geo import write_positioned_csv
+        from cdrflow.eventfiles import write_positioned_csv
         from cdrflow.stays import write_staypoints_csv
         from cdrflow.trips import write_triplegs_csv, write_trips_csv
 
@@ -117,9 +115,9 @@ class TestRunAll:
         assert 0 < len(moving) < len(positioned) and trips
         lib = tmp_path / "lib"
         lib.mkdir()
-        write_positioned_csv(positioned, lib / ART["positioned"])
+        write_positioned_csv([positioned], lib / ART["positioned"])
         write_staypoints_csv(staypoints, lib / ART["staypoints"])
-        write_positioned_csv(moving, lib / ART["moving"])
+        write_positioned_csv([moving], lib / ART["moving"])
         write_trips_csv(trips, lib / ART["trips"])
         write_triplegs_csv(trips, lib / ART["triplegs"])
         for name in ("positioned", "staypoints", "moving", "trips", "triplegs"):
@@ -343,6 +341,55 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"cdrflow {stage}: ") and str(out / ART[name]) in err
         assert message in err
+
+    @pytest.mark.parametrize("column, value, name, message", [
+        (1, "trip999999", "triplegs", "names trip 'trip999999', which trips file"),
+        (2, "someone-else", "trips", "is of user 'someone-else', not "),
+        (7, "nan", "triplegs", "must be finite and >= 0"),
+        (8, "-1.0", "triplegs", "must be finite and >= 0"),
+    ], ids=["orphan-leg", "other-user", "nan-length", "negative-speed"])
+    def test_triplegs_that_fit_no_trip_exit_1_naming_file_and_leg(
+        self, tmp_path, tiny_config, capsys, column, value, name, message
+    ):
+        out = tmp_path / "run"
+        for stage in ("synth", "position", "stays", "trips"):
+            assert run(stage, "--config", str(tiny_config), "--out", str(out), "--seed", "4") == 0
+        with open(out / ART["triplegs"], newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+        leg = rows[1][:]
+        leg[column] = value
+        if column == 1:  # a leg of its own, so that its trip keeps its legs
+            leg[0] += "x"
+            rows.append(leg)
+        else:
+            rows[1] = leg
+        with open(out / ART["triplegs"], "w", newline="", encoding="utf-8") as f:
+            csv.writer(f).writerows(rows)
+        assert run("log", "--config", str(tiny_config), "--out", str(out), "--seed", "4") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cdrflow log: ") and str(out / ART[name]) in err
+        assert leg[0] in err and message in err
+
+    @pytest.mark.parametrize("section, setting, message", [
+        ("trips", "gap_threshold_s = nan", "gap_threshold_s must be >= 0, got nan"),
+        ("trips", "gap_threshold_s = -5", "gap_threshold_s must be >= 0, got -5.0"),
+        ("modes", "min_duration_s = nan", "ModeThresholds.min_duration_s must be a number"),
+        ("synth", "mode_mix = car:nan,bus:1", "mode_mix sums to nan"),
+        ("synth", "mode_speed_bands_kmh = walk:3.5:3.5,bicycle:11:11,bus:21:21,car:43.5:43.5,"
+                  "train:nan:nan", "mode 'train': mode_speed_bands_kmh nan:nan"),
+        ("synth", "moving_rate_per_h = nan", "moving_rate_per_h must be >= 0, got nan"),
+        ("synth", "parish_size_m = nan", "parish_size_m must be positive, got nan"),
+        ("synth", "dwell_rate_per_h = nan", "dwell_rate_per_h must be positive, got nan"),
+        ("synth", "tower_spacing_m = nan", "tower_spacing_m must be positive, got nan"),
+    ])
+    def test_nan_setting_exits_1_naming_it(self, tmp_path, section, setting, message, capsys):
+        ini = tmp_path / "nan.ini"
+        header = "" if section == "synth" else f"[{section}]\n"
+        ini.write_text(f"[synth]\nn_agents = 3\nn_days = 2\n{header}{setting}\n")
+        out = tmp_path / "run"
+        assert run("all", "--config", str(ini), "--out", str(out), "--seed", "17") == 1
+        assert message in capsys.readouterr().err
+        assert not (out / ART["cdr"]).exists()
 
     def test_config_mismatch_exits_1(self, tmp_path, tiny_config, capsys):
         out = tmp_path / "run"
@@ -583,7 +630,9 @@ def test_each_stage_leaves_later_stages_modules_out(tmp_path, tiny_config):
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith(('cdrflow.', 'numpy')))))\n"
     )
     mining = {"cdrflow.eventlog", "cdrflow.discovery", "cdrflow.conformance"}
-    trip_making = {"cdrflow.geo", "cdrflow.records", "cdrflow.stays", "cdrflow.trips"}
+    trip_making = {
+        "cdrflow.eventfiles", "cdrflow.geo", "cdrflow.records", "cdrflow.stays", "cdrflow.trips",
+    }
     for stage in ("synth", "position", "stays", "trips", "log", "discover", "conform", "validate"):
         loaded = set(json.loads(python_output(code, stage, tiny_config, out)))
         if stage == "synth":  # recovery scoring's modules stay out of the generator's process
@@ -594,7 +643,7 @@ def test_each_stage_leaves_later_stages_modules_out(tmp_path, tiny_config):
             assert not loaded & mining, stage
         if stage == "position":
             assert not loaded & {"cdrflow.stays", "cdrflow.trips"}
-        if stage in ("log", "validate"):  # staypoints and trips need no positioning code
+        if stage in ("trips", "log", "validate"):  # none of them needs positioning code
             assert not loaded & {"cdrflow.geo", "numpy"}, stage
         if stage in ("discover", "conform"):
             assert not loaded & trip_making, stage
@@ -614,6 +663,7 @@ def test_importtime_lists_each_stage_module(tmp_path, tiny_config):
     src = str(Path(cdrflow.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     stage_modules = {
+        "trips": {"cdrflow.eventfiles", "cdrflow.stays", "cdrflow.trips"},
         "log": {"cdrflow.eventlog", "cdrflow.stays", "cdrflow.trips"},
         "validate": {"cdrflow.stays", "cdrflow.trips", "cdrflow.validation"},
     }
@@ -625,6 +675,18 @@ def test_importtime_lists_each_stage_module(tmp_path, tiny_config):
         )
         logged = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
         assert modules <= logged, stage
+
+
+def test_benchmark_wrappers_find_every_name_they_wrap():
+    """perfbench's layer tracing wraps cdrflow names; a name gone from src fails here."""
+    src = str(Path(cdrflow.__file__).resolve().parents[1])
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    done = subprocess.run(
+        [sys.executable, "-c", "import tracing; tracing.install(tracing.Tracer())"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([perfbench, src])},
+    )
+    assert done.returncode == 0, done.stderr
 
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize("stage, code", [("synth", 0), ("conform", 1)])  # conform: no model

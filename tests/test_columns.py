@@ -23,10 +23,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdrflow import files, geo, records, stays, synth
+from cdrflow import eventfiles, files, geo, records, stays, synth
 from cdrflow.errors import UnsortedInput
 from cdrflow.files import read_csv
-from cdrflow.geo import CDR_HEADER, POSITIONED_HEADER, position_events
+from cdrflow.eventfiles import CDR_HEADER, POSITIONED_HEADER
+from cdrflow.geo import position_events
 from cdrflow.records import CdrEvent, GeoPoint, PositionedEvent, event_columns
 from cdrflow.timefmt import from_iso, to_iso
 
@@ -198,14 +199,15 @@ block_sizes = st.sampled_from([1, 7, 64, 1 << 16])
 @settings(max_examples=400, deadline=None)
 @given(csv_files(CDR_HEADER), block_sizes)
 def test_cdr_readers_accept_and_reject_alike(text, block_bytes):
-    readers_agree(text, reference_cdr, None, geo.load_cdr_csv, block_bytes)
+    readers_agree(text, reference_cdr, None, eventfiles.load_cdr_csv, block_bytes)
 
 
 @settings(max_examples=400, deadline=None)
 @given(csv_files(POSITIONED_HEADER), block_sizes)
 def test_positioned_readers_accept_and_reject_alike(text, block_bytes):
     readers_agree(
-        text, reference_positioned, geo.load_positioned_csv, geo.read_positioned_columns,
+        text, reference_positioned, eventfiles.load_positioned_csv,
+        eventfiles.read_positioned_columns,
         block_bytes,
     )
 
@@ -219,9 +221,9 @@ NEAR_MISSES = [("cdr", 1, stamp) for stamp in TIMESTAMPS] + [
 @pytest.mark.parametrize("kind, column, value", NEAR_MISSES)
 def test_one_near_miss_in_a_canonical_file(kind, column, value):
     header, reference, load, read_columns = {
-        "cdr": (CDR_HEADER, reference_cdr, None, geo.load_cdr_csv),
-        "positioned": (POSITIONED_HEADER, reference_positioned, geo.load_positioned_csv,
-                       geo.read_positioned_columns),
+        "cdr": (CDR_HEADER, reference_cdr, None, eventfiles.load_cdr_csv),
+        "positioned": (POSITIONED_HEADER, reference_positioned, eventfiles.load_positioned_csv,
+                       eventfiles.read_positioned_columns),
     }[kind]
     rows = [["u1", "2024-02-01T00:00:00Z", "c1", "38.7", "-9.3"][:len(header)] for _ in range(3)]
     rows[1][column] = value
@@ -237,19 +239,19 @@ def test_one_near_miss_in_a_canonical_file(kind, column, value):
 ])
 def test_lines_that_only_add_up_to_canonical_are_read_row_by_row(rows):
     text = "user_id,timestamp,cell_id\r\n" + rows
-    readers_agree(text, reference_cdr, None, geo.load_cdr_csv, 1 << 16)
+    readers_agree(text, reference_cdr, None, eventfiles.load_cdr_csv, 1 << 16)
 
 
 def test_canonical_files_skip_the_row_wise_reader(tmp_path, monkeypatch):
     rows = [PositionedEvent(u, float(t), "c", GeoPoint(38.7, -0.0))
             for u in ("b", "a", "") for t in (-59000000000, 0, 1706745600, LAST_S)]
-    geo.write_positioned_csv(rows, tmp_path / "positioned.csv")
-    geo.write_cdr_csv(rows, tmp_path / "cdr.csv")
-    expected = (geo.read_positioned_columns(tmp_path / "positioned.csv"),
-                geo.load_cdr_csv(tmp_path / "cdr.csv"))
-    monkeypatch.setattr(geo, "_read_rows", None)
-    got = (geo.read_positioned_columns(tmp_path / "positioned.csv"),
-           geo.load_cdr_csv(tmp_path / "cdr.csv"))
+    eventfiles.write_positioned_csv([event_columns(rows)], tmp_path / "positioned.csv")
+    eventfiles.write_cdr_csv([event_columns(rows)], tmp_path / "cdr.csv")
+    expected = (eventfiles.read_positioned_columns(tmp_path / "positioned.csv"),
+                eventfiles.load_cdr_csv(tmp_path / "cdr.csv"))
+    monkeypatch.setattr(eventfiles, "_read_rows", None)
+    got = (eventfiles.read_positioned_columns(tmp_path / "positioned.csv"),
+           eventfiles.load_cdr_csv(tmp_path / "cdr.csv"))
     for a, b in zip(got, expected):
         assert column_rows(a) == column_rows(b)
     assert column_rows(got[0]) == object_rows(rows)
@@ -258,7 +260,7 @@ def test_canonical_files_skip_the_row_wise_reader(tmp_path, monkeypatch):
 def test_empty_files_give_empty_columns(tmp_path):
     path = tmp_path / "positioned.csv"
     path.write_text(",".join(POSITIONED_HEADER) + "\n")
-    events = geo.read_positioned_columns(path)
+    events = eventfiles.read_positioned_columns(path)
     assert len(events) == 0 and events.users == [] and events.lat.dtype == np.float64
     assert len(records.sort_by_user_time(events)) == 0
 
@@ -309,11 +311,12 @@ def test_position_columns_equal_position_events(land_world, tmp_path, monkeypatc
     write_reference(tmp_path / "reference.csv", POSITIONED_HEADER, positioned_rows(expected))
     for size in (1000, 7):
         monkeypatch.setattr(geo, "_BLOCK_EVENTS", size)
+        monkeypatch.setattr(eventfiles, "_BLOCK_EVENTS", size)
         got = position_events(cdr_columns(events), towers, land=RIVER_LAND)
         assert column_rows(got) == object_rows(expected)
         assert position_events(events, towers, land=RIVER_LAND) == expected
-        geo.write_positioned_csv(got, tmp_path / "columns.csv")
-        geo.write_positioned_csv(expected, tmp_path / "objects.csv")
+        eventfiles.write_positioned_csv([got], tmp_path / "columns.csv")
+        eventfiles.write_positioned_csv([event_columns(expected)], tmp_path / "objects.csv")
         for name in ("columns.csv", "objects.csv"):
             assert (tmp_path / name).read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
@@ -375,21 +378,22 @@ def columns_of(events):
     st.sampled_from([1, 3, 1024]),
 )
 def test_writers_write_what_csv_writer_writes(events, block_events):
-    with tempfile.TemporaryDirectory() as tmp, patch.object(geo, "_BLOCK_EVENTS", block_events):
+    with tempfile.TemporaryDirectory() as tmp, \
+            patch.object(eventfiles, "_BLOCK_EVENTS", block_events):
         tmp = Path(tmp)
         write_reference(tmp / "positioned.csv", POSITIONED_HEADER, positioned_rows(events))
-        geo.write_positioned_csv(events, tmp / "objects.csv")
-        geo.write_positioned_csv(columns_of(events), tmp / "columns.csv")
+        eventfiles.write_positioned_csv([event_columns(events)], tmp / "objects.csv")
+        eventfiles.write_positioned_csv([columns_of(events)], tmp / "columns.csv")
         for name in ("objects.csv", "columns.csv"):
             assert (tmp / name).read_bytes() == (tmp / "positioned.csv").read_bytes()
-        # PositionedEvent records give cdr.csv their three CDR columns only
-        geo.write_cdr_csv(events, tmp / "cdr.csv")
+        # positioned columns give cdr.csv their three CDR columns only
+        eventfiles.write_cdr_csv([event_columns(events)], tmp / "cdr.csv")
         write_reference(tmp / "reference.csv", CDR_HEADER,
                         ([ev.user_id, to_iso(ev.timestamp), ev.cell_id] for ev in events))
         assert (tmp / "cdr.csv").read_bytes() == (tmp / "reference.csv").read_bytes()
         cdr, cut = cdr_columns(events), len(events) // 3
         parts = [cdr.take(slice(0, cut)), cdr.take(slice(cut, cut)), cdr.take(slice(cut, None))]
-        geo.write_cdr_columns(iter(parts), tmp / "parts.csv")
+        eventfiles.write_cdr_csv(iter(parts), tmp / "parts.csv")
         assert (tmp / "parts.csv").read_bytes() == (tmp / "reference.csv").read_bytes()
 
 
@@ -399,7 +403,7 @@ def test_cdr_writer_raises_as_to_iso(tmp_path, ts):
         to_iso(ts)
     events = [CdrEvent("u", 0.0, "c"), CdrEvent("u", ts, "c")]
     with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
-        geo.write_cdr_csv(events, tmp_path / "cdr.csv")
+        eventfiles.write_cdr_csv([event_columns(events)], tmp_path / "cdr.csv")
 
 
 def test_codec_output_does_not_depend_on_block_size(land_world, tmp_path, monkeypatch):
@@ -408,16 +412,17 @@ def test_codec_output_does_not_depend_on_block_size(land_world, tmp_path, monkey
     positioned = position_events(cdr_columns(events), towers, land=RIVER_LAND)
     expected_bytes = expected_rows = None
     for block_events, block_bytes in ((1024, 1 << 16), (1, 1), (7, 100), (333, 4096)):
-        monkeypatch.setattr(geo, "_BLOCK_EVENTS", block_events)
+        monkeypatch.setattr(eventfiles, "_BLOCK_EVENTS", block_events)
         monkeypatch.setattr(files, "_PLAIN_BLOCK_BYTES", block_bytes)
-        geo.write_positioned_csv(positioned, tmp_path / "positioned.csv")
-        geo.write_positioned_csv(positioned.take(slice(0, 600)), tmp_path / "canonical.csv")
-        geo.write_cdr_csv(events, tmp_path / "cdr.csv")
+        eventfiles.write_positioned_csv([positioned], tmp_path / "positioned.csv")
+        canonical = positioned.take(slice(0, 600))
+        eventfiles.write_positioned_csv([canonical], tmp_path / "canonical.csv")
+        eventfiles.write_cdr_csv([event_columns(events)], tmp_path / "cdr.csv")
         written = [(tmp_path / name).read_bytes()
                    for name in ("positioned.csv", "canonical.csv", "cdr.csv")]
-        rows = [column_rows(geo.read_positioned_columns(tmp_path / "positioned.csv")),
-                column_rows(geo.read_positioned_columns(tmp_path / "canonical.csv")),
-                column_rows(geo.load_cdr_csv(tmp_path / "cdr.csv"))]
+        rows = [column_rows(eventfiles.read_positioned_columns(tmp_path / "positioned.csv")),
+                column_rows(eventfiles.read_positioned_columns(tmp_path / "canonical.csv")),
+                column_rows(eventfiles.load_cdr_csv(tmp_path / "cdr.csv"))]
         expected_bytes = expected_bytes or written
         expected_rows = expected_rows or rows
         assert written == expected_bytes and rows == expected_rows
@@ -435,9 +440,9 @@ def test_build_staypoints_and_moving_events_equal_reference(tmp_path, seed, inte
     order = (lambda ev: (ev.timestamp, ev.user_id)) if interleave else (
         lambda ev: (ev.user_id, ev.timestamp))
     path = tmp_path / "positioned.csv"
-    geo.write_positioned_csv(position_events(sorted(events, key=order), towers), path)
-    positioned = geo.load_positioned_csv(path)
-    columns = geo.read_positioned_columns(path)
+    eventfiles.write_positioned_csv([position_events(sorted(events, key=order), towers)], path)
+    positioned = eventfiles.load_positioned_csv(path)
+    columns = eventfiles.read_positioned_columns(path)
     params = stays.StopParams()
     expected, expected_moving = reference_staypoints(positioned, params, regions)
     got = stays.build_staypoints(columns, params, regions)
@@ -458,11 +463,11 @@ def test_build_staypoints_rejects_unsorted_users_alike(tmp_path):
     rows[60], rows[61] = rows[61], rows[60]  # user "a" goes back in time at once
     rows[5], rows[9] = rows[9], rows[5]  # and so does "b", later in sorted order
     path = tmp_path / "positioned.csv"
-    geo.write_positioned_csv(rows, path)
+    eventfiles.write_positioned_csv([event_columns(rows)], path)
     params = stays.StopParams()
     with pytest.raises(UnsortedInput) as expected:
-        reference_staypoints(geo.load_positioned_csv(path), params)
-    for given in (geo.read_positioned_columns(path), geo.load_positioned_csv(path)):
+        reference_staypoints(eventfiles.load_positioned_csv(path), params)
+    for given in (eventfiles.read_positioned_columns(path), eventfiles.load_positioned_csv(path)):
         with pytest.raises(UnsortedInput, match=re.escape(str(expected.value))) as got:
             stays.build_staypoints(given, params)
     assert "'a'" in str(got.value)
@@ -512,7 +517,7 @@ def test_cdr_writer_leaves_positioned_columns_coordinates_out(sequence_world, tm
     events, positioned = sequence_world
     columns = event_columns(positioned)
     assert columns.lat is not None
-    geo.write_cdr_csv(columns, tmp_path / "cdr.csv")
+    eventfiles.write_cdr_csv([columns], tmp_path / "cdr.csv")
     write_reference(tmp_path / "reference.csv", CDR_HEADER,
                     ([ev.user_id, to_iso(ev.timestamp), ev.cell_id] for ev in events))
     assert (tmp_path / "cdr.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()

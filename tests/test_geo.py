@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cdrflow import geo
 from cdrflow.errors import ClippingExhausted
+from cdrflow.eventfiles import load_cdr_csv, write_cdr_csv
 from cdrflow.geo import (
     _BEARING_MARGIN_DEG,
     _RADIAL_FRACTION_MAX,
@@ -21,13 +22,11 @@ from cdrflow.geo import (
     _Land,
     bearing_within_wedge,
     event_seed,
-    load_cdr_csv,
     load_regions_geojson,
     load_towers_csv,
     position_events,
     region_contains,
     sample_sector_point,
-    write_cdr_csv,
     write_regions_geojson,
     write_towers_csv,
 )
@@ -425,7 +424,7 @@ class TestFileFormats:
     def test_cdr_round_trip(self, tmp_path):
         events = [CdrEvent("u1", 1706745600.0, "c1"), CdrEvent("u2", 1706745660.0, "c2")]
         path = tmp_path / "cdr.csv"
-        write_cdr_csv(events, path)
+        write_cdr_csv([event_columns(events)], path)
         assert load_cdr_csv(path) == events
 
 

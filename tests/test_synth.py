@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdrflow import cli, geo, synth
+from cdrflow import cli, records, synth
 from cdrflow.config import load_config
 from cdrflow.errors import InvalidConfig, ScenarioMismatch
-from cdrflow.geo import position_events, write_cdr_csv
+from cdrflow.eventfiles import write_cdr_csv
+from cdrflow.geo import position_events
 from cdrflow.records import GeoPoint, destination_point, haversine_distance, haversine_m_array
 from cdrflow.stays import Staypoint, StopParams, build_staypoints
 from cdrflow.synth import (
@@ -35,7 +36,7 @@ class TestGenerateScenario:
     def test_deterministic_byte_identical_files(self, tmp_path):
         for name in ("a", "b"):
             events, *_ = generate_scenario(small_config(seed=1))
-            write_cdr_csv(events, tmp_path / f"{name}.csv")
+            write_cdr_csv([events], tmp_path / f"{name}.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_fixed_trip_arithmetic(self):
@@ -125,7 +126,7 @@ class TestGenerateScenario:
 
 class TestConfigValidation:
     def test_mix_must_sum_to_one(self):
-        with pytest.raises(InvalidConfig, match="mode mix"):
+        with pytest.raises(InvalidConfig, match="mode_mix sums to 0.7"):
             generate_scenario(small_config(mode_mix={"car": 0.5, "bus": 0.2}))
 
     def test_band_must_classify_to_its_mode(self):
@@ -428,10 +429,10 @@ class TestStreamingSynth:
             raise AssertionError("cdrflow synth built a CdrEvent")
 
         with monkeypatch.context() as patch:
-            patch.setattr(geo, "CdrEvent", no_records)  # where EventColumns makes records
+            patch.setattr(records, "CdrEvent", no_records)  # where EventColumns makes records
             code = cli.main(["synth", "--config", str(config), "--seed", "17",
                              "--out", str(tmp_path / "run")])
         assert code == 0
         events, *_ = generate_scenario(replace(load_config(config).scenario, seed=17))
-        write_cdr_csv(events, tmp_path / "expected.csv")
+        write_cdr_csv([events], tmp_path / "expected.csv")
         assert (tmp_path / "run" / "cdr.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -73,6 +74,11 @@ class TestModeThresholds:
     def test_bands_must_increase(self):
         with pytest.raises(ValueError):
             ModeThresholds(walk_max_kmh=20.0, bicycle_max_kmh=10.0)
+
+    def test_thresholds_may_be_infinite_but_not_nan(self):
+        assert ModeThresholds(car_max_kmh=math.inf).classify(500.0, 100.0, 600.0) == "car"
+        with pytest.raises(ValueError, match="ModeThresholds.bus_max_length_m must be a number"):
+            ModeThresholds(bus_max_length_m=math.nan)
 
     def test_label_mode_lookup(self):
         the_leg = leg("l0", "u", "a", "b", 0, 600, 700.0, 4.2, mode="unknown")
@@ -221,6 +227,11 @@ class TestInvariants:
             leg("l0", "u", "a", "b", 10, 10, 100.0, 36.0)
         with pytest.raises(ValueError, match="tripleg l0: unknown mode 'jetpack'"):
             leg("l0", "u", "a", "b", 0, 10, 100.0, 36.0, mode="jetpack")
+        assert leg("l0", "u", "a", "b", 0, 10, 0.0, 0.0).path_length_m == 0.0
+        for length, speed in [(math.nan, 36.0), (-1.0, 36.0), (math.inf, 36.0), (100.0, math.nan),
+                              (100.0, -0.5), (100.0, math.inf)]:
+            with pytest.raises(ValueError, match="tripleg l0: path_length_m and avg_speed_kmh"):
+                leg("l0", "u", "a", "b", 0, 10, length, speed)
 
     def test_trip_needs_legs_in_time_order_and_unbroken(self):
         first = leg("l0", "u", "a", "b", 0, 10, 100.0, 36.0)
@@ -230,6 +241,8 @@ class TestInvariants:
             ((), "needs at least one tripleg"),
             ((first, leg("l1", "u", "b", "c", 9, 20, 100.0, 36.0)), "triplegs overlap in time"),
             ((first, leg("l1", "u", "x", "c", 10, 20, 100.0, 36.0)), "tripleg chain is broken"),
+            ((first, leg("l1", "v", "b", "c", 10, 20, 100.0, 36.0)),
+             "tripleg l1 is of user 'v', not 'u'"),
         ]:
             with pytest.raises(ValueError, match=f"trip t: {message}"):
                 Trip("t", "u", legs, "a", "c", 0.0, 20.0)
