@@ -25,7 +25,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
-from .config import PipelineConfig, _run_dir, config_hash, load_config
+from .config import LEVELS, PipelineConfig, _run_dir, config_hash, load_config
 from .errors import CdrflowError, DependencyError, InvalidConfig
 
 ART = {
@@ -156,28 +156,24 @@ def stage_log(cfg: PipelineConfig) -> None:
 def stage_discover(cfg: PipelineConfig) -> None:
     from . import discovery, eventlog
 
+    def write_model(model, kind: str) -> None:
+        discovery.write_model_json(model, _artifact(cfg, f"{kind}_model"))
+        dot = discovery.export_dot(
+            model, show_frequency=True, show_duration=True,
+            min_arc_frequency=cfg.min_arc_frequency,
+        )
+        _artifact(cfg, f"{kind}_dot").write_text(dot, encoding="utf-8")
+
     case_log = eventlog.load_case_log_csv(
         _stage_artifact(cfg, "case_log", "log"), level=cfg.level
     )
     ocel_path = _stage_artifact(cfg, "ocel", "log") if cfg.ocel else None
-    dfg = discovery.annotate_durations(discovery.discover_dfg(case_log), case_log)
-    discovery.write_model_json(dfg, _artifact(cfg, "dfg_model"))
-    dot = discovery.export_dot(
-        dfg, show_frequency=True, show_duration=True,
-        min_arc_frequency=cfg.min_arc_frequency,
-    )
-    _artifact(cfg, "dfg_dot").write_text(dot, encoding="utf-8")
+    write_model(discovery.annotate_durations(discovery.discover_dfg(case_log), case_log), "dfg")
     variants = discovery.extract_variants(case_log, top_k=cfg.top_k)
     discovery.write_variants_json(variants, _artifact(cfg, "variants"))
     if ocel_path is not None:
         ocel = eventlog.load_ocel_json(ocel_path, level=cfg.level)
-        ocdfg = discovery.discover_ocdfg(ocel)
-        discovery.write_model_json(ocdfg, _artifact(cfg, "ocdfg_model"))
-        oc_dot = discovery.export_dot(
-            ocdfg, show_frequency=True, show_duration=True,
-            min_arc_frequency=cfg.min_arc_frequency,
-        )
-        _artifact(cfg, "ocdfg_dot").write_text(oc_dot, encoding="utf-8")
+        write_model(discovery.discover_ocdfg(ocel), "ocdfg")
 
 
 def stage_conform(cfg: PipelineConfig) -> None:
@@ -197,6 +193,10 @@ def stage_conform(cfg: PipelineConfig) -> None:
 def stage_validate(cfg: PipelineConfig) -> None:
     from . import stays, trips, validation
 
+    if cfg.survey_path is None and (cfg.survey_pairs_path or cfg.class_map_path):
+        raise InvalidConfig("[paths] survey_pairs and class_map need a [paths] survey file")
+    if cfg.survey_path is not None and cfg.class_map_path is None:
+        raise InvalidConfig("survey shares need a class_map file mapping destinations to classes")
     all_trips = trips.load_trip_ends_csv(_stage_artifact(cfg, "trips", "trips"))
     staypoints = stays.load_staypoints_csv(_stage_artifact(cfg, "staypoints", "stays"))
     od = validation.build_od_matrix(all_trips, staypoints, cfg.level)
@@ -207,18 +207,12 @@ def stage_validate(cfg: PipelineConfig) -> None:
 
     comparison = None
     if cfg.survey_path is not None:
-        survey = validation.load_survey_csv(cfg.survey_path)
-        if "shares" in survey:
-            if cfg.class_map_path is None:
-                raise CdrflowError(
-                    "survey shares need a class_map file mapping destinations to classes"
-                )
-            class_map = validation.load_class_map_csv(cfg.class_map_path)
-            pairs = None
-            if cfg.survey_pairs_path is not None:
-                pairs_doc = validation.load_survey_csv(cfg.survey_pairs_path)
-                pairs = pairs_doc.get("pairs")
-            comparison = validation.compare_shares(od, survey["shares"], class_map, pairs)
+        shares = validation.load_survey_shares_csv(cfg.survey_path)
+        class_map = validation.load_class_map_csv(cfg.class_map_path)
+        pairs = None
+        if cfg.survey_pairs_path is not None:
+            pairs = validation.load_survey_pairs_csv(cfg.survey_pairs_path)
+        comparison = validation.compare_shares(od, shares, class_map, pairs)
     validation.write_validation_report(od, comparison, _artifact(cfg, "validation"))
 
 
@@ -238,9 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="INI configuration file")
     common.add_argument("--out", metavar="DIR", help="run directory for artifacts")
-    common.add_argument(
-        "--level", choices=("parish", "municipality"), help="region level for logs and flows"
-    )
+    common.add_argument("--level", choices=LEVELS, help="region level for logs and flows")
     common.add_argument("--top-k", type=int, metavar="N", help="variants kept in the export")
     common.add_argument(
         "--min-arc-freq", type=int, metavar="N", help="hide model arcs below this frequency"

@@ -21,6 +21,15 @@ _MAX_TRIPS_PER_DAY = 8
 
 DEFAULT_TRIP_GAP_S = 25 * 60.0
 
+# The region levels, finest first: staypoints, logs and flows name one of these.
+LEVELS = ("parish", "municipality")
+
+
+def check_level(level: str) -> None:
+    """Raise ValueError naming level unless it is one of LEVELS."""
+    if level not in LEVELS:
+        raise ValueError(f"unknown region level: {level}")
+
 
 @dataclass(frozen=True)
 class StopParams:
@@ -159,13 +168,29 @@ class ScenarioConfig:
         # each test is written so that NaN fails it
         if self.towers.rows < 2 or self.towers.cols < 2:
             raise InvalidConfig("tower grid must have >= 2 rows/cols")
-        for name, value in (("tower_spacing_m", self.towers.spacing_m),
-                            ("parish_size_m", self.parish_size_m),
-                            ("dwell_rate_per_h", self.dwell_rate_per_h)):
-            if not value > 0:
-                raise InvalidConfig(f"{name} must be positive, got {value}")
-        if not self.moving_rate_per_h >= 0:
-            raise InvalidConfig(f"moving_rate_per_h must be >= 0, got {self.moving_rate_per_h}")
+        for name, value, bound in (("tower_spacing_m", self.towers.spacing_m, "positive"),
+                                   ("parish_size_m", self.parish_size_m, "positive"),
+                                   ("dwell_rate_per_h", self.dwell_rate_per_h, "positive"),
+                                   ("moving_rate_per_h", self.moving_rate_per_h, ">= 0"),
+                                   ("sector_radius_m", self.towers.sector_radius_m, ">= 0")):
+            if not (value > 0 if bound == "positive" else value >= 0):
+                raise InvalidConfig(f"{name} must be {bound}, got {value}")
+            if value == math.inf:
+                raise InvalidConfig(f"{name} must be finite, got inf")
+        beamwidth = self.towers.beamwidth_deg
+        if not 0 < beamwidth <= 360:
+            raise InvalidConfig(f"beamwidth_deg must be in (0, 360], got {beamwidth}")
+        if not -90 <= self.origin_lat <= 90:
+            raise InvalidConfig(f"origin_lat must be in [-90, 90], got {self.origin_lat}")
+        if not -180 <= self.origin_lon <= 180:
+            raise InvalidConfig(f"origin_lon must be in [-180, 180], got {self.origin_lon}")
+        from .timefmt import _DAY_S, _FIRST_S, _LAST_S
+
+        if not _FIRST_S <= self.start_epoch <= _LAST_S + 1 - self.n_days * _DAY_S:
+            raise InvalidConfig(
+                f"start_epoch {self.start_epoch} and n_days {self.n_days} put the scenario "
+                "outside years 1 to 9999"
+            )
         if not 0.0 <= self.tower_noise_p <= 1.0:
             raise InvalidConfig(f"tower_noise_p must be in [0, 1], got {self.tower_noise_p}")
         if self.trips_per_day_kind not in ("fixed", "poisson"):
@@ -220,7 +245,7 @@ class PipelineConfig:
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
 
     def __post_init__(self) -> None:
-        if self.level not in ("parish", "municipality"):
+        if self.level not in LEVELS:
             raise InvalidConfig(f"level must be parish or municipality, got {self.level!r}")
         if self.top_k is not None and self.top_k < 1:
             raise InvalidConfig("top_k must be >= 1")

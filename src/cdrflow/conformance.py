@@ -135,15 +135,15 @@ def token_replay(net: PetriNet, log: CaseLog) -> FitnessReport:
         )
 
     transitions = set(net.transitions)
-    arc_place = {}
     outputs: dict[str, list[str]] = {}
+    fed_by: dict[str, list[str]] = {}
     for label, place in net.transition_to_place:
         outputs.setdefault(label, []).append(place)
-    for place, label in net.place_to_transition:
-        if place.startswith("arc:"):
-            # arc places encode their (a, b) pair in the id
-            a, b = json.loads(place[len("arc:"):])
-            arc_place[(a, b)] = place
+        fed_by.setdefault(place, []).append(label)
+    # an arc place is fed by a transition and feeds one: (a, b) for a -> place -> b
+    arc_place = {
+        (a, b): place for place, b in net.place_to_transition for a in fed_by.get(place, ())
+    }
     start_labels = {label for place, label in net.place_to_transition if place == SOURCE}
     end_labels = {label for label, place in net.transition_to_place if place == SINK}
     first_output = {label: min(places) for label, places in outputs.items()}

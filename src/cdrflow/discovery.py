@@ -311,22 +311,20 @@ def _arc_entry(src: str, dst: str, object_type: Optional[str], stats: ArcStats) 
 
 
 def model_to_dict(model: Union[Dfg, OcDfg]) -> dict:
-    """JSON-serializable model dump with sorted arrays.
+    """JSON-serializable model dump, nodes sorted by activity, arcs by (source, target, type).
 
     startCounts/endCounts make the dump sufficient to rebuild a workflow net.
     """
-    if isinstance(model, Dfg):
-        return {
-            "nodes": [{"activity": a, "frequency": n} for a, n in model.nodes],
-            "arcs": [_arc_entry(src, dst, None, stats) for (src, dst), stats in model.arcs],
-            "startCounts": [{"activity": a, "count": n} for a, n in model.start_counts],
-            "endCounts": [{"activity": a, "count": n} for a, n in model.end_counts],
-        }
-    return {
+    doc = {
         "nodes": [{"activity": a, "frequency": n} for a, n in sorted(model.node_dict().items())],
         "arcs": [_arc_entry(*row) for row in _arc_rows(model)],
-        "objectTypes": [object_type for object_type, _ in model.per_type],
     }
+    if isinstance(model, Dfg):
+        doc["startCounts"] = [{"activity": a, "count": n} for a, n in model.start_counts]
+        doc["endCounts"] = [{"activity": a, "count": n} for a, n in model.end_counts]
+    else:
+        doc["objectTypes"] = [object_type for object_type, _ in model.per_type]
+    return doc
 
 
 def write_model_json(model: Union[Dfg, OcDfg], path: str | Path) -> None:

@@ -15,6 +15,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
+from .config import check_level
 from .errors import UnresolvedRegion
 from .files import read_csv, read_json, write_csv, write_json
 from .timefmt import from_iso, to_iso
@@ -22,8 +23,6 @@ from .timefmt import from_iso, to_iso
 if TYPE_CHECKING:
     from .stays import Staypoint
     from .trips import Trip
-
-LEVELS = ("parish", "municipality")
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,8 +141,7 @@ def build_case_log(
     """One trace per trip; trips with unresolved regions are dropped and counted."""
     from .stays import staypoint_region
 
-    if level not in LEVELS:
-        raise ValueError(f"level must be one of {LEVELS}")
+    check_level(level)
     sp_index = {sp.staypoint_id: sp for sp in staypoints}
     traces = []
     dropped = []

@@ -41,10 +41,6 @@ _LAX_CHARACTERS = "_ \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
 _LAX_SET = frozenset(_LAX_CHARACTERS)
 
 
-class HeaderMismatch(ValueError):
-    """The first line of a CSV file is not the header its reader expects."""
-
-
 def is_strict(text: str) -> bool:
     """Whether text, a number field or fields joined, is ASCII with no '_' and no whitespace.
 
@@ -66,17 +62,17 @@ def read_csv(
     """make(*fields) for each data row of a CSV file whose first line is `header`.
 
     Blank lines are skipped.  `what` names the kind of file in errors: a
-    wrong header raises HeaderMismatch, and a row with another number of
-    fields than the header, one whose fields make rejects with ValueError,
-    or one csv cannot read, such as one opening a quote that never closes,
-    raises ValueError; each names the file and the line the row starts on.
+    wrong header, a row with another number of fields than the header, one
+    whose fields make rejects with ValueError, or one csv cannot read, such
+    as one opening a quote that never closes, raises ValueError; each names
+    the file and the line the row starts on.
     """
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         end = 0  # the last line of the last row read
         try:
             if next(reader, None) != list(header):
-                raise HeaderMismatch(f"{what} {path}: line 1: expected header {','.join(header)}")
+                raise ValueError(f"{what} {path}: line 1: expected header {','.join(header)}")
             end, width = reader.line_num, len(header)
             for row in reader:
                 start, end = end + 1, reader.line_num

@@ -13,6 +13,7 @@ from hashlib import blake2b
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
+from .config import check_level
 from .errors import ClippingExhausted
 # perfbench/tracing.py:128-131 wraps these three names as geo's, not eventfiles'.
 from .eventfiles import load_cdr_csv, load_positioned_csv, write_positioned_csv  # noqa: F401
@@ -63,13 +64,12 @@ class Region:
 
     region_id: str
     name: str
-    level: str  # "parish" | "municipality"
+    level: str  # one of config.LEVELS
     parent_id: Optional[str]
     polygons: tuple  # tuple of polygons; polygon = tuple of rings; ring = tuple of GeoPoint
 
     def __post_init__(self) -> None:
-        if self.level not in ("parish", "municipality"):
-            raise ValueError(f"unknown region level: {self.level}")
+        check_level(self.level)
         for polygon in self.polygons:
             for ring in polygon:
                 if len(ring) < 4 or ring[0] != ring[-1]:
@@ -551,10 +551,12 @@ class RegionIndex:
         """Id of the region at `level` containing p, or None.
 
         Ties on shared boundaries resolve to the lexicographically smallest
-        region_id (buckets keep region_id order, so the first hit wins).
+        region_id (buckets keep region_id order, so the first hit wins).  A
+        level that is none of config.LEVELS raises ValueError.
         """
         grid = self._grids.get(level)
         if grid is None:
+            check_level(level)  # a known level without regions holds no point
             return None
         for (minx, miny, maxx, maxy), region in grid.bucket(p.lon, p.lat):
             if not (minx <= p.lon <= maxx and miny <= p.lat <= maxy):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
-from .config import StopParams
+from .config import StopParams, check_level
 from .errors import UnresolvedRegion, UnsortedInput
 from .files import read_keyed_csv, strict_float, write_csv
 from .records import (
@@ -68,8 +68,9 @@ def staypoint_region(
     """Staypoint sp_id, an endpoint of trip trip_id, and its region at level.
 
     Raises UnresolvedRegion when the staypoint is unknown or has no region
-    at that level.
+    at that level, and ValueError when level is none of config.LEVELS.
     """
+    check_level(level)
     sp = sp_index.get(sp_id)
     if sp is None:
         raise UnresolvedRegion(f"trip {trip_id}: staypoint {sp_id!r} not found")

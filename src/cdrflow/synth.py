@@ -166,6 +166,15 @@ class _World:
         spec = config.towers
         self.m_per_deg_lat = 111_320.0
         self.m_per_deg_lon = 111_320.0 * math.cos(math.radians(config.origin_lat))
+        p = config.parish_size_m  # the parish grid covers the tower grid
+        try:
+            self.point_at(math.ceil(spec.cols * spec.spacing_m / p) * p,
+                          math.ceil(spec.rows * spec.spacing_m / p) * p)
+        except ValueError as exc:
+            raise InvalidConfig(
+                "origin_lat, origin_lon, tower_rows, tower_cols, tower_spacing_m and "
+                f"parish_size_m put the far corner of the grid out of range: {exc}"
+            ) from None
         self.towers: list[TowerSector] = []
         xs, ys = [], []
         for i in range(spec.rows):

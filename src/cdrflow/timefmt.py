@@ -112,6 +112,6 @@ def to_iso_block(ts: np.ndarray) -> list[str]:
     import numpy as np
 
     if ((ts == np.floor(ts)) & (ts >= _FIRST_S) & (ts <= _LAST_S)).all():
-        text = np.datetime_as_string(ts.astype(np.int64).astype("datetime64[s]"), unit="s")
-        return [s + "Z" for s in text.tolist()]
+        seconds = ts.astype(np.int64).astype("datetime64[s]")
+        return np.datetime_as_string(seconds, unit="s", timezone="UTC").tolist()
     return list(map(to_iso, ts.tolist()))

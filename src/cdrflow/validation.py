@@ -8,8 +8,9 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
+from .config import check_level
 from .errors import ClassMismatch, DegenerateInput, UnresolvedRegion
-from .files import HeaderMismatch, read_keyed_csv, strict_float, write_csv, write_json
+from .files import read_keyed_csv, strict_float, write_csv, write_json
 from .stays import Staypoint, staypoint_region
 from .trips import Trip, TripEnds
 
@@ -55,8 +56,10 @@ def build_od_matrix(
     """Trip counts per (origin region, destination region) at the given level.
 
     Intra-region trips land on the diagonal; trips whose endpoints lack a
-    region are excluded and tallied in the drop list.
+    region are excluded and tallied in the drop list.  A level that is none
+    of config.LEVELS raises ValueError.
     """
+    check_level(level)
     sp_index = {sp.staypoint_id: sp for sp in staypoints}
     counts: dict[tuple[str, str], int] = {}
     dropped = []
@@ -332,22 +335,20 @@ def compare_shares(
 
 # --- file formats -----------------------------------------------------------
 
-def load_survey_csv(path: str | Path) -> dict:
-    """Survey input: either class shares or pairwise trip counts.
+def load_survey_shares_csv(path: str | Path) -> dict[str, float]:
+    """Survey class shares, header `class,share`: the `[paths] survey` file."""
+    return read_keyed_csv(
+        path, ["class", "share"], "survey file", "class",
+        lambda cls, share: (cls, strict_float(share)),
+    )
 
-    Header `class,share` yields {"shares": {...}}; header
-    `origin,destination,trips` yields {"pairs": {...}}.
-    """
-    for kind, header, key, make in (
-        ("shares", ["class", "share"], "class", lambda c, share: (c, strict_float(share))),
-        ("pairs", ["origin", "destination", "trips"], "(origin, destination)",
-         lambda origin, dest, trips: ((origin, dest), strict_float(trips))),
-    ):
-        try:
-            return {kind: read_keyed_csv(path, header, "survey file", key, make)}
-        except HeaderMismatch:
-            pass
-    raise ValueError(f"survey file {path}: expected 'class,share' or 'origin,destination,trips'")
+
+def load_survey_pairs_csv(path: str | Path) -> dict[tuple[str, str], float]:
+    """Survey trip counts per pair, header `origin,destination,trips`: the `survey_pairs` file."""
+    return read_keyed_csv(
+        path, ["origin", "destination", "trips"], "survey pairs file", "(origin, destination)",
+        lambda origin, dest, trips: ((origin, dest), strict_float(trips)),
+    )
 
 
 def load_class_map_csv(path: str | Path) -> dict[str, str]:

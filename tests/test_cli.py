@@ -745,6 +745,80 @@ def survey_run(tmp_path_factory):
     return ini, out, paths
 
 
+HEADER_ERROR = "{what} {path}: line 1: expected header {header}"
+NEED_SURVEY = "[paths] survey_pairs and class_map need a [paths] survey file"
+
+
+@pytest.mark.parametrize("survey_paths, message", [
+    ({"survey": "survey", "survey_pairs": "survey_pairs", "class_map": "class_map"}, None),
+    ({"survey": "survey_pairs", "survey_pairs": "survey_pairs", "class_map": "class_map"},
+     HEADER_ERROR.format(what="survey file", path="{survey_pairs}", header="class,share")),
+    ({"survey": "survey", "survey_pairs": "survey", "class_map": "class_map"},
+     HEADER_ERROR.format(
+         what="survey pairs file", path="{survey}", header="origin,destination,trips"
+     )),
+    ({"survey_pairs": "survey_pairs"}, NEED_SURVEY),
+    ({"class_map": "class_map"}, NEED_SURVEY),
+    ({"survey_pairs": "survey_pairs", "class_map": "class_map"}, NEED_SURVEY),
+])
+def test_validate_reads_each_survey_key_by_its_header(
+    survey_run, tmp_path, capsys, survey_paths, message
+):
+    _, out, paths = survey_run
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    for name in ("trips", "staypoints"):
+        shutil.copy(out / ART[name], run_dir / ART[name])
+    keys = {"cdr": "cdr", "towers": "towers", "regions": "regions", **survey_paths}
+    ini = tmp_path / "survey.ini"
+    ini.write_text(TINY + "[paths]\n" + "".join(f"{k} = {paths[v]}\n" for k, v in keys.items()))
+    code = run("validate", "--config", str(ini), "--out", str(run_dir), "--seed", "4")
+    err = capsys.readouterr().err
+    if message is None:
+        assert code == 0, err
+        comparison = json.loads((run_dir / ART["validation"]).read_text())["comparison"]
+        assert comparison["regression"] is not None
+    else:
+        assert (code, err) == (1, f"cdrflow validate: {message.format(**paths)}\n")
+        assert not (run_dir / ART["validation"]).exists()
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("tower_spacing_m = inf", "tower_spacing_m must be finite, got inf"),
+    ("parish_size_m = inf", "parish_size_m must be finite, got inf"),
+    ("dwell_rate_per_h = inf", "dwell_rate_per_h must be finite, got inf"),
+    ("moving_rate_per_h = inf", "moving_rate_per_h must be finite, got inf"),
+    ("sector_radius_m = nan", "sector_radius_m must be >= 0, got nan"),
+    ("sector_radius_m = inf", "sector_radius_m must be finite, got inf"),
+    ("beamwidth_deg = 0", "beamwidth_deg must be in (0, 360], got 0.0"),
+    ("origin_lat = nan", "origin_lat must be in [-90, 90], got nan"),
+    ("origin_lon = 200", "origin_lon must be in [-180, 180], got 200.0"),
+    ("tower_spacing_m = 1e7",
+     "origin_lat, origin_lon, tower_rows, tower_cols, tower_spacing_m and parish_size_m put "
+     "the far corner of the grid out of range: latitude out of range: "),
+    ("origin_lon = 179.99", "origin_lat, origin_lon, tower_rows, tower_cols, tower_spacing_m"
+     " and parish_size_m put the far corner of the grid out of range: longitude out of range: "),
+    ("start_epoch = -99999999999999",
+     "start_epoch -99999999999999 and n_days 1 put the scenario outside years 1 to 9999"),
+    ("start_epoch = 253402272000",  # 9999-12-31T16:00:00Z: one day runs past 9999
+     "start_epoch 253402272000 and n_days 1 put the scenario outside years 1 to 9999"),
+])
+def test_synth_setting_out_of_range_exits_1_naming_it(tmp_path, capsys, setting, message):
+    ini = tmp_path / "synth.ini"
+    ini.write_text(TINY + setting + "\n")
+    out = tmp_path / "run"
+    assert run("synth", "--config", str(ini), "--out", str(out), "--seed", "17") == 1
+    assert capsys.readouterr().err.startswith(f"cdrflow synth: {message}")
+    assert not (out / ART["cdr"]).exists()
+
+
+def test_synth_accepts_the_last_day_of_year_9999(tmp_path):
+    ini = tmp_path / "synth.ini"
+    ini.write_text(TINY + "start_epoch = 253402214400\n")  # 9999-12-31T00:00:00Z
+    out = tmp_path / "run"
+    assert run("synth", "--config", str(ini), "--out", str(out), "--seed", "17") == 0
+
+
 # The stages that read each artifact or input, where it is not `validate` alone.
 READERS = {
     "towers": ["position"], "staypoints": ["trips", "log", "validate"],

@@ -6,6 +6,7 @@ import pytest
 from cdrflow.conformance import (
     SINK,
     SOURCE,
+    PetriNet,
     dfg_to_workflow_net,
     report_to_dict,
     token_replay,
@@ -143,6 +144,34 @@ class TestTokenReplay:
             assert 0.0 <= report.fitness <= 1.0
             assert report.missing <= report.consumed
             assert report.remaining <= report.produced
+
+
+    def test_activities_needing_json_escapes(self):
+        names = ['say "hi"', "back\\slash", "a,b", "Évora", "東京", "arc:[]"]
+        log = CaseLog(traces=tuple(
+            Trace(case_id=f"c{i}", events=((a, 0.0), (b, 60.0)))
+            for i, (a, b) in enumerate(zip(names, names[1:]))
+        ))
+        net = dfg_to_workflow_net(discover_dfg(log))
+        report = token_replay(net, log)
+        assert (report.fitness, report.missing, report.remaining) == (1.0, 0, 0)
+        # (names[0], names[2]) is no arc: its token is missing, and the one
+        # names[0] puts toward names[1] remains
+        foreign = token_replay(net, CaseLog(traces=(
+            Trace(case_id="x", events=((names[0], 0.0), (names[2], 60.0))),
+        )))
+        assert (foreign.missing, foreign.remaining) == (1, 1)
+
+    def test_arc_places_are_read_from_the_net(self):
+        # a hand-made net whose place ids say nothing of the pair they join
+        net = PetriNet(
+            places=(SOURCE, SINK, "p", "q"),
+            transitions=("A", "B"),
+            place_to_transition=(("p", "B"), ("q", "B"), (SOURCE, "A")),
+            transition_to_place=(("A", "p"), ("B", "q"), ("B", SINK)),
+        )
+        report = token_replay(net, log_of("AB", "ABB", "ABBB"))
+        assert (report.fitness, report.missing, report.remaining) == (1.0, 0, 0)
 
 
 class TestReportJson:

@@ -331,6 +331,19 @@ class TestModelJson:
         assert str(info.value).startswith(f"model file {path}: ")
         assert message in str(info.value)
 
+    def test_case_dump_sorts_nodes_and_arcs(self):
+        stats = ArcStats(frequency=1, mean_s=60.0, median_s=60.0)
+        dfg = Dfg(
+            nodes=(("B", 1), ("A", 1)),
+            arcs=((("B", "A"), stats), (("A", "B"), stats)),
+            start_counts=(("A", 1),),
+            end_counts=(("A", 1),),
+        )
+        doc = model_to_dict(dfg)
+        assert [n["activity"] for n in doc["nodes"]] == ["A", "B"]
+        assert [(a["src"], a["dst"]) for a in doc["arcs"]] == [("A", "B"), ("B", "A")]
+        assert list(doc) == ["nodes", "arcs", "startCounts", "endCounts"]
+
     def test_ocdfg_dump_arcs_sorted_and_typed(self):
         ocel = _random_ocel(random.Random(60), n_events=100)
         doc = model_to_dict(discover_ocdfg(ocel))

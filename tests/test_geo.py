@@ -726,6 +726,9 @@ class TestBucketedAssign:
 
     def test_unknown_level_and_outside_points(self, two_municipalities):
         assert two_municipalities.assign(GeoPoint(0.5, 0.5), "parish") is None
+        for level in ("parsh", "Municipality", ""):
+            with pytest.raises(ValueError, match=f"^unknown region level: {level}$"):
+                two_municipalities.assign(GeoPoint(0.5, 0.5), level)
         for p in (GeoPoint(-0.5, 0.5), GeoPoint(0.5, 2.5), GeoPoint(89.0, 179.0)):
             assert two_municipalities.assign(p, "municipality") is None
 

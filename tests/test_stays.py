@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdrflow.errors import UnsortedInput
+from cdrflow.errors import UnresolvedRegion, UnsortedInput
 from cdrflow.records import (
     EventColumns,
     GeoPoint,
@@ -22,6 +22,7 @@ from cdrflow.records import (
 )
 from cdrflow import stays as stays_module
 from cdrflow.stays import (
+    Staypoint,
     Stop,
     StopParams,
     _grid_pairs,
@@ -30,6 +31,7 @@ from cdrflow.stays import (
     detect_stops,
     load_staypoints_csv,
     moving_events,
+    staypoint_region,
     write_staypoints_csv,
 )
 
@@ -411,6 +413,22 @@ class TestDetectStopsReference:
                 expected = reference_detect_stops(events, params)
                 for given in forms(events):
                     assert detect_stops(given, params) == expected
+
+
+class TestStaypointRegion:
+    def index(self):
+        return {"s": Staypoint("s", "u", "s", BASE, 0.0, 60.0, "P1", None)}
+
+    def test_regions_by_level(self):
+        index = self.index()
+        assert staypoint_region(index, "s", "parish", "t0") == (index["s"], "P1")
+        with pytest.raises(UnresolvedRegion, match="^trip t0: staypoint s has no municipality"):
+            staypoint_region(index, "s", "municipality", "t0")
+
+    @pytest.mark.parametrize("sp_id", ["s", "unknown"])
+    def test_unknown_level_raises_naming_it(self, sp_id):
+        with pytest.raises(ValueError, match="^unknown region level: parsh$"):
+            staypoint_region(self.index(), sp_id, "parsh", "t0")
 
 
 class TestMovingEvents:

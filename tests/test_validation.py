@@ -16,7 +16,8 @@ from cdrflow.validation import (
     compare_shares,
     linear_regression,
     load_class_map_csv,
-    load_survey_csv,
+    load_survey_pairs_csv,
+    load_survey_shares_csv,
     write_od_csv,
 )
 
@@ -79,6 +80,12 @@ class TestOdMatrix:
         od = build_od_matrix(trips, sps, "municipality")
         assert od.total == 1
         assert od.dropped_trip_ids == ("t0",)
+
+    @pytest.mark.parametrize("n_trips", [0, 1])
+    def test_unknown_level_raises_naming_it(self, n_trips):
+        trips = [trip("t0", "o1", "l1")][:n_trips]
+        with pytest.raises(ValueError, match="^unknown region level: parsh$"):
+            build_od_matrix(trips, self.staypoints(), "parsh")
 
     def test_od_csv(self, tmp_path):
         od = build_od_matrix([trip("t0", "o1", "l1")], self.staypoints(), "municipality")
@@ -306,24 +313,33 @@ class TestRegionAliases:
         assert load_region_aliases_csv(path) == {"Lisbon": "Lisboa"}
 
 
+SHARES = "class,share\nintra,0.573\nlisbon,0.269\nother,0.154\n"
+PAIRS = "origin,destination,trips\nOeiras,Lisboa,120\n"
+
+
 class TestSurveyIO:
     def test_shares_format(self, tmp_path):
         path = tmp_path / "survey.csv"
-        path.write_text("class,share\nintra,0.573\nlisbon,0.269\nother,0.154\n")
-        doc = load_survey_csv(path)
-        assert doc == {"shares": {"intra": 0.573, "lisbon": 0.269, "other": 0.154}}
+        path.write_text(SHARES)
+        assert load_survey_shares_csv(path) == {"intra": 0.573, "lisbon": 0.269, "other": 0.154}
 
     def test_pairs_format(self, tmp_path):
         path = tmp_path / "pairs.csv"
-        path.write_text("origin,destination,trips\nOeiras,Lisboa,120\n")
-        doc = load_survey_csv(path)
-        assert doc == {"pairs": {("Oeiras", "Lisboa"): 120.0}}
+        path.write_text(PAIRS)
+        assert load_survey_pairs_csv(path) == {("Oeiras", "Lisboa"): 120.0}
 
-    def test_bad_header(self, tmp_path):
+    @pytest.mark.parametrize("load, header, text", [
+        (load_survey_shares_csv, "class,share", "a,b\n1,2\n"),
+        (load_survey_shares_csv, "class,share", PAIRS),
+        (load_survey_pairs_csv, "origin,destination,trips", "a,b\n1,2\n"),
+        (load_survey_pairs_csv, "origin,destination,trips", SHARES),
+    ])
+    def test_bad_header(self, tmp_path, load, header, text):
         path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError):
-            load_survey_csv(path)
+        path.write_text(text)
+        with pytest.raises(ValueError) as raised:
+            load(path)
+        assert str(raised.value).endswith(f" {path}: line 1: expected header {header}")
 
     def test_class_map(self, tmp_path):
         path = tmp_path / "classes.csv"
