@@ -1,18 +1,22 @@
 """Event files (cdr.csv, positioned.csv, moving.csv) read and written as EventColumns.
 
 load_positioned_csv gives records, parsed without numpy: numpy costs the trips stage ~100 ms.
+It checks each row once, as the records would, and then makes the records
+without running their checks again.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 from .files import is_strict, plain_csv_blocks, read_csv, strict_float, write_csv_blocks
 from .records import (
-    _BLOCK_EVENTS, EventColumns, GeoPoint, PositionedEvent, _check_coordinates, id_codes,
+    _BLOCK_EVENTS, EventColumns, GeoPoint, PositionedEvent, _check_coordinates, _made,
+    _valid_events, id_codes,
 )
 from .timefmt import from_iso, from_iso_block, to_iso_block
 
@@ -77,10 +81,8 @@ def _read_canonical_columns(path: str | Path, header: list[str]) -> Optional[Eve
             floats = [np.fromiter(map(float, c), np.float64, len(c)) for c in coordinates]
         except ValueError:
             return None
-        if floats:
-            lat, lon = floats
-            if not ((-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0)).all():
-                return None  # NaN fails here too, as in _check_coordinates
+        if floats and not _valid_events(ts, *floats).all():
+            return None
         values = (id_codes(out.user_codes, users), id_codes(out.cell_codes, cells), ts, *floats)
         for column, block in zip((out.user, out.cell, *out.floats), values):
             column.frombytes(block.tobytes())
@@ -122,12 +124,18 @@ def read_positioned_columns(path: str | Path) -> EventColumns:
 
 
 def load_positioned_csv(path: str | Path) -> list[PositionedEvent]:
-    """PositionedEvents of the file, parsed row by row without numpy, for the trips stage."""
-    return [
-        PositionedEvent(user_id, ts, cell_id, GeoPoint(lat, lon))
-        for user_id, ts, cell_id, lat, lon
-        in read_csv(path, POSITIONED_HEADER, "positioned file", _positioned_fields)
-    ]
+    """PositionedEvents of the file, parsed row by row without numpy, for the trips stage.
+
+    _positioned_fields checks each row; the records of each block of rows
+    are then made unchecked.
+    """
+    rows = read_csv(path, POSITIONED_HEADER, "positioned file", _positioned_fields)
+    events = []
+    while block := list(islice(rows, _BLOCK_EVENTS)):
+        users, ts, cells, lats, lons = zip(*block)
+        events += _made(PositionedEvent, len(block), users, ts, cells,
+                        _made(GeoPoint, len(block), lats, lons))
+    return events
 
 
 def write_positioned_csv(parts: Iterable[EventColumns], path: str | Path) -> None:

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 if TYPE_CHECKING:
@@ -56,6 +58,37 @@ class PositionedEvent:
     def __post_init__(self) -> None:
         if not math.isfinite(self.timestamp):
             raise ValueError("timestamp must be finite")
+
+
+def _made(cls, n: int, *columns: Iterable) -> list:
+    """n records of the slotted dataclass cls, field values from columns, no checks run.
+
+    Each slot is set by one map of its descriptor's __set__ over the records,
+    so no Python frame runs per record; callers check the values first.
+    """
+    made = list(map(object.__new__, repeat(cls, n)))
+    for name, values in zip(cls.__slots__, columns):
+        deque(map(getattr(cls, name).__set__, made, values), maxlen=0)
+    return made
+
+
+def _valid_events(ts: np.ndarray, lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+    """Per event, whether PositionedEvent and GeoPoint accept its ts, lat and lon.
+
+    The records' checks as one array pass: lat in [-90, 90], lon in
+    [-180, 180] and a finite ts; NaN fails.
+    """
+    import numpy as np
+
+    return np.isfinite(ts) & (-90.0 <= lat) & (lat <= 90.0) & (-180.0 <= lon) & (lon <= 180.0)
+
+
+def _check_events(ts: np.ndarray, lat: np.ndarray, lon: np.ndarray) -> None:
+    """Raise the records' own error for the first event they would reject, if any."""
+    valid = _valid_events(ts, lat, lon)
+    if not valid.all():
+        k = int(valid.argmin())
+        PositionedEvent("", ts[k].item(), "", GeoPoint(lat[k].item(), lon[k].item()))
 
 
 def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -131,6 +164,9 @@ class EventColumns(Sequence):
     As a read-only sequence the columns give one record per event, a
     CdrEvent or, once positioned, a PositionedEvent, made when it is read;
     they equal a list or tuple of the same records.  take() gives columns.
+    The values of each slice read are checked once as arrays (_check_events,
+    which raises the records' own error) and then set without per-record
+    checks (_made).
     """
 
     users: list[str]
@@ -148,14 +184,17 @@ class EventColumns(Sequence):
         if not isinstance(index, slice):
             k = range(len(self))[index]
             return self[k:k + 1][0]
+        ts = self.ts[index]
         fields = (
-            map(self.users.__getitem__, self.user[index].tolist()), self.ts[index].tolist(),
+            map(self.users.__getitem__, self.user[index].tolist()), ts.tolist(),
             map(self.cells.__getitem__, self.cell[index].tolist()),
         )
         if self.lat is None:
-            return list(map(CdrEvent, *fields))
-        locations = map(GeoPoint, self.lat[index].tolist(), self.lon[index].tolist())
-        return list(map(PositionedEvent, *fields, locations))
+            return _made(CdrEvent, len(ts), *fields)
+        lat, lon = self.lat[index], self.lon[index]
+        _check_events(ts, lat, lon)
+        locations = _made(GeoPoint, len(ts), lat.tolist(), lon.tolist())
+        return _made(PositionedEvent, len(ts), *fields, locations)
 
     def __iter__(self) -> Iterator:
         for start in range(0, len(self), _BLOCK_EVENTS):

@@ -26,6 +26,7 @@ from .records import (
     EventColumns,
     GeoPoint,
     PositionedEvent,
+    _check_events,
     event_columns,
     group_by_user,
     haversine_m,
@@ -138,12 +139,14 @@ def detect_stops(trace: Sequence[PositionedEvent], params: StopParams) -> list[S
     stop accumulates consecutive events while each new event is within r1 of
     the running median and within max_gap of the previous one; it is emitted
     only when its span reaches min_duration.  Events in no emitted stop are
-    moving points.  The first pair of events out of order decides the error:
-    UnsortedInput when its time decreases, else ValueError for a user change.
+    moving points.  Unpositioned events, and values the records reject, raise
+    ValueError (_positioned_columns).  Then the first pair of events out of
+    order decides the error: UnsortedInput when its time decreases, else
+    ValueError for a user change.
     """
     import numpy as np
 
-    events = event_columns(trace)
+    events = _positioned_columns(trace, "detect_stops")
     ts, user = events.ts, events.user
     back = ts[1:] < ts[:-1]
     bad = np.flatnonzero(back | (user[1:] != user[:-1]))
@@ -157,6 +160,19 @@ def detect_stops(trace: Sequence[PositionedEvent], params: StopParams) -> list[S
         events.users[user[0]] if len(events) else "", ts.tolist(),
         events.lat.tolist(), events.lon.tolist(), params,
     )
+
+
+def _positioned_columns(trace: Iterable[PositionedEvent], caller: str) -> EventColumns:
+    """trace as positioned EventColumns, its values checked as PositionedEvent checks them.
+
+    ValueError names caller when the events are not positioned, and is the
+    records' own error for the first event whose values they reject.
+    """
+    events = event_columns(trace)
+    if events.lat is None:
+        raise ValueError(f"{caller} needs positioned events")
+    _check_events(events.ts, events.lat, events.lon)
+    return events
 
 
 def _scan_stops(
@@ -421,9 +437,10 @@ def build_staypoints(
     events in time order.  detect_stops runs over each user's events, users in
     sorted order; one cluster_fn call labels the stops of all users.  Output
     is sorted by (user_id, t_start) with sequential staypoint ids, so identical
-    inputs always produce identical ids and labels.
+    inputs always produce identical ids and labels.  The events are checked
+    as in detect_stops, before any user's stops are sought.
     """
-    events = event_columns(traces)
+    events = _positioned_columns(traces, "build_staypoints")
     stops = [
         stop for _, index in _by_user(events.users, events.user)
         for stop in detect_stops(events.take(index), params)

@@ -14,7 +14,7 @@ import pickle
 import random
 import re
 import tempfile
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 from unittest.mock import patch
 
@@ -473,6 +473,57 @@ def test_build_staypoints_rejects_unsorted_users_alike(tmp_path):
     assert "'a'" in str(got.value)
 
 
+# values that GeoPoint or PositionedEvent reject, by column
+BAD_VALUES = [
+    (name, value)
+    for name, values in (("lat", [math.nan, math.inf, -math.inf, 90.5, -91.0]),
+                         ("lon", [math.nan, math.inf, -math.inf, 180.5, -181.0]),
+                         ("ts", [math.nan, math.inf, -math.inf]))
+    for value in values
+]
+
+
+def test_stop_detection_needs_positioned_events(sequence_world):
+    events, positioned = sequence_world
+    params = stays.StopParams()
+    mixed = [positioned[0], events[1]]
+    for given in (events, event_columns(events), mixed):
+        with pytest.raises(ValueError, match="^build_staypoints needs positioned events$"):
+            stays.build_staypoints(given, params)
+        with pytest.raises(ValueError, match="^detect_stops needs positioned events$"):
+            stays.detect_stops(given[:5], params)
+
+
+@pytest.mark.parametrize("name, value", BAD_VALUES)
+def test_stop_detection_rejects_what_the_records_reject(name, value):
+    n = 30  # one user's pings a minute apart: a staypoint without the bad value
+    values = {"ts": np.arange(n) * 60.0, "lat": np.full(n, 38.7), "lon": np.full(n, -9.3)}
+    values[name][5] = value
+    values["lat"][9] = 95.0  # a later bad event decides nothing
+    columns = records.EventColumns(["u"], ["c"], np.zeros(n, np.int32), np.zeros(n, np.int32),
+                                   values["ts"], values["lat"], values["lon"])
+    with pytest.raises(ValueError) as expected:
+        list(columns)
+    message = f"^{re.escape(str(expected.value))}$"
+    params = stays.StopParams(min_duration=300.0)
+    with pytest.raises(ValueError, match=message):
+        stays.build_staypoints(columns, params)
+    with pytest.raises(ValueError, match=message):
+        stays.detect_stops(columns, params)
+
+
+def test_build_staypoints_rejects_the_first_bad_event_in_input_order():
+    # user "b" comes first in the input and last in the stop scan
+    n = 20
+    user = np.repeat(np.array([1, 0], dtype=np.int32), n // 2)
+    lat = np.full(n, 38.7)
+    lat[3], lat[12] = 95.0, 96.0
+    columns = records.EventColumns(["a", "b"], ["c"], user, np.zeros(n, np.int32),
+                                   np.tile(np.arange(n // 2) * 60.0, 2), lat, np.full(n, -9.3))
+    with pytest.raises(ValueError, match=r"^latitude out of range: 95\.0$"):
+        stays.build_staypoints(columns, stays.StopParams())
+
+
 # --- EventColumns as a sequence of records -------------------------------------
 
 @pytest.fixture(scope="module")
@@ -511,6 +562,81 @@ def test_event_columns_are_a_sequence_of_records(sequence_world, kind, block_eve
     assert copy == records and column_rows(copy) == column_rows(columns)
     with pytest.raises(TypeError):
         hash(columns)
+
+
+def constructed(record):
+    """A record equal to `record`, made by its class's constructors with their checks."""
+    if isinstance(record, CdrEvent):
+        return CdrEvent(record.user_id, record.timestamp, record.cell_id)
+    location = GeoPoint(record.location.lat, record.location.lon)
+    return PositionedEvent(record.user_id, record.timestamp, record.cell_id, location)
+
+
+def assert_same_records(got, expected):
+    """got and expected are alike in every way a record shows: type, ==, hash, repr,
+    frozenness, pickling and dataclasses.replace, the location's too."""
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        pairs = [(a, b)] + ([(a.location, b.location)] if isinstance(b, PositionedEvent) else [])
+        for x, y in pairs:
+            assert type(x) is type(y) and x == y and hash(x) == hash(y) and repr(x) == repr(y)
+            for field in fields(y):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(x, field.name, getattr(y, field.name))
+            copy = pickle.loads(pickle.dumps(x, protocol=pickle.HIGHEST_PROTOCOL))
+            assert copy == y and repr(copy) == repr(y) and hash(copy) == hash(y)
+            assert replace(x) == y and repr(replace(x)) == repr(y)
+        assert replace(a, timestamp=b.timestamp + 1.0) == replace(b, timestamp=b.timestamp + 1.0)
+
+
+@pytest.mark.parametrize("block_events", [1, 7, 1024])
+@pytest.mark.parametrize("kind", ["cdr", "positioned"])
+def test_records_from_columns_equal_the_constructors_records(
+    sequence_world, kind, block_events, monkeypatch, tmp_path,
+):
+    made = dict(zip(("cdr", "positioned"), sequence_world))[kind]
+    expected = [constructed(record) for record in made]
+    columns = event_columns(expected)
+    monkeypatch.setattr(records, "_BLOCK_EVENTS", block_events)
+    monkeypatch.setattr(eventfiles, "_BLOCK_EVENTS", block_events)
+
+    assert_same_records(list(columns), expected)
+    assert_same_records([columns[k] for k in range(-50, 50)], expected + expected)
+    for index in (slice(None, None, -1), slice(40, 2, -3), slice(-1, -60, -7), slice(3, 45, 2)):
+        assert_same_records(columns[index], expected[index])
+    if kind == "positioned":
+        eventfiles.write_positioned_csv([columns], tmp_path / "positioned.csv")
+        assert_same_records(eventfiles.load_positioned_csv(tmp_path / "positioned.csv"), expected)
+
+
+@pytest.mark.parametrize("block_events", [1, 7, 1024])
+@pytest.mark.parametrize("place", ["first", "middle", "last"])
+@pytest.mark.parametrize("name, value", BAD_VALUES)
+def test_bad_values_in_columns_raise_the_constructors_error(name, value, place, block_events,
+                                                             monkeypatch):
+    monkeypatch.setattr(records, "_BLOCK_EVENTS", block_events)
+    n = 3 * block_events  # the bad event is in the second block
+    k = block_events + {"first": 0, "middle": block_events // 2, "last": block_events - 1}[place]
+    values = {"ts": np.arange(n) * 60.0, "lat": np.full(n, 38.7), "lon": np.full(n, -9.3)}
+    values[name][k] = value
+    if name != "lat" and k + 1 < n:
+        values["lat"][k + 1] = math.nan  # a later bad event decides nothing
+    columns = records.EventColumns(["u"], ["c"], np.zeros(n, np.int32), np.zeros(n, np.int32),
+                                   values["ts"], values["lat"], values["lon"])
+    with pytest.raises(ValueError) as expected:
+        PositionedEvent("u", values["ts"][k].item(), "c",
+                        GeoPoint(values["lat"][k].item(), values["lon"][k].item()))
+    message = f"^{re.escape(str(expected.value))}$"
+
+    read = []
+    with pytest.raises(ValueError, match=message):
+        read.extend(columns)
+    assert read == [constructed(ev) for ev in columns[:block_events]]  # the blocks before it
+    # each read has the bad event first among the events it makes
+    for index in (k, k - n, slice(k, k + 1), slice(None), slice(k, None, -1), slice(k, 0, -2)):
+        with pytest.raises(ValueError, match=message):
+            columns[index]
+    assert len(columns[:k]) == k
 
 
 def test_cdr_writer_leaves_positioned_columns_coordinates_out(sequence_world, tmp_path):
